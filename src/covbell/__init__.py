@@ -6,9 +6,9 @@ from .covariance import (CovarianceReport, FiniteStrategy, LocalModelView,
                          NotCovariantError, Witness, check_covariance,
                          enumerate_finite, frame_consistency, reduce_to_local)
 from .models import (GisinSingletModel, LocalSphereModel, OrderedModel,
-                     OutcomePair, StochasticResponse, determinize, eval_pair,
-                     eval_pairs, make_gisin_singlet, make_local_sphere,
-                     make_model, stochastic_singlet)
+                     StochasticResponse, determinize, eval_pairs,
+                     make_gisin_singlet, make_local_sphere, make_model,
+                     stochastic_singlet)
 from .spacetime import (Boost, Event, SimultaneousEventsError, boost_event,
                         is_spacelike, time_order)
 from .stats import (ChshEstimate, CorrelationEstimate, JointStats, SeedSpec,

@@ -19,7 +19,7 @@ import numpy as np
 from .core import MeasurementSetting, QuantumState, TimeOrdering, setting_grid, tsirelson_settings
 from .covariance import (NotCovariantError, check_covariance, enumerate_finite,
                          reduce_to_local, strategies_to_csv)
-from .models import make_model
+from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 from .stats import (SeedSpec, chsh, estimate_joint, exact_joint, joint_record,
                     records_to_csv, records_to_json, sample_lambda)
@@ -34,44 +34,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {
-    "model": "gisin-singlet",
-    "ordering": "AB",
-    "settings": "grid:5",
-    "mode": "mc",
-    "n": 1_000_000,
-    "grid": 2000,
-    "seed": 0,
-    "stream": 0,
-    "workers": os.cpu_count() or 1,
-    "probes": 10_000,
-    "witness_cap": 32,
-    "output": None,
-    "format": "csv",
-    "event_a": "0,-1",
-    "event_b": "0,1",
-    "velocities": "-0.5,0,0.5",
+# Every option's default, type and allowed values (None: any). Flags and
+# config-file values are checked against the same entry.
+_OPTIONS = {
+    "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY))),
+    "ordering": ("AB", str, ("AB", "BA")),
+    "settings": ("grid:5", str, None),
+    "mode": ("mc", str, ("mc", "exact")),
+    "n": (1_000_000, int, None),
+    "grid": (2000, int, None),
+    "seed": (0, int, None),
+    "stream": (0, int, None),
+    "workers": (os.cpu_count() or 1, int, None),
+    "probes": (10_000, int, None),
+    "witness_cap": (32, int, None),
+    "output": (None, str, None),
+    "format": ("csv", str, ("csv", "json")),
+    "event_a": ("0,-1", str, None),
+    "event_b": ("0,1", str, None),
+    "velocities": ("-0.5,0,0.5", str, None),
 }
+
+_HELP = {
+    "settings": "'tsirelson', 'grid:N', or inline JSON vectors",
+    "event_a": "'t,x'",
+    "event_b": "'t,x'",
+    "velocities": "comma-separated boost velocities",
+}
+
+_MINIMUM = {"n": 1, "grid": 2, "probes": 1}
 
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model")
-    p.add_argument("--ordering", choices=["AB", "BA"])
-    p.add_argument("--settings", help="'tsirelson', 'grid:N', or inline JSON vectors")
-    p.add_argument("--mode", choices=["mc", "exact"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stream", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--probes", type=int)
-    p.add_argument("--witness-cap", dest="witness_cap", type=int)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--event-a", dest="event_a", help="'t,x'")
-    p.add_argument("--event-b", dest="event_b", help="'t,x'")
-    p.add_argument("--velocities", help="comma-separated boost velocities")
+    for key, (_, typ, choices) in _OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                       help=_HELP.get(key) or (choices and "one of: " + ", ".join(choices)))
 
 
 def build_parser() -> _Parser:
@@ -84,28 +82,33 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, (default, typ, choices) in _OPTIONS.items():
+        val = cfg[key]
+        if val is None and default is None:
+            continue
+        if type(val) is not typ:
+            raise UsageError(f"{key} must be of type {typ.__name__}, got {val!r}")
+        if choices and val not in choices:
+            raise UsageError(f"unknown {key} {val!r}; available: {', '.join(choices)}")
+    for key, low in _MINIMUM.items():
+        if cfg[key] < low:
+            raise UsageError(f"{key} must be at least {low}")
     cfg["command"] = args.command
-    if cfg["n"] < 1:
-        raise UsageError("n must be at least 1")
-    if cfg["grid"] < 2:
-        raise UsageError("grid must be at least 2")
     return cfg
-
-
-def _parse_vec(v) -> MeasurementSetting:
-    return MeasurementSetting.from_array(v)
 
 
 def _setting_pairs(spec: str):
@@ -114,11 +117,14 @@ def _setting_pairs(spec: str):
         a, ap, b, bp = tsirelson_settings()
         return [(a, b), (a, bp), (ap, b), (ap, bp)]
     if spec.startswith("grid:"):
-        n = int(spec.split(":", 1)[1])
-        g = setting_grid(n)
+        count = spec[len("grid:"):]
+        if not count.isdecimal() or int(count) < 1:
+            raise UsageError(f"settings {spec!r}: grid size must be a positive integer")
+        g = setting_grid(int(count))
         return [(ga, gb) for ga in g for gb in g]
     if spec.startswith("["):
-        return [(_parse_vec(pa), _parse_vec(pb)) for pa, pb in json.loads(spec)]
+        return [(MeasurementSetting.from_array(pa), MeasurementSetting.from_array(pb))
+                for pa, pb in json.loads(spec)]
     raise UsageError(f"cannot parse settings spec {spec!r}")
 
 
@@ -130,7 +136,7 @@ def _setting_quad(spec: str):
         vecs = json.loads(spec)
         if len(vecs) != 4:
             raise UsageError("chsh needs exactly 4 setting vectors (a, a', b, b')")
-        return tuple(_parse_vec(v) for v in vecs)
+        return tuple(MeasurementSetting.from_array(v) for v in vecs)
     raise UsageError(f"cannot parse settings spec {spec!r} for chsh")
 
 
@@ -262,7 +268,7 @@ def _parse_event(spec: str) -> Event:
 def _cmd_frame_order(cfg) -> int:
     ea = _parse_event(cfg["event_a"])
     eb = _parse_event(cfg["event_b"])
-    velocities = [float(v) for v in str(cfg["velocities"]).split(",")]
+    velocities = [float(v) for v in cfg["velocities"].split(",")]
     rows = []
     for v in velocities:
         boost = Boost(v)  # |v| >= 1 raises, handled as a domain error
@@ -306,10 +312,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except UsageError as err:
         print(f"covbell: {err}", file=sys.stderr)
-        return 1
-    except KeyError as err:
-        # unknown model name and similar lookup failures are usage errors
-        print(f"covbell: {err.args[0]}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"covbell: {err}", file=sys.stderr)

@@ -50,7 +50,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > NORMALIZE_TOL:
+        if not abs(norm - 1.0) <= NORMALIZE_TOL:  # also rejects NaN
             raise ValueError(
                 f"measurement setting must be unit-norm within {NORMALIZE_TOL}; got norm {norm!r}"
             )

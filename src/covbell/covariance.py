@@ -15,12 +15,11 @@ deterministic strategies, exact integer CHSH, local bound 2 vs unconstrained 4.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HiddenPoint, Outcome, QuantumState, TimeOrdering
+from .core import HiddenPoint, Outcome, TimeOrdering
 from .models import OrderedModel, eval_pairs
 from .stats import exact_joint
 
@@ -98,21 +97,20 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                      witness_cap: int = 32) -> CovarianceReport:
     """Count pointwise covariance failures over all (lambda, a, b) probes.
 
-    A probe violates if either party's first-frame outcome differs from its
-    second-frame outcome; witnesses record each failing side, lowest probe
-    index first, up to the cap.
+    A probe violates if either party's outcome from ``eval_pairs`` in the frame
+    where it measures first differs from its outcome in the frame where it
+    measures second; witnesses record each failing side, lowest probe index
+    first, up to the cap.
     """
     arr = _as_lam_array(lams, m.lambda_dim)
     checked = 0
     violations = 0
     witnesses = []
     for a, b in setting_pairs:
-        f_ab = m.first_values(TimeOrdering.AB, state, a, arr)
-        s_ba = m.second_values(TimeOrdering.BA, state, a, b, arr)
-        f_ba = m.first_values(TimeOrdering.BA, state, b, arr)
-        s_ab = m.second_values(TimeOrdering.AB, state, a, b, arr)
-        alice_bad = f_ab != s_ba
-        bob_bad = f_ba != s_ab
+        alpha_ab, beta_ab = eval_pairs(m, TimeOrdering.AB, state, a, b, arr)
+        alpha_ba, beta_ba = eval_pairs(m, TimeOrdering.BA, state, a, b, arr)
+        alice_bad = alpha_ab != alpha_ba
+        bob_bad = beta_ba != beta_ab
         checked += arr.shape[0]
         violations += int(np.count_nonzero(alice_bad | bob_bad))
         if len(witnesses) < witness_cap:
@@ -120,10 +118,10 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                 lam = HiddenPoint(tuple(arr[i]))
                 if alice_bad[i] and len(witnesses) < witness_cap:
                     witnesses.append(Witness(lam, a, b, Side.ALICE,
-                                             Outcome(int(f_ab[i])), Outcome(int(s_ba[i]))))
+                                             Outcome(int(alpha_ab[i])), Outcome(int(alpha_ba[i]))))
                 if bob_bad[i] and len(witnesses) < witness_cap:
                     witnesses.append(Witness(lam, a, b, Side.BOB,
-                                             Outcome(int(f_ba[i])), Outcome(int(s_ab[i]))))
+                                             Outcome(int(beta_ba[i])), Outcome(int(beta_ab[i]))))
                 if len(witnesses) >= witness_cap:
                     break
     fraction = violations / checked if checked else 0.0
@@ -131,9 +129,12 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                             witnesses=tuple(witnesses), violation_fraction=fraction)
 
 
-class LocalModelView:
+class LocalModelView(OrderedModel):
     """Bell-local view of a covariant model: each party answers from its own
-    setting and lambda alone (Alice via the AB-first function, Bob via BA-first)."""
+    setting and lambda alone (Alice via the AB-first function, Bob via BA-first),
+    identically in both orderings, so the view is covariant itself."""
+
+    name = "local-view"
 
     def __init__(self, m: OrderedModel, state):
         self._m = m
@@ -146,34 +147,15 @@ class LocalModelView:
     def responds_bob_values(self, b, lams) -> np.ndarray:
         return self._m.first_values(TimeOrdering.BA, self._state, b, lams)
 
-    def responds_alice(self, a, lam: HiddenPoint) -> Outcome:
-        return self._m.first(TimeOrdering.AB, self._state, a, lam)
-
-    def responds_bob(self, b, lam: HiddenPoint) -> Outcome:
-        return self._m.first(TimeOrdering.BA, self._state, b, lam)
-
-    def as_ordered_model(self) -> OrderedModel:
-        return _LocalViewModel(self)
-
-
-class _LocalViewModel(OrderedModel):
-    """OrderedModel adapter for a local view; both orderings answer identically."""
-
-    name = "local-view"
-
-    def __init__(self, view: LocalModelView):
-        self._view = view
-        self.lambda_dim = view.lambda_dim
-
     def first_values(self, ordering, state, setting_first, lams):
         if ordering is TimeOrdering.AB:
-            return self._view.responds_alice_values(setting_first, lams)
-        return self._view.responds_bob_values(setting_first, lams)
+            return self.responds_alice_values(setting_first, lams)
+        return self.responds_bob_values(setting_first, lams)
 
     def second_values(self, ordering, state, a, b, lams):
         if ordering is TimeOrdering.AB:
-            return self._view.responds_bob_values(b, lams)
-        return self._view.responds_alice_values(a, lams)
+            return self.responds_bob_values(b, lams)
+        return self.responds_alice_values(a, lams)
 
 
 def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
@@ -287,16 +269,12 @@ class EnumerationSummary:
         }
 
 
-def enumerate_finite(lambda_atoms: int = 1) -> EnumerationSummary:
+def enumerate_finite() -> EnumerationSummary:
     """Exhaustive scan of all 4096 two-setting deterministic strategies.
 
     CHSH is evaluated in the AB frame (frames disagree for non-covariant
     strategies); the per-strategy rows also carry the BA-frame value.
     """
-    if lambda_atoms != 1:
-        raise ValueError(
-            "only one lambda atom is enumerated; mixtures are covered by convexity"
-        )
     rows = []
     covariant_count = 0
     max_s = 0

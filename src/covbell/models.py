@@ -9,7 +9,7 @@ which is what makes a model nonlocal. Built-ins:
   - determinize(): wraps a stochastic response rule into a deterministic
     model by appending two uniform coordinates and thresholding.
 
-All evaluation is pure; models are immutable after construction. Batch
+All evaluation is pure; models are immutable after construction. Evaluation
 methods take an (n, d) array of hidden points and return (n,) arrays of +/-1.
 """
 
@@ -21,16 +21,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import HiddenPoint, MeasurementSetting, Outcome, QuantumState, TimeOrdering, dot
+from .core import QuantumState, TimeOrdering, dot
 
 
 class OrderedModel(abc.ABC):
     """Deterministic response model with per-ordering first/second functions.
 
-    In ordering AB, ``setting_first`` is Alice's a and ``first`` returns alpha;
-    in ordering BA it is Bob's b and ``first`` returns beta. ``second`` always
-    receives (a, b) in (Alice, Bob) role order and returns the other party's
-    outcome.
+    In ordering AB, ``setting_first`` is Alice's a and ``first_values`` returns
+    alpha; in ordering BA it is Bob's b and ``first_values`` returns beta.
+    ``second_values`` always receives (a, b) in (Alice, Bob) role order and
+    returns the other party's outcomes. ``eval_pairs`` maps both back to
+    (alpha, beta) for either ordering.
     """
 
     lambda_dim: int = 0
@@ -43,29 +44,6 @@ class OrderedModel(abc.ABC):
     @abc.abstractmethod
     def second_values(self, ordering, state, a, b, lams) -> np.ndarray:
         """Vectorized second-party outcomes (+/-1 ints) over rows of lams."""
-
-    def first(self, ordering, state, setting_first, lam: HiddenPoint) -> Outcome:
-        vals = self.first_values(ordering, state, setting_first, self._one(lam))
-        return Outcome(int(vals[0]))
-
-    def second(self, ordering, state, a, b, lam: HiddenPoint) -> Outcome:
-        vals = self.second_values(ordering, state, a, b, self._one(lam))
-        return Outcome(int(vals[0]))
-
-    def _one(self, lam: HiddenPoint) -> np.ndarray:
-        if len(lam) != self.lambda_dim:
-            raise ValueError(
-                f"lambda dimension: model expects {self.lambda_dim}, got {len(lam)}"
-            )
-        return lam.as_array().reshape(1, self.lambda_dim)
-
-
-@dataclass(frozen=True)
-class OutcomePair:
-    """Alice's and Bob's outcomes for one run."""
-
-    alpha: Outcome
-    beta: Outcome
 
 
 def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
@@ -82,14 +60,6 @@ def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
         betas = m.first_values(ordering, state, b, lams)
         alphas = m.second_values(ordering, state, a, b, lams)
     return alphas, betas
-
-
-def eval_pair(m: OrderedModel, ordering, state, a, b, lam: HiddenPoint) -> OutcomePair:
-    """Outcome pair for a single hidden point, respecting the frame's ordering."""
-    if len(lam) != m.lambda_dim:
-        raise ValueError(f"lambda dimension: model expects {m.lambda_dim}, got {len(lam)}")
-    alphas, betas = eval_pairs(m, ordering, state, a, b, lam.as_array().reshape(1, -1))
-    return OutcomePair(Outcome(int(alphas[0])), Outcome(int(betas[0])))
 
 
 def _require_singlet(state):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSetting, Outcome, QuantumState, TimeOrdering, dot
+from .core import Outcome, dot
 from .models import OrderedModel, eval_pairs
 
 # Fixed evaluation block size; partitioning is independent of worker count so
@@ -103,10 +103,21 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
     return np.random.Generator(bitgen).random((n, d))
 
 
-def _count_block(m, ordering, state, a, b, lams) -> np.ndarray:
-    alphas, betas = eval_pairs(m, ordering, state, a, b, lams)
-    idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
-    return np.bincount(idx, minlength=4).reshape(2, 2)
+def _count_blocks(m, ordering, state, a, b, blocks, workers) -> np.ndarray:
+    """2x2 outcome counts over hidden-point blocks, summed in block order so the
+    result is bit-identical for any worker count."""
+
+    def count(lams):
+        alphas, betas = eval_pairs(m, ordering, state, a, b, lams)
+        idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
+        return np.bincount(idx, minlength=4).reshape(2, 2)
+
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(count, blocks))
+    else:
+        parts = [count(blk) for blk in blocks]
+    return np.sum(parts, axis=0)
 
 
 def _counts_to_stats(counts: np.ndarray, n: int, exact: bool, cell_err) -> JointStats:
@@ -125,13 +136,7 @@ def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
         raise ValueError("need at least one sample")
     lams = sample_lambda(m.lambda_dim, n, seed)
     blocks = [lams[i:i + _BLOCK] for i in range(0, n, _BLOCK)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda blk: _count_block(m, ordering, state, a, b, blk), blocks))
-    else:
-        parts = [_count_block(m, ordering, state, a, b, blk) for blk in blocks]
-    counts = np.sum(parts, axis=0)
+    counts = _count_blocks(m, ordering, state, a, b, blocks, workers)
     return _counts_to_stats(counts, n, exact=False, cell_err=0.0)
 
 
@@ -158,14 +163,7 @@ def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
         raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    blocks = list(_lattice_blocks(d, grid))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda blk: _count_block(m, ordering, state, a, b, blk), blocks))
-    else:
-        parts = [_count_block(m, ordering, state, a, b, blk) for blk in blocks]
-    counts = np.sum(parts, axis=0)
+    counts = _count_blocks(m, ordering, state, a, b, list(_lattice_blocks(d, grid)), workers)
     n = grid ** d if d > 0 else 1
     return _counts_to_stats(counts, n, exact=True, cell_err=1.0 / grid)
 

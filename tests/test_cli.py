@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from covbell import cli
 from covbell.cli import main
 
 
@@ -89,6 +90,15 @@ def test_unknown_model_is_usage_error(capsys):
     assert "unknown model" in err
 
 
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["enumerate"])
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 1
@@ -142,6 +152,59 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run(["chsh", "--config", str(cfg_path)], capsys)
     assert code == 1
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("command,file_cfg", [
+    ("tomography", {"n": "100"}),
+    ("tomography", {"n": True}),
+    ("chsh", {"grid": 2.5}),
+    ("tomography", {"mode": "exakt"}),
+    ("chsh", {"mode": "exakt"}),
+    ("tomography", {"format": "xml"}),
+    ("tomography", {"ordering": "CA"}),
+    ("chsh", {"model": "does-not-exist"}),
+    ("frame-order", {"velocities": 0.5}),
+])
+def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"settings": "tsirelson", "n": 1000, **file_cfg}))
+    code, out, err = run([command, "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("covbell: ") and "Traceback" not in err
+    assert next(iter(file_cfg)) in err
+
+
+@pytest.mark.parametrize("text", ["null", "[{}]", "3"])
+def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, _, err = run(["chsh", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert "JSON object" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["check-covariance", "--probes", "0"],
+    ["reduce", "--probes", "-5"],
+    ["tomography", "--settings", "grid:x"],
+    ["tomography", "--settings", "grid:0"],
+    ["check-covariance", "--settings", "grid:-2"],
+    ["tomography", "--mode", "exakt"],
+])
+def test_bad_flag_value_is_usage_error(args, capsys):
+    code, out, err = run(args + ["--n", "1000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("covbell: ")
+
+
+def test_nan_setting_is_domain_error(capsys):
+    code, out, err = run(["tomography", "--settings", "[[[NaN,0,0],[1,0,0]]]",
+                          "--mode", "exact", "--grid", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unit-norm" in err
 
 
 def test_explicit_setting_vectors(capsys):

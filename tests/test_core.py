@@ -80,6 +80,8 @@ def test_setting_rejects_far_from_unit():
         MeasurementSetting(1.1, 0.0, 0.0)
     with pytest.raises(ValueError):
         MeasurementSetting(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        MeasurementSetting(math.nan, 0.0, 0.0)
 
 
 def test_outcome_only_plus_minus_one():

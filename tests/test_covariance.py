@@ -128,9 +128,9 @@ def test_reduce_fully_random_determinized_model():
 def test_local_view_model_is_covariant():
     view = reduce_to_local(make_local_sphere(), SINGLET, _grid_pairs(3),
                            sample_lambda(2, 100, SeedSpec(46)))
-    induced = view.as_ordered_model()
+    assert isinstance(view, OrderedModel)
     lams = sample_lambda(2, 500, SeedSpec(47))
-    report = check_covariance(induced, SINGLET, _grid_pairs(4), lams)
+    report = check_covariance(view, SINGLET, _grid_pairs(4), lams)
     assert report.violations == 0
 
 
@@ -172,11 +172,6 @@ def test_pr_box_strategy_reaches_four():
 def test_strategy_index_roundtrip():
     for index in (0, 1, 17, 2048, 4095):
         assert FiniteStrategy.from_index(index).index == index
-
-
-def test_enumeration_multi_atom_not_supported():
-    with pytest.raises(ValueError, match="convexity"):
-        enumerate_finite(lambda_atoms=2)
 
 
 def test_strategies_csv_shape():

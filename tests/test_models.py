@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
-                          QuantumState, TimeOrdering, dot, setting_grid)
-from covbell.models import (GisinSingletModel, LocalSphereModel, OutcomePair,
-                            StochasticResponse, determinize, eval_pair,
+from covbell.core import (MeasurementSetting, Outcome, QuantumState,
+                          TimeOrdering, dot, setting_grid)
+from covbell.models import (GisinSingletModel, LocalSphereModel,
+                            StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
 from covbell.stats import SeedSpec, correlator, estimate_joint, exact_joint, sample_lambda
@@ -20,35 +20,34 @@ B_09 = MeasurementSetting(0.9, math.sqrt(1 - 0.81), 0)  # a.b = 0.9
 
 def test_gisin_eval_ab_examples():
     m = make_gisin_singlet()
-    pair = eval_pair(m, AB, SINGLET, A_X, B_09, HiddenPoint((0.3, 0.6)))
-    assert pair == OutcomePair(Outcome.PLUS, Outcome.MINUS)
-    pair = eval_pair(m, AB, SINGLET, A_X, B_09, HiddenPoint((0.7, 0.9)))
-    assert pair == OutcomePair(Outcome.MINUS, Outcome.PLUS)
+    lams = np.array([[0.3, 0.6], [0.7, 0.9]])
+    alphas, betas = eval_pairs(m, AB, SINGLET, A_X, B_09, lams)
+    assert alphas.dtype == betas.dtype == np.int8
+    assert list(zip(alphas, betas)) == [(Outcome.PLUS, Outcome.MINUS),
+                                        (Outcome.MINUS, Outcome.PLUS)]
 
 
 def test_gisin_perfect_anticorrelation_equal_settings():
     m = make_gisin_singlet()
     rng = np.random.default_rng(5)
     for ordering in (AB, BA):
-        for _ in range(200):
-            lam = HiddenPoint(tuple(rng.random(2)))
-            pair = eval_pair(m, ordering, SINGLET, A_X, A_X, lam)
-            assert int(pair.alpha) * int(pair.beta) == -1
+        alphas, betas = eval_pairs(m, ordering, SINGLET, A_X, A_X, rng.random((200, 2)))
+        assert np.all(alphas * betas == -1)
 
 
 def test_gisin_first_ab_threshold():
     m = make_gisin_singlet()
-    assert m.first(AB, SINGLET, A_X, HiddenPoint((0.3, 0.6))) is Outcome.PLUS
-    assert m.first(AB, SINGLET, A_X, HiddenPoint((0.6, 0.6))) is Outcome.MINUS
+    vals = m.first_values(AB, SINGLET, A_X, np.array([[0.3, 0.6], [0.6, 0.6]]))
+    assert vals.tolist() == [Outcome.PLUS, Outcome.MINUS]
 
 
 def test_gisin_ba_role_swap_witness_pair():
     # this lambda is a covariance-violation witness: S_BA != F_AB
     m = make_gisin_singlet()
-    lam = HiddenPoint((0.3, 0.4))
-    assert m.second(BA, SINGLET, A_X, B_09, lam) is Outcome.MINUS
-    assert m.first(BA, SINGLET, B_09, lam) is Outcome.PLUS
-    assert m.first(AB, SINGLET, A_X, lam) is Outcome.PLUS
+    lam = np.array([[0.3, 0.4]])
+    assert m.second_values(BA, SINGLET, A_X, B_09, lam).tolist() == [Outcome.MINUS]
+    assert m.first_values(BA, SINGLET, B_09, lam).tolist() == [Outcome.PLUS]
+    assert m.first_values(AB, SINGLET, A_X, lam).tolist() == [Outcome.PLUS]
 
 
 def test_gisin_marginals_are_half():
@@ -66,24 +65,24 @@ def test_purity_identical_inputs_identical_outputs():
     for name in ("gisin-singlet", "local-sphere", "determinized-singlet"):
         m = make_model(name)
         for ordering in (AB, BA):
-            lam = HiddenPoint(tuple(rng.random(m.lambda_dim)))
-            p1 = eval_pair(m, ordering, SINGLET, A_X, B_09, lam)
-            p2 = eval_pair(m, ordering, SINGLET, A_X, B_09, lam)
-            assert p1 == p2
+            lams = rng.random((100, m.lambda_dim))
+            p1 = eval_pairs(m, ordering, SINGLET, A_X, B_09, lams)
+            p2 = eval_pairs(m, ordering, SINGLET, A_X, B_09, lams.copy())
+            assert np.array_equal(p1, p2)
 
 
 def test_lambda_dimension_mismatch_rejected():
     m = make_gisin_singlet()
     with pytest.raises(ValueError, match="lambda dimension"):
-        eval_pair(m, AB, SINGLET, A_X, B_09, HiddenPoint((0.5,)))
+        eval_pairs(m, AB, SINGLET, A_X, B_09, np.array([[0.5]]))
 
 
 def test_sphere_positive_projection():
     m = make_local_sphere()
     # (u, v) = (1, 0) maps to the +z direction
-    lam = HiddenPoint((1.0, 0.0))
+    lam = np.array([[1.0, 0.0]])
     z = MeasurementSetting(0, 0, 1)
-    assert m.first(AB, SINGLET, z, lam) is Outcome.PLUS
+    assert m.first_values(AB, SINGLET, z, lam).tolist() == [Outcome.PLUS]
 
 
 def test_sphere_anticorrelated_at_equal_settings():
@@ -148,8 +147,8 @@ def _constant_response(p1, p2, dim=0):
 def test_determinize_threshold_examples():
     m = determinize(_constant_response(0.25, 0.5))
     assert m.lambda_dim == 2
-    assert m.first(AB, SINGLET, A_X, HiddenPoint((0.2, 0.0))) is Outcome.PLUS
-    assert m.first(AB, SINGLET, A_X, HiddenPoint((0.3, 0.0))) is Outcome.MINUS
+    vals = m.first_values(AB, SINGLET, A_X, np.array([[0.2, 0.0], [0.3, 0.0]]))
+    assert vals.tolist() == [Outcome.PLUS, Outcome.MINUS]
 
 
 def test_determinize_first_mean_matches_probability():
@@ -172,7 +171,7 @@ def test_determinized_singlet_matches_gisin_joint():
 def test_probability_out_of_range_rejected():
     m = determinize(_constant_response(1.5, 0.5))
     with pytest.raises(ValueError, match="probability"):
-        m.first(AB, SINGLET, A_X, HiddenPoint((0.2, 0.0)))
+        m.first_values(AB, SINGLET, A_X, np.array([[0.2, 0.0]]))
 
 
 def test_unknown_model_name():
@@ -183,4 +182,4 @@ def test_unknown_model_name():
 def test_models_require_singlet_state():
     m = make_gisin_singlet()
     with pytest.raises(ValueError, match="singlet"):
-        m.first(AB, "not-a-state", A_X, HiddenPoint((0.1, 0.1)))
+        m.first_values(AB, "not-a-state", A_X, np.array([[0.1, 0.1]]))
