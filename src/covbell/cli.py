@@ -21,8 +21,8 @@ from .covariance import (NotCovariantError, check_covariance, enumerate_finite,
                          reduce_to_local, strategies_to_csv)
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
-from .stats import (SeedSpec, chsh, estimate_joint, exact_joint, joint_record,
-                    records_to_csv, records_to_json, sample_lambda)
+from .stats import (SeedSpec, _lattice_blocks, chsh, estimate_joint, exact_joint,
+                    joint_record, records_to_csv, records_to_json, sample_lambda)
 
 
 class UsageError(Exception):
@@ -62,7 +62,7 @@ _HELP = {
     "velocities": "comma-separated boost velocities",
 }
 
-_MINIMUM = {"n": 1, "grid": 2, "probes": 1}
+_MINIMUM = {"n": 1, "grid": 2, "probes": 1, "workers": 1, "witness_cap": 0}
 
 
 def _add_common(p):
@@ -85,7 +85,10 @@ def _resolve_config(args) -> dict:
     cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise UsageError(f"config file must hold a JSON object: {err}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(_OPTIONS)
@@ -111,6 +114,19 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _inline_vectors(spec: str, shape: tuple, what: str) -> np.ndarray:
+    """Setting vectors from inline JSON as a float array of the given shape
+    (None: any length)."""
+    try:
+        vecs = np.array(json.loads(spec), dtype=float)
+    except (TypeError, ValueError) as err:  # bad JSON, ragged or non-numeric
+        raise UsageError(f"settings {spec!r}: {err}") from None
+    if vecs.ndim != len(shape) or any(want not in (None, got)
+                                      for want, got in zip(shape, vecs.shape)):
+        raise UsageError(f"settings {spec!r}: expected {what}")
+    return vecs
+
+
 def _setting_pairs(spec: str):
     """List of (a, b) pairs from a settings spec."""
     if spec == "tsirelson":
@@ -123,8 +139,9 @@ def _setting_pairs(spec: str):
         g = setting_grid(int(count))
         return [(ga, gb) for ga in g for gb in g]
     if spec.startswith("["):
+        vecs = _inline_vectors(spec, (None, 2, 3), "a list of [a, b] vector pairs")
         return [(MeasurementSetting.from_array(pa), MeasurementSetting.from_array(pb))
-                for pa, pb in json.loads(spec)]
+                for pa, pb in vecs]
     raise UsageError(f"cannot parse settings spec {spec!r}")
 
 
@@ -133,9 +150,7 @@ def _setting_quad(spec: str):
     if spec == "tsirelson":
         return tsirelson_settings()
     if spec.startswith("["):
-        vecs = json.loads(spec)
-        if len(vecs) != 4:
-            raise UsageError("chsh needs exactly 4 setting vectors (a, a', b, b')")
+        vecs = _inline_vectors(spec, (4, 3), "exactly 4 setting vectors (a, a', b, b')")
         return tuple(MeasurementSetting.from_array(v) for v in vecs)
     raise UsageError(f"cannot parse settings spec {spec!r} for chsh")
 
@@ -260,15 +275,21 @@ def _cmd_enumerate(cfg) -> int:
     return 0
 
 
-def _parse_event(spec: str) -> Event:
-    t, x = (float(part) for part in spec.split(","))
-    return Event(t, x)
+def _numbers(cfg, key, count=None) -> list:
+    """The comma-separated numbers of a config value."""
+    try:
+        vals = [float(part) for part in cfg[key].split(",")]
+    except ValueError:
+        raise UsageError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from None
+    if count is not None and len(vals) != count:
+        raise UsageError(f"{key} must hold {count} numbers, got {cfg[key]!r}")
+    return vals
 
 
 def _cmd_frame_order(cfg) -> int:
-    ea = _parse_event(cfg["event_a"])
-    eb = _parse_event(cfg["event_b"])
-    velocities = [float(v) for v in cfg["velocities"].split(",")]
+    ea = Event(*_numbers(cfg, "event_a", 2))
+    eb = Event(*_numbers(cfg, "event_b", 2))
+    velocities = _numbers(cfg, "velocities")
     rows = []
     for v in velocities:
         boost = Boost(v)  # |v| >= 1 raises, handled as a domain error
@@ -316,6 +337,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 2
+    finally:
+        _lattice_blocks.cache_clear()  # no lattice outlives its command
 
 
 def entry():

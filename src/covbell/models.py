@@ -16,6 +16,7 @@ methods take an (n, d) array of hidden points and return (n,) arrays of +/-1.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,12 +115,26 @@ class LocalSphereModel(OrderedModel):
     lambda_dim = 2
     name = "local-sphere"
 
-    @staticmethod
-    def _directions(lams):
+    def __init__(self):
+        self._memo = {}  # id(block) -> (weakref to block, its directions)
+
+    def _directions(self, lams):
+        """Unit vectors of the rows of lams. Those of a read-only array owning its
+        data (a lattice block) are kept while it lives; a writeable array may
+        change, so its directions are never cached."""
+        hit = self._memo.get(id(lams))
+        if hit is not None:
+            return hit[1]
         cos_t = 2.0 * lams[:, 0] - 1.0
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
         phi = 2.0 * np.pi * lams[:, 1]
-        return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        dirs = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        if not lams.flags.writeable and lams.flags.owndata:
+            dirs.flags.writeable = False
+            memo, key = self._memo, id(lams)
+            # the callback runs before the id can be reused, so no entry is stale
+            memo[key] = (weakref.ref(lams, lambda _: memo.pop(key, None)), dirs)
+        return dirs
 
     def _alice(self, a, lams):
         return _pm(self._directions(lams) @ a.as_array() >= 0.0)

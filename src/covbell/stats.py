@@ -10,6 +10,7 @@ O(1/grid) and predictable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,6 @@ from .models import OrderedModel, eval_pairs
 # Fixed evaluation block size; partitioning is independent of worker count so
 # merged counts are bit-identical under any scheduling.
 _BLOCK = 1 << 18
-_MAX_LATTICE_BLOCK = 4_000_000
 
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
 
@@ -140,19 +140,24 @@ def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
     return _counts_to_stats(counts, n, exact=False, cell_err=0.0)
 
 
-def _lattice_blocks(d: int, grid: int):
-    """Yield (n, d) midpoint-lattice blocks of [0,1]^d, split on the first axis."""
+@functools.lru_cache(maxsize=1)
+def _lattice_blocks(d: int, grid: int) -> tuple:
+    """Read-only (n, d) blocks of _BLOCK points of the midpoint lattice of
+    [0,1]^d, in C order. The last lattice stays cached, so every setting pair
+    of a command is scored against one lattice; the CLI clears it after each
+    command."""
     mids = (np.arange(grid) + 0.5) / grid
-    if d == 0:
-        yield np.zeros((1, 0))
-        return
-    rest = grid ** (d - 1)
-    rows_per_block = max(1, _MAX_LATTICE_BLOCK // max(1, rest))
-    for i0 in range(0, grid, rows_per_block):
-        first = mids[i0:i0 + rows_per_block]
-        axes = [first] + [mids] * (d - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        yield np.stack([ax.ravel() for ax in mesh], axis=-1)
+    n = grid ** d
+    blocks = []
+    for i0 in range(0, n, _BLOCK):
+        idx = np.arange(i0, min(i0 + _BLOCK, n))
+        blk = np.empty((len(idx), d))
+        for axis in reversed(range(d)):
+            idx, digit = np.divmod(idx, grid)
+            blk[:, axis] = mids[digit]
+        blk.flags.writeable = False
+        blocks.append(blk)
+    return tuple(blocks)
 
 
 def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
@@ -163,9 +168,8 @@ def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
         raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    counts = _count_blocks(m, ordering, state, a, b, list(_lattice_blocks(d, grid)), workers)
-    n = grid ** d if d > 0 else 1
-    return _counts_to_stats(counts, n, exact=True, cell_err=1.0 / grid)
+    counts = _count_blocks(m, ordering, state, a, b, _lattice_blocks(d, grid), workers)
+    return _counts_to_stats(counts, grid ** d, exact=True, cell_err=1.0 / grid)
 
 
 def correlator(j: JointStats) -> CorrelationEstimate:

@@ -5,6 +5,8 @@ import pytest
 
 from covbell import cli
 from covbell.cli import main
+from covbell.models import make_model
+from covbell.stats import _lattice_blocks
 
 
 def run(args, capsys):
@@ -164,6 +166,8 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ("tomography", {"ordering": "CA"}),
     ("chsh", {"model": "does-not-exist"}),
     ("frame-order", {"velocities": 0.5}),
+    ("chsh", {"workers": 0}),
+    ("check-covariance", {"witness_cap": -1}),
 ])
 def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -175,7 +179,7 @@ def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsy
     assert next(iter(file_cfg)) in err
 
 
-@pytest.mark.parametrize("text", ["null", "[{}]", "3"])
+@pytest.mark.parametrize("text", ["null", "[{}]", "3", '{"n": 5'])
 def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -191,6 +195,16 @@ def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     ["tomography", "--settings", "grid:0"],
     ["check-covariance", "--settings", "grid:-2"],
     ["tomography", "--mode", "exakt"],
+    ["chsh", "--settings", "tsirelson", "--workers", "-3"],
+    ["check-covariance", "--witness-cap", "-1"],
+    ["tomography", "--settings", "[[1,0"],
+    ["chsh", "--settings", "[[1,0"],
+    ["tomography", "--settings", "[[1,0,0]]"],
+    ["check-covariance", "--settings", "[]"],
+    ["chsh", "--settings", "[[1,0,0],[0,0,1]]"],
+    ["frame-order", "--event-a", "abc"],
+    ["frame-order", "--event-b", "0,1,2"],
+    ["frame-order", "--velocities=0.5,x"],
 ])
 def test_bad_flag_value_is_usage_error(args, capsys):
     code, out, err = run(args + ["--n", "1000"], capsys)
@@ -205,6 +219,21 @@ def test_nan_setting_is_domain_error(capsys):
     assert code == 2
     assert out == ""
     assert "unit-norm" in err
+
+
+def test_exact_tomography_leaves_no_cache_behind(monkeypatch, capsys):
+    models = []
+
+    def make(name):
+        models.append(make_model(name))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "make_model", make)
+    code, _, _ = run(["tomography", "--model", "local-sphere", "--settings", "tsirelson",
+                      "--mode", "exact", "--grid", "600", "--workers", "2"], capsys)
+    assert code == 0
+    assert _lattice_blocks.cache_info().currsize == 0
+    assert models[0]._memo == {}
 
 
 def test_explicit_setting_vectors(capsys):

@@ -144,6 +144,23 @@ def _constant_response(p1, p2, dim=0):
     )
 
 
+def test_sphere_caches_directions_of_read_only_arrays_only():
+    m = make_local_sphere()
+    lams = sample_lambda(2, 1000, SeedSpec(1))
+    before = m.first_values(AB, SINGLET, A_X, lams)
+    assert m._memo == {}
+    lams[:, 1] = (lams[:, 1] + 0.5) % 1.0  # phi + pi flips every x component
+    assert np.array_equal(m.first_values(AB, SINGLET, A_X, lams), -before)
+    frozen = lams.copy()
+    frozen.flags.writeable = False
+    m.first_values(AB, SINGLET, A_X, frozen[:10])  # a read-only view: its base may change
+    assert m._memo == {}
+    assert np.array_equal(m.first_values(AB, SINGLET, A_X, frozen), -before)
+    assert list(m._memo) == [id(frozen)]
+    del frozen
+    assert m._memo == {}
+
+
 def test_determinize_threshold_examples():
     m = determinize(_constant_response(0.25, 0.5))
     assert m.lambda_dim == 2

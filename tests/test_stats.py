@@ -5,8 +5,9 @@ import pytest
 
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
-from covbell.models import StochasticResponse, determinize, make_gisin_singlet, make_local_sphere
-from covbell.stats import (JointStats, SeedSpec, chsh, correlator,
+from covbell.models import (StochasticResponse, determinize, eval_pairs, make_gisin_singlet,
+                            make_local_sphere, stochastic_singlet)
+from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_blocks, chsh, correlator,
                            estimate_joint, exact_joint, joint_record,
                            records_to_csv, sample_lambda, singlet_joint_oracle,
                            singlet_oracle_table)
@@ -181,6 +182,81 @@ def test_exact_joint_reproducible_across_workers():
     t1 = exact_joint(m, AB, SINGLET, A_X, B_09, grid=3000, workers=1)
     t4 = exact_joint(m, AB, SINGLET, A_X, B_09, grid=3000, workers=4)
     assert np.array_equal(t1.counts, t4.counts)
+
+
+def _meshgrid_lattice(d, grid):
+    """The midpoint lattice of [0,1]^d built in one piece, as a reference."""
+    if d == 0:
+        return np.zeros((1, 0))
+    mids = (np.arange(grid) + 0.5) / grid
+    mesh = np.meshgrid(*[mids] * d, indexing="ij")
+    return np.stack([ax.ravel() for ax in mesh], axis=-1)
+
+
+@pytest.mark.parametrize("d,grid", [(0, 5), (1, 7), (2, 1001), (3, 70)])
+def test_lattice_blocks_split_by_point_count(d, grid):
+    blocks = _lattice_blocks(d, grid)
+    n = grid ** d
+    assert [len(blk) for blk in blocks] == [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
+    assert all(not blk.flags.writeable for blk in blocks)
+    assert np.array_equal(np.concatenate(blocks), _meshgrid_lattice(d, grid))
+
+
+def test_exact_joint_builds_the_lattice_once():
+    _lattice_blocks.cache_clear()
+    m = make_gisin_singlet()
+    for a, b in ((A_X, B_09), (A_X, B_PERP), (B_09, A_X)):
+        exact_joint(m, AB, SINGLET, a, b, grid=600, workers=2)
+    assert _lattice_blocks.cache_info().misses == 1
+
+
+def test_sphere_directions_live_as_long_as_the_lattice():
+    _lattice_blocks.cache_clear()
+    m = make_local_sphere()
+    exact_joint(m, AB, SINGLET, A_X, B_09, grid=600, workers=2)
+    assert len(m._memo) == len(_lattice_blocks(2, 600)) == 2
+    _lattice_blocks.cache_clear()
+    assert m._memo == {}
+
+
+def _n_at_or_below(grid, t) -> int:
+    """N(t): lattice midpoints (k + 1/2)/grid on one axis that are <= t."""
+    return int(((np.arange(grid) + 0.5) / grid <= t).sum())
+
+
+@pytest.mark.parametrize("grid", [2, 3, 517, 1001])
+@pytest.mark.parametrize("make", [make_gisin_singlet, lambda: determinize(stochastic_singlet())],
+                         ids=["gisin-singlet", "determinized-singlet"])
+def test_exact_joint_threshold_models_match_integer_oracle(make, grid):
+    """The first outcome is +1 iff its own coordinate is <= 1/2 and the second
+    is +1 iff the other coordinate is <= (1 - first * a.b)/2, so every lattice
+    count is a product of N(t) values."""
+    m = make()
+    a, _, b, _ = tsirelson_settings()
+    for sa, sb in ((A_X, A_X), (A_X, B_PERP), (A_X, B_09), (a, b)):
+        c = dot(sa, sb)
+        half, lo, hi = (_n_at_or_below(grid, t) for t in (0.5, (1.0 - c) / 2.0, (1.0 + c) / 2.0))
+        first_second = np.array([[half * lo, half * (grid - lo)],
+                                 [(grid - half) * hi, (grid - half) * (grid - hi)]])
+        for ordering, expected in ((AB, first_second), (BA, first_second.T)):
+            for workers in (1, 2, 3):
+                table = exact_joint(m, ordering, SINGLET, sa, sb, grid, workers=workers)
+                assert table.counts.dtype.kind == "i"
+                assert np.array_equal(table.counts, expected)
+
+
+@pytest.mark.parametrize("ordering", [AB, BA])
+def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
+    grid = 1001
+    lams = _meshgrid_lattice(2, grid)
+    m = make_local_sphere()
+    a, _, b, _ = tsirelson_settings()
+    for sa, sb in ((a, b), (A_X, B_09), (A_X, A_X)):
+        alphas, betas = eval_pairs(m, ordering, SINGLET, sa, sb, lams)
+        expected = [[np.sum((alphas == x) & (betas == y)) for y in (1, -1)] for x in (1, -1)]
+        for workers in (1, 2, 3):
+            table = exact_joint(m, ordering, SINGLET, sa, sb, grid, workers=workers)
+            assert np.array_equal(table.counts, expected)
 
 
 def test_records_csv_layout():
