@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from .core import MeasurementSetting, QuantumState, TimeOrdering, setting_grid, tsirelson_settings
-from .covariance import (NotCovariantError, check_covariance, enumerate_finite,
-                         reduce_to_local, strategies_to_csv)
+from .covariance import NotCovariantError, check_covariance, enumerate_finite, reduce_to_local
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
-from .stats import (SeedSpec, _lattice_blocks, chsh, estimate_joint, exact_joint,
-                    joint_record, records_to_csv, records_to_json, sample_lambda)
+# exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
+from .stats import (SeedSpec, _lattice_blocks, chsh, chsh_pairs, exact_joint,  # noqa: F401
+                    joint_record, joint_tables, records_to_csv, records_to_json, sample_lambda)
 
 
 class UsageError(Exception):
@@ -130,8 +130,7 @@ def _inline_vectors(spec: str, shape: tuple, what: str) -> np.ndarray:
 def _setting_pairs(spec: str):
     """List of (a, b) pairs from a settings spec."""
     if spec == "tsirelson":
-        a, ap, b, bp = tsirelson_settings()
-        return [(a, b), (a, bp), (ap, b), (ap, bp)]
+        return chsh_pairs(tsirelson_settings())
     if spec.startswith("grid:"):
         count = spec[len("grid:"):]
         if not count.isdecimal() or int(count) < 1:
@@ -178,23 +177,15 @@ def _json_doc(payload: dict, cfg: dict) -> str:
 def _cmd_tomography(cfg) -> int:
     model = make_model(cfg["model"])
     ordering = TimeOrdering(cfg["ordering"])
-    state = QuantumState.SINGLET
     seed = SeedSpec(cfg["seed"], cfg["stream"])
-    records = []
-    for i, (a, b) in enumerate(_setting_pairs(cfg["settings"])):
-        if cfg["mode"] == "exact":
-            table = exact_joint(model, ordering, state, a, b, cfg["grid"],
-                                workers=cfg["workers"])
-            n_or_grid = cfg["grid"]
-        else:
-            table = estimate_joint(model, ordering, state, a, b, cfg["n"],
-                                   SeedSpec(seed.seed, seed.stream + i),
-                                   workers=cfg["workers"])
-            n_or_grid = cfg["n"]
-        records.append(joint_record(ordering, a, b, table, n_or_grid, cfg["seed"]))
+    pairs = _setting_pairs(cfg["settings"])
+    tables = joint_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["mode"],
+                          cfg["n"], cfg["grid"], seed, cfg["workers"])
+    n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
+    records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
+               for (a, b), table in zip(pairs, tables)]
     writer = records_to_json if cfg["format"] == "json" else records_to_csv
-    text = writer(records, _provenance(cfg))
-    _emit(text, cfg["output"])
+    _emit(writer(records, _provenance(cfg)), cfg["output"])
     return 0
 
 
@@ -245,7 +236,7 @@ def _cmd_reduce(cfg) -> int:
             "violations": err.report.violations,
             "violation_fraction": err.report.violation_fraction,
         }, cfg)
-        sys.stdout.write(doc)
+        _emit(doc, cfg["output"])
         print(str(err), file=sys.stderr)
         return 2
     correlators = []
@@ -264,13 +255,13 @@ def _cmd_enumerate(cfg) -> int:
     print(f"total={summary.total} covariant={summary.covariant} "
           f"max_S={summary.max_abs_s} max_S_covariant={summary.max_abs_s_covariant}")
     if cfg["output"]:
+        rows = [{"id": r.index, "covariant": r.covariant,
+                 "S_AB": r.s_ab, "S_BA": r.s_ba} for r in summary.rows]
         if cfg["format"] == "json":
-            rows = [{"id": r.index, "covariant": r.covariant,
-                     "S_AB": r.s_ab, "S_BA": r.s_ba} for r in summary.rows]
             text = _json_doc({**summary.to_dict(), "strategies": rows}, cfg)
         else:
-            text = ("# config = " + json.dumps(_provenance(cfg), sort_keys=True) + "\n"
-                    + strategies_to_csv(summary))
+            text = records_to_csv(rows, _provenance(cfg),
+                                  columns=("id", "covariant", "S_AB", "S_BA"))
         _emit(text, cfg["output"])
     return 0
 
@@ -303,12 +294,8 @@ def _cmd_frame_order(cfg) -> int:
     if cfg["format"] == "json":
         text = _json_doc({"spacelike": is_spacelike(ea, eb), "rows": rows}, cfg)
     else:
-        lines = ["# config = " + json.dumps(_provenance(cfg), sort_keys=True),
-                 f"# spacelike = {is_spacelike(ea, eb)}",
-                 "v,tA,tB,ordering"]
-        for r in rows:
-            lines.append(f"{r['v']:.17g},{r['tA']:.17g},{r['tB']:.17g},{r['ordering']}")
-        text = "\n".join(lines) + "\n"
+        text = records_to_csv(rows, _provenance(cfg), columns=("v", "tA", "tB", "ordering"),
+                              notes=[f"spacelike = {is_spacelike(ea, eb)}"])
     _emit(text, cfg["output"])
     return 0
 

@@ -90,6 +90,10 @@ def _as_lam_array(lams, dim: int) -> np.ndarray:
                         for lam in lams], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"lambda dimension: expected (n, {dim}), got {arr.shape}")
+    # HiddenPoint's rule; a NaN makes min/max NaN, which fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
+        raise ValueError(f"hidden point coordinate {float(bad)!r} outside [0,1]")
     return arr
 
 
@@ -292,13 +296,6 @@ def enumerate_finite() -> EnumerationSummary:
     return EnumerationSummary(total=4096, covariant=covariant_count,
                               max_abs_s=max_s, max_abs_s_covariant=max_s_cov,
                               rows=tuple(rows))
-
-
-def strategies_to_csv(summary: EnumerationSummary) -> str:
-    lines = ["id,covariant,S_AB,S_BA"]
-    for row in summary.rows:
-        lines.append(f"{row.index},{int(row.covariant)},{row.s_ab},{row.s_ba}")
-    return "\n".join(lines) + "\n"
 
 
 def frame_consistency(m: OrderedModel, state, a, b, grid: int,

@@ -199,27 +199,37 @@ class ChshEstimate:
     terms: tuple
 
 
+def chsh_pairs(settings) -> list:
+    """The CHSH setting pairs (a,b), (a,b'), (a',b), (a',b') of (a, a', b, b')."""
+    a, ap, b, bp = settings
+    return [(a, b), (a, bp), (ap, b), (ap, bp)]
+
+
+def joint_tables(m: OrderedModel, ordering, state, pairs, mode: str, n: int,
+                 grid: int, seed: SeedSpec, workers: int = 1) -> list:
+    """One joint table per setting pair under one estimator. In MC mode pair i
+    draws from stream ``seed.stream + i``, so the tables' errors are
+    independent."""
+    if mode == "exact":
+        return [exact_joint(m, ordering, state, a, b, grid, workers=workers)
+                for a, b in pairs]
+    if mode == "mc":
+        return [estimate_joint(m, ordering, state, a, b, n,
+                               SeedSpec(seed.seed, seed.stream + i), workers=workers)
+                for i, (a, b) in enumerate(pairs)]
+    raise ValueError(f"unknown mode {mode!r}; use 'mc' or 'exact'")
+
+
 def chsh(m: OrderedModel, ordering, state, settings, mode: str = "mc",
          n: int = 1_000_000, grid: int = 2000, seed: SeedSpec = SeedSpec(0),
          workers: int = 1) -> ChshEstimate:
     """CHSH value for the setting quadruple (a, a', b, b') under one estimator.
 
-    In MC mode the four correlators use consecutive streams so their errors
-    are independent; stderr combines in quadrature. In exact mode the stderr
-    is the summed discretization bound.
+    In MC mode stderr combines the four independent correlator errors in
+    quadrature; in exact mode it is the summed discretization bound.
     """
-    a, ap, b, bp = settings
-    pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
-    terms = []
-    for i, (sa, sb) in enumerate(pairs):
-        if mode == "exact":
-            table = exact_joint(m, ordering, state, sa, sb, grid, workers=workers)
-        elif mode == "mc":
-            table = estimate_joint(m, ordering, state, sa, sb, n,
-                                   SeedSpec(seed.seed, seed.stream + i), workers=workers)
-        else:
-            raise ValueError(f"unknown mode {mode!r}; use 'mc' or 'exact'")
-        terms.append(correlator(table))
+    terms = [correlator(table) for table in joint_tables(
+        m, ordering, state, chsh_pairs(settings), mode, n, grid, seed, workers)]
     # grouped so identical-term cancellations (e.g. b = b') stay exact
     value = (terms[0].value + terms[1].value) + (terms[2].value - terms[3].value)
     if mode == "exact":
@@ -239,6 +249,8 @@ CSV_COLUMNS = ["ordering", "ax", "ay", "az", "bx", "by", "bz",
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, bool):
+        return str(int(x))
     return str(x)
 
 
@@ -260,14 +272,17 @@ def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -
     }
 
 
-def records_to_csv(records, config: dict) -> str:
-    """CSV text with the resolved config embedded as a leading comment line."""
+def records_to_csv(records, config: dict, columns=CSV_COLUMNS, notes=()) -> str:
+    """CSV text with the resolved config, then each note, as leading comment
+    lines. Floats are written with 17 significant digits, booleans as 0/1."""
     buf = io.StringIO()
     buf.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
+    for note in notes:
+        buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for rec in records:
-        writer.writerow([_fmt(rec[col]) for col in CSV_COLUMNS])
+        writer.writerow([_fmt(rec[col]) for col in columns])
     return buf.getvalue()
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from covbell import cli
 from covbell.cli import main
+from covbell.core import QuantumState, TimeOrdering, tsirelson_settings
 from covbell.models import make_model
-from covbell.stats import _lattice_blocks
+from covbell.stats import (SeedSpec, _lattice_blocks, chsh_pairs, correlator, estimate_joint,
+                           joint_record)
 
 
 def run(args, capsys):
@@ -55,6 +57,16 @@ def test_reduce_gisin_exits_with_domain_error(capsys):
     assert doc["reduced"] is False
     assert doc["witness"]["side"] in ("alice", "bob")
     assert "not covariant" in err
+
+
+def test_failed_reduce_honours_output(tmp_path, capsys):
+    out_path = tmp_path / "reduce.json"
+    code, out, err = run(["reduce", "--model", "gisin-singlet", "--probes", "100",
+                          "--output", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not covariant" in err
+    assert json.loads(out_path.read_text())["reduced"] is False
 
 
 def test_reduce_local_sphere_succeeds(capsys):
@@ -251,3 +263,22 @@ def test_superluminal_velocity_is_domain_error(capsys):
                         "--velocities=1.5"], capsys)
     assert code == 2
     assert "superluminal" in err
+
+
+def test_mc_pair_i_draws_from_stream_plus_i(capsys):
+    # tomography record i and chsh term i both come from SeedSpec(seed, stream + i)
+    common = ["--model", "local-sphere", "--settings", "tsirelson", "--mode", "mc",
+              "--n", "3000", "--seed", "8", "--stream", "4", "--ordering", "BA"]
+    model, ordering = make_model("local-sphere"), TimeOrdering.BA
+    tables = [estimate_joint(model, ordering, QuantumState.SINGLET, a, b, 3000,
+                             SeedSpec(8, 4 + i))
+              for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings()))]
+    code, out, _ = run(["tomography", *common, "--format", "json"], capsys)
+    assert code == 0
+    want = [joint_record(ordering, a, b, table, 3000, 8)
+            for (a, b), table in zip(chsh_pairs(tsirelson_settings()), tables)]
+    assert json.loads(out)["records"] == want
+    code, out, _ = run(["chsh", *common], capsys)
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"E": t.value, "stderr": t.stderr, "n": t.n} for t in map(correlator, tables)]

@@ -8,7 +8,7 @@ from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
 from covbell.covariance import (FiniteStrategy, NotCovariantError, Side,
                                 check_covariance, enumerate_finite,
                                 forced_covariant_extension, frame_consistency,
-                                reduce_to_local, strategies_to_csv)
+                                reduce_to_local)
 from covbell.models import (GisinSingletModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere)
@@ -35,6 +35,18 @@ def test_covariance_witness_example():
     assert w.side is Side.ALICE
     assert w.first_value is Outcome.PLUS
     assert w.second_value is Outcome.MINUS
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.2])
+@pytest.mark.parametrize("check", [check_covariance, reduce_to_local])
+def test_bad_lambda_rows_rejected(check, bad):
+    # the bad row is not a witness (local-sphere is covariant), so it must be
+    # rejected up front rather than counted
+    lams = np.array([[0.5, 0.5], [bad, 0.3]])
+    with pytest.raises(ValueError, match="outside"):
+        check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
+    with pytest.raises(ValueError, match="outside"):
+        check(make_local_sphere(), SINGLET, [(A_X, B_09)], [[0.3, bad]])
 
 
 def test_local_sphere_is_covariant():
@@ -172,13 +184,6 @@ def test_pr_box_strategy_reaches_four():
 def test_strategy_index_roundtrip():
     for index in (0, 1, 17, 2048, 4095):
         assert FiniteStrategy.from_index(index).index == index
-
-
-def test_strategies_csv_shape():
-    text = strategies_to_csv(enumerate_finite())
-    lines = text.strip().splitlines()
-    assert lines[0] == "id,covariant,S_AB,S_BA"
-    assert len(lines) == 4097
 
 
 class _FrameAsymmetricModel(OrderedModel):

@@ -1,7 +1,9 @@
 """Golden output bytes: SHA-256 of stdout (and of the --output file, where one
 is written) for CLI jobs that use no random numbers.
 
-The hashes were recorded from the initial 1,419-line package. Monte Carlo jobs
+The first five hashes were recorded from the initial 1,419-line package, the
+three ``--format json`` ones from the package before tomography, CHSH,
+enumerate and frame-order shared one table loop and one CSV writer. Monte Carlo jobs
 and ``grid:N`` settings are left out on purpose: numpy does not promise
 ``Generator.random`` streams across versions, and ``setting_grid`` goes
 through libm ``cos``/``sin``, so their bytes may move with the platform.
@@ -32,6 +34,16 @@ GOLDEN = {
     "frame-order": (
         ["frame-order", "--velocities=-0.5,0,0.5"],
         "7c5ea779919f3e661e89b15a8f342673275d358e8615cde22b6a245d57df194c", None),
+    "tomography-json": (
+        ["tomography", *TSIRELSON_EXACT, "--grid", "300", "--format", "json"],
+        "51717dc2d2852f6bdf7d66b615dd7875dfec64390fe2f6913a2b8c73f44f12c6", None),
+    "enumerate-json": (
+        ["enumerate", "--format", "json", "--output", "F"],
+        "0b9d2f64cd40c799182bfa7b8df8fac1a33e2ebdf0536603c10d0acbf31335ac",
+        "303a012ff5f5e800832d0b9eb37f96af340a82a7fb4114299e8e878efe6d0801"),
+    "frame-order-json": (
+        ["frame-order", "--velocities=-0.5,0,0.5", "--format", "json"],
+        "2d6690ca968b2d294cf9e82593e40131570f4d3e5cc1c8587c93e3bfb3f45360", None),
 }
 
 

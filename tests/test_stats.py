@@ -269,3 +269,11 @@ def test_records_csv_layout():
     assert lines[1] == ("ordering,ax,ay,az,bx,by,bz,ppp,ppm,pmp,pmm,"
                         "E,stderr,n_or_grid,seed")
     assert lines[2].startswith("AB,1,0,0,")
+
+
+def test_records_csv_columns_and_notes():
+    recs = [{"id": 3, "flag": True, "x": 0.1}, {"id": 4, "flag": False, "x": -2.5e-7}]
+    text = records_to_csv(recs, {"b": 1, "a": 2}, columns=("id", "flag", "x"),
+                          notes=["spacelike = True"])
+    assert text == ('# config = {"a": 2, "b": 1}\n# spacelike = True\nid,flag,x\n'
+                    "3,1,0.10000000000000001\n4,0,-2.4999999999999999e-07\n")
