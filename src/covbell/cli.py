@@ -21,8 +21,8 @@ from .covariance import NotCovariantError, check_covariance, enumerate_finite, r
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 # exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
-from .stats import (SeedSpec, _lattice_blocks, chsh, chsh_pairs, exact_joint,  # noqa: F401
-                    joint_record, joint_tables, records_to_csv, records_to_json, sample_lambda)
+from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, joint_record,  # noqa: F401
+                    joint_tables, records_to_csv, records_to_json, sample_lambda)
 
 
 class UsageError(Exception):
@@ -62,6 +62,9 @@ _HELP = {
     "velocities": "comma-separated boost velocities",
 }
 
+# Defaults that differ by subcommand: chsh takes a quadruple, not a grid.
+_COMMAND_DEFAULTS = {"chsh": {"settings": "tsirelson"}}
+
 _MINIMUM = {"n": 1, "grid": 2, "probes": 1, "workers": 1, "witness_cap": 0}
 
 
@@ -83,6 +86,7 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args) -> dict:
     cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
+    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         with open(args.config) as fh:
             try:
@@ -208,7 +212,9 @@ def _cmd_chsh(cfg) -> int:
 
 def _probe_lambdas(model, cfg):
     pairs = _setting_pairs(cfg["settings"])
-    n_lams = max(1, cfg["probes"] // len(pairs))
+    if cfg["probes"] % len(pairs):
+        raise UsageError(f"probes must be a multiple of the {len(pairs)} setting pairs")
+    n_lams = cfg["probes"] // len(pairs)
     lams = sample_lambda(model.lambda_dim, n_lams, SeedSpec(cfg["seed"], cfg["stream"]))
     return pairs, lams
 
@@ -324,8 +330,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 2
-    finally:
-        _lattice_blocks.cache_clear()  # no lattice outlives its command
 
 
 def entry():

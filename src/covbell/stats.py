@@ -10,7 +10,6 @@ O(1/grid) and predictable.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +88,16 @@ def singlet_oracle_table(a, b) -> JointStats:
                       stderr=np.zeros((2, 2)), exact=True)
 
 
+def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
+    """Rows start..start+rows of the (seed, stream) sample sequence of [0,1]^d,
+    drawn without the rows before it: Philox yields 4 words per counter step."""
+    if start * d % 4:
+        raise ValueError("a sample block must start on a Philox counter step")
+    bitgen = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
+    bitgen.advance(start * d // 4)
+    return np.random.Generator(bitgen).random((rows, d))
+
+
 def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
     """n uniform points in [0,1]^d as an (n, d) array, one hidden point per row.
 
@@ -99,24 +108,41 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
         raise ValueError("dimension must be nonnegative")
     if n < 1:
         raise ValueError("need at least one sample")
-    bitgen = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
-    return np.random.Generator(bitgen).random((n, d))
+    return _sample_block(d, spec, 0, n)
 
 
-def _count_blocks(m, ordering, state, a, b, blocks, workers) -> np.ndarray:
-    """2x2 outcome counts over hidden-point blocks, summed in block order so the
-    result is bit-identical for any worker count."""
+def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
+    """Rows start..start+rows of the midpoint lattice of [0,1]^d in C order, as
+    a read-only array (so a model may keep values derived from it)."""
+    idx = np.arange(start, start + rows)
+    blk = np.empty((rows, d))
+    for axis in reversed(range(d)):
+        idx, digit = np.divmod(idx, grid)
+        blk[:, axis] = (digit + 0.5) / grid
+    blk.flags.writeable = False
+    return blk
 
-    def count(lams):
-        alphas, betas = eval_pairs(m, ordering, state, a, b, lams)
-        idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
-        return np.bincount(idx, minlength=4).reshape(2, 2)
 
-    if workers > 1 and len(blocks) > 1:
+def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarray:
+    """(k, 2, 2) outcome counts of k setting pairs over n hidden points. Each pool
+    task makes a block with make_block(start, rows) and scores it against every
+    pair; counts are summed in block order, bit-identical for any worker count."""
+
+    def count(start):
+        lams = make_block(start, min(_BLOCK, n - start))
+        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+        for i, (a, b) in enumerate(pairs):
+            alphas, betas = eval_pairs(m, ordering, state, a, b, lams)
+            idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
+            counts[i] = np.bincount(idx, minlength=4).reshape(2, 2)
+        return counts
+
+    starts = range(0, n, _BLOCK)
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, blocks))
+            parts = list(pool.map(count, starts))
     else:
-        parts = [count(blk) for blk in blocks]
+        parts = [count(start) for start in starts]
     return np.sum(parts, axis=0)
 
 
@@ -134,42 +160,16 @@ def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
     """Monte Carlo joint table over n hidden points drawn from the seed spec."""
     if n < 1:
         raise ValueError("need at least one sample")
-    lams = sample_lambda(m.lambda_dim, n, seed)
-    blocks = [lams[i:i + _BLOCK] for i in range(0, n, _BLOCK)]
-    counts = _count_blocks(m, ordering, state, a, b, blocks, workers)
-    return _counts_to_stats(counts, n, exact=False, cell_err=0.0)
-
-
-@functools.lru_cache(maxsize=1)
-def _lattice_blocks(d: int, grid: int) -> tuple:
-    """Read-only (n, d) blocks of _BLOCK points of the midpoint lattice of
-    [0,1]^d, in C order. The last lattice stays cached, so every setting pair
-    of a command is scored against one lattice; the CLI clears it after each
-    command."""
-    mids = (np.arange(grid) + 0.5) / grid
-    n = grid ** d
-    blocks = []
-    for i0 in range(0, n, _BLOCK):
-        idx = np.arange(i0, min(i0 + _BLOCK, n))
-        blk = np.empty((len(idx), d))
-        for axis in reversed(range(d)):
-            idx, digit = np.divmod(idx, grid)
-            blk[:, axis] = mids[digit]
-        blk.flags.writeable = False
-        blocks.append(blk)
-    return tuple(blocks)
+    d = m.lambda_dim
+    counts = _count_blocks(m, ordering, state, [(a, b)], n,
+                           lambda start, rows: _sample_block(d, seed, start, rows), workers)
+    return _counts_to_stats(counts[0], n, exact=False, cell_err=0.0)
 
 
 def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
                 workers: int = 1) -> JointStats:
     """Midpoint-rule joint table on a grid^d lattice; cells sum to 1 exactly."""
-    d = m.lambda_dim
-    if d > 3:
-        raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    counts = _count_blocks(m, ordering, state, a, b, _lattice_blocks(d, grid), workers)
-    return _counts_to_stats(counts, grid ** d, exact=True, cell_err=1.0 / grid)
+    return joint_tables(m, ordering, state, [(a, b)], "exact", 1, grid, SeedSpec(0), workers)[0]
 
 
 def correlator(j: JointStats) -> CorrelationEstimate:
@@ -207,12 +207,18 @@ def chsh_pairs(settings) -> list:
 
 def joint_tables(m: OrderedModel, ordering, state, pairs, mode: str, n: int,
                  grid: int, seed: SeedSpec, workers: int = 1) -> list:
-    """One joint table per setting pair under one estimator. In MC mode pair i
-    draws from stream ``seed.stream + i``, so the tables' errors are
-    independent."""
+    """One joint table per setting pair under one estimator. Exact mode scores
+    every pair on one pass over the grid^d lattice; in MC mode pair i draws
+    from stream ``seed.stream + i``, so the tables' errors are independent."""
     if mode == "exact":
-        return [exact_joint(m, ordering, state, a, b, grid, workers=workers)
-                for a, b in pairs]
+        d = m.lambda_dim
+        if d > 3:
+            raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
+        if grid < 2:
+            raise ValueError("grid must be at least 2")
+        counts = _count_blocks(m, ordering, state, pairs, grid ** d,
+                               lambda start, rows: _lattice_block(d, grid, start, rows), workers)
+        return [_counts_to_stats(c, grid ** d, exact=True, cell_err=1.0 / grid) for c in counts]
     if mode == "mc":
         return [estimate_joint(m, ordering, state, a, b, n,
                                SeedSpec(seed.seed, seed.stream + i), workers=workers)

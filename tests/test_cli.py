@@ -7,8 +7,7 @@ from covbell import cli
 from covbell.cli import main
 from covbell.core import QuantumState, TimeOrdering, tsirelson_settings
 from covbell.models import make_model
-from covbell.stats import (SeedSpec, _lattice_blocks, chsh_pairs, correlator, estimate_joint,
-                           joint_record)
+from covbell.stats import SeedSpec, chsh_pairs, correlator, estimate_joint, joint_record
 
 
 def run(args, capsys):
@@ -217,6 +216,8 @@ def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     ["frame-order", "--event-a", "abc"],
     ["frame-order", "--event-b", "0,1,2"],
     ["frame-order", "--velocities=0.5,x"],
+    ["check-covariance", "--probes", "49"],
+    ["reduce", "--settings", "tsirelson", "--probes", "10"],
 ])
 def test_bad_flag_value_is_usage_error(args, capsys):
     code, out, err = run(args + ["--n", "1000"], capsys)
@@ -244,8 +245,20 @@ def test_exact_tomography_leaves_no_cache_behind(monkeypatch, capsys):
     code, _, _ = run(["tomography", "--model", "local-sphere", "--settings", "tsirelson",
                       "--mode", "exact", "--grid", "600", "--workers", "2"], capsys)
     assert code == 0
-    assert _lattice_blocks.cache_info().currsize == 0
     assert models[0]._memo == {}
+
+
+def test_probes_must_divide_among_the_setting_pairs(capsys):
+    code, out, err = run(["check-covariance", "--probes", "49"], capsys)
+    assert (code, out) == (1, "")
+    assert "multiple of the 25 setting pairs" in err
+
+
+def test_chsh_defaults_to_tsirelson_settings(capsys):
+    args = ["chsh", "--mode", "exact", "--grid", "300"]
+    default = run(args, capsys)
+    assert default == run(args + ["--settings", "tsirelson"], capsys)
+    assert default[0] == 0
 
 
 def test_explicit_setting_vectors(capsys):

@@ -1,14 +1,20 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covbell import stats
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
-from covbell.models import (StochasticResponse, determinize, eval_pairs, make_gisin_singlet,
-                            make_local_sphere, stochastic_singlet)
-from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_blocks, chsh, correlator,
-                           estimate_joint, exact_joint, joint_record,
+from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eval_pairs,
+                            make_gisin_singlet, make_local_sphere, make_model,
+                            stochastic_singlet)
+from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_block, _sample_block, chsh,
+                           correlator, estimate_joint, exact_joint, joint_record, joint_tables,
                            records_to_csv, sample_lambda, singlet_joint_oracle,
                            singlet_oracle_table)
 
@@ -195,28 +201,107 @@ def _meshgrid_lattice(d, grid):
 
 @pytest.mark.parametrize("d,grid", [(0, 5), (1, 7), (2, 1001), (3, 70)])
 def test_lattice_blocks_split_by_point_count(d, grid):
-    blocks = _lattice_blocks(d, grid)
     n = grid ** d
-    assert [len(blk) for blk in blocks] == [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
+    blocks = [_lattice_block(d, grid, start, min(_BLOCK, n - start))
+              for start in range(0, n, _BLOCK)]
     assert all(not blk.flags.writeable for blk in blocks)
     assert np.array_equal(np.concatenate(blocks), _meshgrid_lattice(d, grid))
 
 
-def test_exact_joint_builds_the_lattice_once():
-    _lattice_blocks.cache_clear()
-    m = make_gisin_singlet()
-    for a, b in ((A_X, B_09), (A_X, B_PERP), (B_09, A_X)):
-        exact_joint(m, AB, SINGLET, a, b, grid=600, workers=2)
-    assert _lattice_blocks.cache_info().misses == 1
+THREE_PAIRS = [(A_X, B_09), (A_X, B_PERP), (B_09, A_X)]
+
+
+def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
+    made = []
+
+    def record(d, grid, start, rows):
+        made.append((start, rows))
+        return _lattice_block(d, grid, start, rows)
+
+    monkeypatch.setattr(stats, "_lattice_block", record)
+    joint_tables(make_gisin_singlet(), AB, SINGLET, THREE_PAIRS, "exact", 1, 600, SeedSpec(0),
+                 workers=2)
+    assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
+
+
+class _RecordingMemo(dict):
+    """A direction memo that records the key of every entry stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
 
 
 def test_sphere_directions_live_as_long_as_the_lattice():
-    _lattice_blocks.cache_clear()
+    # more workers than cores, switching threads often: the memo is shared by the pool
     m = make_local_sphere()
-    exact_joint(m, AB, SINGLET, A_X, B_09, grid=600, workers=2)
-    assert len(m._memo) == len(_lattice_blocks(2, 600)) == 2
-    _lattice_blocks.cache_clear()
-    assert m._memo == {}
+    m._memo = _RecordingMemo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tables = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 1200, SeedSpec(0),
+                              workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(m._memo.stored) == 6  # once per block, for all three pairs
+    assert m._memo == {}  # each block and its directions die with its pool task
+    serial = joint_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, "exact", 1, 1200,
+                          SeedSpec(0), workers=1)
+    assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(0, 5), n=st.integers(1, 3 * _BLOCK + 7),
+       seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1))
+def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
+    spec = SeedSpec(seed, stream)
+    pieces = [_sample_block(d, spec, start, min(_BLOCK, n - start))
+              for start in range(0, n, _BLOCK)]
+    one_shot = sample_lambda(d, n, spec)
+    assert np.array_equal(np.concatenate(pieces), one_shot)
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
+
+
+def test_sample_block_must_start_on_a_counter_step():
+    with pytest.raises(ValueError, match="counter step"):
+        _sample_block(3, SeedSpec(1), 5, 10)
+
+
+_SETTINGS = [*setting_grid(3), *tsirelson_settings()]
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=st.sampled_from(sorted(MODEL_REGISTRY)), ordering=st.sampled_from([AB, BA]),
+       pairs=st.lists(st.tuples(st.sampled_from(_SETTINGS), st.sampled_from(_SETTINGS)),
+                      min_size=2, max_size=5),
+       grid=st.integers(2, 700), workers=st.integers(1, 3))
+def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs, grid, workers):
+    m = make_model(model)
+    tables = joint_tables(m, ordering, SINGLET, pairs, "exact", 1, grid, SeedSpec(0), workers)
+    assert [table.counts.sum() for table in tables] == [grid ** m.lambda_dim] * len(pairs)
+    for (a, b), table in zip(pairs, tables):
+        assert np.array_equal(table.counts, exact_joint(m, ordering, SINGLET, a, b, grid).counts)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: estimate_joint(m, AB, SINGLET, A_X, B_09, 4_000_000, SeedSpec(3), workers=2),
+    lambda m: exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000, workers=2),
+], ids=["estimate_joint", "exact_joint"])
+def test_table_memory_is_bounded_by_blocks_not_points(run):
+    """4e6 two-dimensional points take 61 MiB; two live blocks take a few."""
+    m = make_gisin_singlet()
+    tracemalloc.start()
+    try:
+        run(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def _n_at_or_below(grid, t) -> int:
