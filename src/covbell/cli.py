@@ -232,7 +232,7 @@ def _cmd_reduce(cfg) -> int:
     model = make_model(cfg["model"])
     pairs, lams = _probe_lambdas(model, cfg)
     try:
-        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams,
+        view = reduce_to_local(model.bind(lams), QuantumState.SINGLET, pairs, lams,
                                witness_cap=cfg["witness_cap"])
     except NotCovariantError as err:
         doc = _json_doc({

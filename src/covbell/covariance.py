@@ -107,12 +107,13 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
     first, up to the cap.
     """
     arr = _as_lam_array(lams, m.lambda_dim)
+    bound = m.bind(arr)
     checked = 0
     violations = 0
     witnesses = []
     for a, b in setting_pairs:
-        alpha_ab, beta_ab = eval_pairs(m, TimeOrdering.AB, state, a, b, arr)
-        alpha_ba, beta_ba = eval_pairs(m, TimeOrdering.BA, state, a, b, arr)
+        alpha_ab, beta_ab = eval_pairs(bound, TimeOrdering.AB, state, a, b, arr)
+        alpha_ba, beta_ba = eval_pairs(bound, TimeOrdering.BA, state, a, b, arr)
         alice_bad = alpha_ab != alpha_ba
         bob_bad = beta_ba != beta_ab
         checked += arr.shape[0]

@@ -9,14 +9,15 @@ which is what makes a model nonlocal. Built-ins:
   - determinize(): wraps a stochastic response rule into a deterministic
     model by appending two uniform coordinates and thresholding.
 
-All evaluation is pure; models are immutable after construction. Evaluation
+All evaluation is pure, and models hold no state between calls. Evaluation
 methods take an (n, d) array of hidden points and return (n,) arrays of +/-1.
+A loop that scores many setting pairs on one array evaluates on
+``model.bind(lams)``, which may reuse what it derives from that array.
 """
 
 from __future__ import annotations
 
 import abc
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,11 @@ class OrderedModel(abc.ABC):
     @abc.abstractmethod
     def second_values(self, ordering, state, a, b, lams) -> np.ndarray:
         """Vectorized second-party outcomes (+/-1 ints) over rows of lams."""
+
+    def bind(self, lams) -> "OrderedModel":
+        """A model with this one's outcomes on every array; on ``lams`` itself (the
+        same object, unchanged while bound) it may reuse what it derived once."""
+        return self
 
 
 def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
@@ -114,27 +120,21 @@ class LocalSphereModel(OrderedModel):
 
     lambda_dim = 2
     name = "local-sphere"
+    _bound = None  # (lams, directions) of a model made by bind
 
-    def __init__(self):
-        self._memo = {}  # id(block) -> (weakref to block, its directions)
+    def bind(self, lams):
+        bound = LocalSphereModel()
+        bound._bound = (lams, self._directions(lams))
+        return bound
 
     def _directions(self, lams):
-        """Unit vectors of the rows of lams. Those of a read-only array owning its
-        data (a lattice block) are kept while it lives; a writeable array may
-        change, so its directions are never cached."""
-        hit = self._memo.get(id(lams))
-        if hit is not None:
-            return hit[1]
+        """Unit vectors of the rows of lams; those of the bound array are reused."""
+        if self._bound is not None and self._bound[0] is lams:
+            return self._bound[1]
         cos_t = 2.0 * lams[:, 0] - 1.0
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
         phi = 2.0 * np.pi * lams[:, 1]
-        dirs = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
-        if not lams.flags.writeable and lams.flags.owndata:
-            dirs.flags.writeable = False
-            memo, key = self._memo, id(lams)
-            # the callback runs before the id can be reused, so no entry is stale
-            memo[key] = (weakref.ref(lams, lambda _: memo.pop(key, None)), dirs)
-        return dirs
+        return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
 
     def _alice(self, a, lams):
         return _pm(self._directions(lams) @ a.as_array() >= 0.0)
@@ -205,12 +205,8 @@ class DeterminizedModel(OrderedModel):
 
     def second_values(self, ordering, state, a, b, lams):
         base, u_alice, u_bob = self._split(lams)
-        if ordering is TimeOrdering.AB:
-            setting_first, u_first, u_second = a, u_alice, u_bob
-        else:
-            setting_first, u_first, u_second = b, u_bob, u_alice
-        p1 = _check_probs(self._sr.p_first(ordering, state, setting_first, base))
-        first_vals = _pm(u_first <= p1)
+        first_setting, u_second = (a, u_bob) if ordering is TimeOrdering.AB else (b, u_alice)
+        first_vals = self.first_values(ordering, state, first_setting, lams)
         p2 = _check_probs(self._sr.p_second(ordering, state, a, b, first_vals, base))
         return _pm(u_second <= p2)
 

@@ -37,8 +37,8 @@ class SeedSpec:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.stream < 0:
-            raise ValueError("stream must be nonnegative")
+        if not (0 <= self.stream < 2**64):
+            raise ValueError("stream must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
 
 def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
     """Rows start..start+rows of the midpoint lattice of [0,1]^d in C order, as
-    a read-only array (so a model may keep values derived from it)."""
+    a read-only array: every setting pair of a pool task reads the same block."""
     idx = np.arange(start, start + rows)
     blk = np.empty((rows, d))
     for axis in reversed(range(d)):
@@ -130,9 +130,10 @@ def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarr
 
     def count(start):
         lams = make_block(start, min(_BLOCK, n - start))
+        bound = m.bind(lams)
         counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
         for i, (a, b) in enumerate(pairs):
-            alphas, betas = eval_pairs(m, ordering, state, a, b, lams)
+            alphas, betas = eval_pairs(bound, ordering, state, a, b, lams)
             idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
             counts[i] = np.bincount(idx, minlength=4).reshape(2, 2)
         return counts
@@ -216,6 +217,8 @@ def joint_tables(m: OrderedModel, ordering, state, pairs, mode: str, n: int,
             raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
         if grid < 2:
             raise ValueError("grid must be at least 2")
+        if grid ** d >= 2**63:
+            raise ValueError(f"grid^{d} lattice points exceed 64-bit index arithmetic")
         counts = _count_blocks(m, ordering, state, pairs, grid ** d,
                                lambda start, rows: _lattice_block(d, grid, start, rows), workers)
         return [_counts_to_stats(c, grid ** d, exact=True, cell_err=1.0 / grid) for c in counts]

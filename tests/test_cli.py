@@ -245,7 +245,28 @@ def test_exact_tomography_leaves_no_cache_behind(monkeypatch, capsys):
     code, _, _ = run(["tomography", "--model", "local-sphere", "--settings", "tsirelson",
                       "--mode", "exact", "--grid", "600", "--workers", "2"], capsys)
     assert code == 0
-    assert models[0]._memo == {}
+    assert vars(models[0]) == {}
+
+
+@pytest.mark.parametrize("command", ["reduce", "check-covariance"])
+def test_sphere_directions_once_per_probe_array(command, direction_computations, capsys):
+    code, _, _ = run([command, "--model", "local-sphere", "--settings", "grid:5",
+                      "--probes", "10000"], capsys)
+    assert code == 0
+    assert direction_computations == [400]
+
+
+@pytest.mark.parametrize("args", [
+    ["tomography", "--settings", "grid:2", "--mode", "mc", "--n", "1",
+     "--stream", str(2 ** 64 - 1)],  # pair 1 would draw from stream 2^64
+    ["tomography", "--settings", "grid:2", "--mode", "mc", "--n", "1", "--stream", str(2 ** 64)],
+    ["tomography", "--settings", "grid:1", "--mode", "exact", "--grid", str(10 ** 22),
+     "--workers", "1"],
+])
+def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("covbell: ")
 
 
 def test_probes_must_divide_among_the_setting_pairs(capsys):

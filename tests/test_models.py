@@ -144,21 +144,24 @@ def _constant_response(p1, p2, dim=0):
     )
 
 
-def test_sphere_caches_directions_of_read_only_arrays_only():
+def test_sphere_bound_model_gives_the_unbound_outcomes(direction_computations):
     m = make_local_sphere()
     lams = sample_lambda(2, 1000, SeedSpec(1))
-    before = m.first_values(AB, SINGLET, A_X, lams)
-    assert m._memo == {}
-    lams[:, 1] = (lams[:, 1] + 0.5) % 1.0  # phi + pi flips every x component
-    assert np.array_equal(m.first_values(AB, SINGLET, A_X, lams), -before)
-    frozen = lams.copy()
-    frozen.flags.writeable = False
-    m.first_values(AB, SINGLET, A_X, frozen[:10])  # a read-only view: its base may change
-    assert m._memo == {}
-    assert np.array_equal(m.first_values(AB, SINGLET, A_X, frozen), -before)
-    assert list(m._memo) == [id(frozen)]
-    del frozen
-    assert m._memo == {}
+    bound = m.bind(lams)
+    moved = lams.copy()
+    moved[:, 1] = (moved[:, 1] + 0.5) % 1.0  # phi + pi flips every x component
+    for arr in (lams, moved, lams[::3], lams[:10]):
+        for ordering in (AB, BA):
+            assert np.array_equal(eval_pairs(bound, ordering, SINGLET, A_X, B_09, arr),
+                                  eval_pairs(m, ordering, SINGLET, A_X, B_09, arr))
+    assert np.array_equal(bound.first_values(AB, SINGLET, A_X, moved),
+                          -m.first_values(AB, SINGLET, A_X, lams))
+    assert vars(m) == {}  # the unbound model keeps nothing
+    del direction_computations[:]
+    bound.bind(lams).second_values(AB, SINGLET, A_X, B_09, lams)
+    assert direction_computations == []  # binding again to its array reuses them
+    gisin = make_gisin_singlet()
+    assert gisin.bind(lams) is gisin
 
 
 def test_determinize_threshold_examples():

@@ -113,6 +113,13 @@ def test_exact_joint_small_grid_rejected():
         exact_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, grid=1)
 
 
+def test_exact_joint_rejects_a_lattice_beyond_int64_indices():
+    # grids past int64 itself: without the check the first block fails at once
+    for grid in (10 ** 22, 2 ** 63):
+        with pytest.raises(ValueError, match="64-bit"):
+            exact_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, grid=grid)
+
+
 def test_correlator_oracle_tables():
     assert correlator(singlet_oracle_table(A_X, A_X)).value == pytest.approx(-1.0)
     assert correlator(singlet_oracle_table(A_X, B_PERP)).value == pytest.approx(0.0)
@@ -224,34 +231,25 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
 
 
-class _RecordingMemo(dict):
-    """A direction memo that records the key of every entry stored in it."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, key, value):
-        self.stored.append(key)
-        super().__setitem__(key, value)
-
-
-def test_sphere_directions_live_as_long_as_the_lattice():
-    # more workers than cores, switching threads often: the memo is shared by the pool
-    m = make_local_sphere()
-    m._memo = _RecordingMemo()
+def test_sphere_directions_once_per_lattice_block(direction_computations):
+    # more workers than cores, switching threads often: each pool task binds its own block
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tables = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 1200, SeedSpec(0),
-                              workers=8)
+        tables = joint_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, "exact", 1, 1200,
+                              SeedSpec(0), workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert len(m._memo.stored) == 6  # once per block, for all three pairs
-    assert m._memo == {}  # each block and its directions die with its pool task
+    assert len(direction_computations) == 6  # once per block, for all three pairs
     serial = joint_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, "exact", 1, 1200,
                           SeedSpec(0), workers=1)
     assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
+
+
+def test_sphere_directions_once_per_sample_block(direction_computations):
+    estimate_joint(make_local_sphere(), BA, SINGLET, A_X, B_09, 2 * _BLOCK + 5, SeedSpec(6),
+                   workers=2)
+    assert sorted(direction_computations) == [5, _BLOCK, _BLOCK]
 
 
 @settings(max_examples=20, deadline=None)
@@ -265,6 +263,13 @@ def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
     assert np.array_equal(np.concatenate(pieces), one_shot)
     bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
+
+
+def test_seed_spec_takes_64_bit_seeds_and_streams():
+    SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)
+    for seed, stream in [(2 ** 64, 0), (-1, 0), (0, 2 ** 64), (0, -1)]:
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            SeedSpec(seed, stream)
 
 
 def test_sample_block_must_start_on_a_counter_step():
