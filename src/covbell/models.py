@@ -13,6 +13,17 @@ All evaluation is pure, and models hold no state between calls. Evaluation
 methods take an (n, d) array of hidden points and return (n,) arrays of +/-1.
 A loop that scores many setting pairs on one array evaluates on
 ``model.bind(lams)``, which may reuse what it derives from that array.
+
+``count_pairs(ordering, state, pairs, lams)`` scores every setting pair of
+one array and returns (k, 2, 2) int64 outcome counts; the stats engine makes
+one such call per block, inside at most ``workers`` pool tasks. The default
+counts each pair's ``eval_pairs`` outcomes. The built-ins override it to
+share work across pairs, with counts equal to the default's: gisin-singlet
+takes the first outcome once (it ignores the setting) and then counts
+thresholds on the other coordinate; local-sphere takes each party's outcomes
+once per distinct setting and counts "++" cells, the rest following from the
+marginals; determinize() takes the first outcome once per distinct first
+setting, where second_values takes it again for every pair.
 """
 
 from __future__ import annotations
@@ -52,14 +63,42 @@ class OrderedModel(abc.ABC):
         same object, unchanged while bound) it may reuse what it derived once."""
         return self
 
+    def count_pairs(self, ordering, state, pairs, lams) -> np.ndarray:
+        """(k, 2, 2) int64 counts of the (alpha, beta) outcomes, +1 before -1, of
+        each of the k setting pairs (a, b) over the rows of lams."""
+        lams = _lambdas(self, lams)
+        bound = self.bind(lams)
+        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+        for i, (a, b) in enumerate(pairs):
+            counts[i] = _table(*eval_pairs(bound, ordering, state, a, b, lams))
+        return counts
 
-def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
-    """Vectorized (alpha, beta) outcome arrays for each hidden point row."""
+
+def _lambdas(m: OrderedModel, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != m.lambda_dim:
         raise ValueError(
             f"lambda dimension: model expects (n, {m.lambda_dim}), got {lams.shape}"
         )
+    return lams
+
+
+def _table(alphas, betas) -> np.ndarray:
+    """2x2 counts of paired +/-1 outcomes, indexed (alpha, beta) with +1 first."""
+    alpha_plus, beta_plus = alphas >= 0, betas >= 0
+    return _cells(np.count_nonzero(alpha_plus & beta_plus), np.count_nonzero(alpha_plus),
+                  np.count_nonzero(beta_plus), alphas.size)
+
+
+def _cells(plus_plus, alpha_plus, beta_plus, n) -> list:
+    """The 2x2 table of n points from its (+, +) cell and its two +1 marginals."""
+    return [[plus_plus, alpha_plus - plus_plus],
+            [beta_plus - plus_plus, n - alpha_plus - beta_plus + plus_plus]]
+
+
+def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
+    """Vectorized (alpha, beta) outcome arrays for each hidden point row."""
+    lams = _lambdas(m, lams)
     if ordering is TimeOrdering.AB:
         alphas = m.first_values(ordering, state, a, lams)
         betas = m.second_values(ordering, state, a, b, lams)
@@ -97,16 +136,41 @@ class GisinSingletModel(OrderedModel):
         r_first = lams[:, 0] if ordering is TimeOrdering.AB else lams[:, 1]
         return _pm(r_first <= 0.5)
 
+    @staticmethod
+    def _levels(a, b):
+        """The second outcome's thresholds after a first outcome of +1 and of -1."""
+        c = dot(a, b)
+        return (1.0 - c) / 2.0, (1.0 + c) / 2.0
+
     def second_values(self, ordering, state, a, b, lams):
         _require_singlet(state)
-        c = dot(a, b)
         if ordering is TimeOrdering.AB:
             r_first, r_second = lams[:, 0], lams[:, 1]
         else:
             r_first, r_second = lams[:, 1], lams[:, 0]
-        lo, hi = (1.0 - c) / 2.0, (1.0 + c) / 2.0
+        lo, hi = self._levels(a, b)
         plus = np.where(r_first <= 0.5, r_second <= lo, r_second <= hi)
         return _pm(plus)
+
+    def count_pairs(self, ordering, state, pairs, lams):
+        lams = _lambdas(self, lams)
+        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+        if not pairs:
+            return counts
+        # the first outcome ignores the setting: one mask splits the other coordinate
+        a, b = pairs[0]
+        first_plus = self.first_values(ordering, state, a if ordering is TimeOrdering.AB else b,
+                                       lams) > 0
+        r_second = lams[:, 1] if ordering is TimeOrdering.AB else lams[:, 0]
+        r_plus, r_minus = r_second[first_plus], r_second[~first_plus]
+        for i, (a, b) in enumerate(pairs):
+            lo, hi = self._levels(a, b)
+            plus_plus = np.count_nonzero(r_plus <= lo)
+            minus_plus = np.count_nonzero(r_minus <= hi)
+            table = np.array([[plus_plus, r_plus.size - plus_plus],
+                              [minus_plus, r_minus.size - minus_plus]])
+            counts[i] = table if ordering is TimeOrdering.AB else table.T
+        return counts
 
 
 class LocalSphereModel(OrderedModel):
@@ -153,6 +217,22 @@ class LocalSphereModel(OrderedModel):
         if ordering is TimeOrdering.AB:
             return self._bob(b, lams)
         return self._alice(a, lams)
+
+    def count_pairs(self, ordering, state, pairs, lams):
+        # local: each party's outcomes depend on its own setting only, in any ordering
+        lams = _lambdas(self, lams)
+        bound = self.bind(lams)
+        alice = {a: bound.first_values(TimeOrdering.AB, state, a, lams) > 0
+                 for a in dict.fromkeys(a for a, _ in pairs)}
+        bob = {b: bound.first_values(TimeOrdering.BA, state, b, lams) > 0
+               for b in dict.fromkeys(b for _, b in pairs)}
+        alice_plus = {a: np.count_nonzero(plus) for a, plus in alice.items()}
+        bob_plus = {b: np.count_nonzero(plus) for b, plus in bob.items()}
+        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+        for i, (a, b) in enumerate(pairs):
+            counts[i] = _cells(np.count_nonzero(alice[a] & bob[b]), alice_plus[a], bob_plus[b],
+                               len(lams))
+        return counts
 
 
 @dataclass(frozen=True)
@@ -204,11 +284,29 @@ class DeterminizedModel(OrderedModel):
         return _pm(u <= p)
 
     def second_values(self, ordering, state, a, b, lams):
-        base, u_alice, u_bob = self._split(lams)
-        first_setting, u_second = (a, u_bob) if ordering is TimeOrdering.AB else (b, u_alice)
+        first_setting = a if ordering is TimeOrdering.AB else b
         first_vals = self.first_values(ordering, state, first_setting, lams)
+        return self._second(ordering, state, a, b, first_vals, lams)
+
+    def _second(self, ordering, state, a, b, first_vals, lams):
+        base, u_alice, u_bob = self._split(lams)
+        u_second = u_bob if ordering is TimeOrdering.AB else u_alice
         p2 = _check_probs(self._sr.p_second(ordering, state, a, b, first_vals, base))
         return _pm(u_second <= p2)
+
+    def count_pairs(self, ordering, state, pairs, lams):
+        lams = _lambdas(self, lams)
+        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+        firsts = {}
+        for i, (a, b) in enumerate(pairs):
+            first_setting = a if ordering is TimeOrdering.AB else b
+            if first_setting not in firsts:
+                firsts[first_setting] = self.first_values(ordering, state, first_setting, lams)
+            first = firsts[first_setting]
+            second = self._second(ordering, state, a, b, first, lams)
+            counts[i] = (_table(first, second) if ordering is TimeOrdering.AB
+                         else _table(second, first))
+        return counts
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

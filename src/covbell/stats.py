@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Outcome, dot
-from .models import OrderedModel, eval_pairs
+from .models import OrderedModel
 
 # Fixed evaluation block size; partitioning is independent of worker count so
 # merged counts are bit-identical under any scheduling.
@@ -113,38 +113,48 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
 
 def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
     """Rows start..start+rows of the midpoint lattice of [0,1]^d in C order, as
-    a read-only array: every setting pair of a pool task reads the same block."""
-    idx = np.arange(start, start + rows)
+    a read-only array: every setting pair of a pool task reads the same block.
+    Axis j holds runs of grid^(d-1-j) equal midpoints, so each column is the
+    1-D midpoints tiled over the runs the block meets, each repeated its length."""
     blk = np.empty((rows, d))
+    run = 1
     for axis in reversed(range(d)):
-        idx, digit = np.divmod(idx, grid)
-        blk[:, axis] = (digit + 0.5) / grid
+        first = start // run
+        runs = (start + rows - 1) // run - first + 1
+        period = (np.arange(first, first + min(runs, grid)) % grid + 0.5) / grid
+        mids = np.tile(period, -(-runs // period.size))[:runs]
+        if run == 1:  # every run is one row
+            blk[:, axis] = mids
+        else:
+            lengths = np.full(runs, run)
+            lengths[0] -= start - first * run
+            lengths[-1] -= (first + runs) * run - start - rows
+            blk[:, axis] = np.repeat(mids, lengths)
+        run *= grid
     blk.flags.writeable = False
     return blk
 
 
 def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarray:
-    """(k, 2, 2) outcome counts of k setting pairs over n hidden points. Each pool
-    task makes a block with make_block(start, rows) and scores it against every
-    pair; counts are summed in block order, bit-identical for any worker count."""
+    """(k, 2, 2) outcome counts of k setting pairs over n hidden points, one
+    ``m.count_pairs`` call per block. At most ``workers`` pool tasks run, task t
+    making blocks t, t + tasks, ... with make_block(start, rows) and summing their
+    counts; integer sums do not depend on order, so the result is bit-identical
+    for any worker count."""
+    starts = range(0, n, _BLOCK)
+    tasks = max(1, min(workers, len(starts)))
 
-    def count(start):
-        lams = make_block(start, min(_BLOCK, n - start))
-        bound = m.bind(lams)
-        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            alphas, betas = eval_pairs(bound, ordering, state, a, b, lams)
-            idx = (alphas < 0).astype(np.int64) * 2 + (betas < 0).astype(np.int64)
-            counts[i] = np.bincount(idx, minlength=4).reshape(2, 2)
+    def count(task):
+        counts = np.zeros((len(pairs), 2, 2), dtype=np.int64)
+        for start in starts[task::tasks]:
+            counts += m.count_pairs(ordering, state, pairs,
+                                    make_block(start, min(_BLOCK, n - start)))
         return counts
 
-    starts = range(0, n, _BLOCK)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, starts))
-    else:
-        parts = [count(start) for start in starts]
-    return np.sum(parts, axis=0)
+    if tasks == 1:
+        return count(0)
+    with ThreadPoolExecutor(max_workers=tasks) as pool:
+        return np.sum(list(pool.map(count, range(tasks))), axis=0)
 
 
 def _counts_to_stats(counts: np.ndarray, n: int, exact: bool, cell_err) -> JointStats:

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
-                          TimeOrdering, dot, setting_grid)
-from covbell.models import (GisinSingletModel, LocalSphereModel,
+                          TimeOrdering, dot, setting_grid, tsirelson_settings)
+from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import SeedSpec, correlator, estimate_joint, exact_joint, sample_lambda
+from covbell.stats import (SeedSpec, _lattice_block, _sample_block, correlator, estimate_joint,
+                           exact_joint, sample_lambda)
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -72,9 +75,40 @@ def test_purity_identical_inputs_identical_outputs():
 
 
 def test_lambda_dimension_mismatch_rejected():
-    m = make_gisin_singlet()
-    with pytest.raises(ValueError, match="lambda dimension"):
-        eval_pairs(m, AB, SINGLET, A_X, B_09, np.array([[0.5]]))
+    for name in sorted(MODEL_REGISTRY):
+        m = make_model(name)
+        with pytest.raises(ValueError, match="lambda dimension"):
+            eval_pairs(m, AB, SINGLET, A_X, B_09, np.array([[0.5]]))
+        with pytest.raises(ValueError, match="lambda dimension"):
+            m.count_pairs(AB, SINGLET, [(A_X, B_09)], np.array([[0.5]]))
+
+
+# Few settings, so pairs repeat them; tsirelson's a' = +z puts the midpoints of
+# odd grids with u = 1/2 exactly on its measurement plane.
+_SETTINGS = [*setting_grid(3), *tsirelson_settings(), MeasurementSetting(0, 0, -1)]
+_UNIT = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: MeasurementSetting(*(x / math.hypot(*v) for x in v)))
+_SETTING = st.one_of(st.sampled_from(_SETTINGS), _UNIT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_REGISTRY)), ordering=st.sampled_from([AB, BA]),
+       pairs=st.lists(st.tuples(_SETTING, _SETTING), max_size=6), data=st.data())
+def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
+    m = make_model(name)
+    assert type(m).count_pairs is not OrderedModel.count_pairs
+    d = m.lambda_dim
+    if data.draw(st.booleans(), label="lattice"):
+        grid = data.draw(st.integers(1, 200).map(lambda k: 2 * k + 1), label="odd grid")
+        start = data.draw(st.integers(0, grid ** d - 1), label="start")
+        rows = data.draw(st.integers(1, min(grid ** d - start, 6000)), label="rows")
+        lams = _lattice_block(d, grid, start, rows)
+    else:
+        spec = SeedSpec(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+        lams = _sample_block(d, spec, 0, data.draw(st.integers(1, 6000), label="rows"))
+    counts = m.count_pairs(ordering, SINGLET, pairs, lams)
+    assert counts.dtype == np.int64 and counts.shape == (len(pairs), 2, 2)
+    assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
 
 
 def test_sphere_positive_projection():
@@ -186,6 +220,23 @@ def test_determinized_singlet_matches_gisin_joint():
         t_det = estimate_joint(det, ordering, SINGLET, A_X, B_09, 1_000_000, SeedSpec(33))
         t_gis = exact_joint(gisin, ordering, SINGLET, A_X, B_09, grid=1000)
         assert np.allclose(t_det.probs, t_gis.probs, atol=5e-3)
+
+
+def test_determinized_count_pairs_takes_each_first_outcome_once():
+    singlet = stochastic_singlet()
+    first_settings = []
+
+    def p_first(ordering, state, setting_first, lams):
+        first_settings.append(setting_first)
+        return singlet.p_first(ordering, state, setting_first, lams)
+
+    m = determinize(StochasticResponse(0, p_first, singlet.p_second, "counting"))
+    lams = sample_lambda(2, 500, SeedSpec(8))
+    pairs = [(A_X, A_X), (A_X, B_09), (B_09, A_X), (B_09, B_09), (A_X, B_09)]
+    for ordering in (AB, BA):
+        first_settings.clear()
+        m.count_pairs(ordering, SINGLET, pairs, lams)
+        assert sorted(first_settings, key=repr) == sorted([A_X, B_09], key=repr)
 
 
 def test_probability_out_of_range_rejected():

@@ -209,10 +209,27 @@ def _meshgrid_lattice(d, grid):
 @pytest.mark.parametrize("d,grid", [(0, 5), (1, 7), (2, 1001), (3, 70)])
 def test_lattice_blocks_split_by_point_count(d, grid):
     n = grid ** d
-    blocks = [_lattice_block(d, grid, start, min(_BLOCK, n - start))
-              for start in range(0, n, _BLOCK)]
-    assert all(not blk.flags.writeable for blk in blocks)
-    assert np.array_equal(np.concatenate(blocks), _meshgrid_lattice(d, grid))
+    lattice = _meshgrid_lattice(d, grid)
+    # split by the engine's blocks, then with a first block of half a row, so
+    # every later block starts mid-row
+    for first in (_BLOCK, min(n, grid // 2 + 1)):
+        bounds = [0, *range(first, n, _BLOCK), n]
+        blocks = [_lattice_block(d, grid, start, stop - start)
+                  for start, stop in zip(bounds, bounds[1:])]
+        assert all(not blk.flags.writeable for blk in blocks)
+        assert np.array_equal(np.concatenate(blocks), lattice)
+    for start, rows in ((grid // 2, 1), (grid // 2, grid), (n - grid - 1, grid + 1)):
+        if 0 <= start and rows <= n - start:
+            assert np.array_equal(_lattice_block(d, grid, start, rows),
+                                  lattice[start:start + rows])
+
+
+def test_lattice_block_deep_in_a_huge_lattice():
+    grid = 2_000_000  # grid^3 = 8e18 < 2^63; a run of the first axis is 4e12 rows
+    start = grid ** 3 - grid - 3
+    rows = np.arange(start, start + 5)
+    digits = np.stack([rows // grid ** 2, rows // grid % grid, rows % grid], axis=-1)
+    assert np.array_equal(_lattice_block(3, grid, start, 5), (digits + 0.5) / grid)
 
 
 THREE_PAIRS = [(A_X, B_09), (A_X, B_PERP), (B_09, A_X)]
@@ -229,6 +246,36 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
     joint_tables(make_gisin_singlet(), AB, SINGLET, THREE_PAIRS, "exact", 1, 600, SeedSpec(0),
                  workers=2)
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
+
+
+def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
+    submitted, made = [], []
+
+    class RecordingPool(stats.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    def record(d, grid, start, rows):
+        made.append((start, rows))
+        return _lattice_block(d, grid, start, rows)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(stats, "_lattice_block", record)
+    monkeypatch.setattr(stats, "_BLOCK", 64)  # a 20 x 20 lattice is 7 blocks
+    m = make_gisin_singlet()
+    serial = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 20, SeedSpec(0), workers=1)
+    assert submitted == []
+    for workers, tasks in ((2, 2), (3, 3), (10, 7)):
+        submitted.clear()
+        made.clear()
+        tables = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 20, SeedSpec(0), workers)
+        assert len(submitted) == tasks
+        assert sorted(made) == [(start, min(64, 400 - start)) for start in range(0, 400, 64)]
+        assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
+    submitted.clear()
+    mc = [estimate_joint(m, BA, SINGLET, A_X, B_09, 1000, SeedSpec(4), workers) for workers in (1, 3)]
+    assert len(submitted) == 3 and np.array_equal(mc[0].counts, mc[1].counts)
 
 
 def test_sphere_directions_once_per_lattice_block(direction_computations):
@@ -337,16 +384,26 @@ def test_exact_joint_threshold_models_match_integer_oracle(make, grid):
 
 @pytest.mark.parametrize("ordering", [AB, BA])
 def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
-    grid = 1001
-    lams = _meshgrid_lattice(2, grid)
     m = make_local_sphere()
-    a, _, b, _ = tsirelson_settings()
-    for sa, sb in ((a, b), (A_X, B_09), (A_X, A_X)):
-        alphas, betas = eval_pairs(m, ordering, SINGLET, sa, sb, lams)
-        expected = [[np.sum((alphas == x) & (betas == y)) for y in (1, -1)] for x in (1, -1)]
+    a, z, b, _ = tsirelson_settings()
+    minus_z = MeasurementSetting(0, 0, -1)
+    pairs = [(a, b), (A_X, B_09), (A_X, A_X), (z, z), (z, minus_z), (minus_z, A_X), (a, z)]
+    for grid in (7, 1001):
+        lams = _meshgrid_lattice(2, grid)
+        # on an odd grid the midpoints with u = 1/2 have cos(theta) = 0 exactly: they
+        # lie on the measurement plane of +z and -z, where sign(0) counts as +1
+        assert np.any(lams[:, 0] == 0.5)
+        expected = []
+        for sa, sb in pairs:
+            alphas, betas = eval_pairs(m, ordering, SINGLET, sa, sb, lams)
+            expected.append([[np.sum((alphas == x) & (betas == y)) for y in (1, -1)]
+                             for x in (1, -1)])
         for workers in (1, 2, 3):
-            table = exact_joint(m, ordering, SINGLET, sa, sb, grid, workers=workers)
-            assert np.array_equal(table.counts, expected)
+            tables = joint_tables(m, ordering, SINGLET, pairs, "exact", 1, grid, SeedSpec(0),
+                                  workers)
+            assert np.array_equal([t.counts for t in tables], expected)
+        for (sa, sb), counts in zip(pairs[:3], expected):
+            assert np.array_equal(exact_joint(m, ordering, SINGLET, sa, sb, grid).counts, counts)
 
 
 def test_records_csv_layout():
