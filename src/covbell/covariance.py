@@ -7,9 +7,12 @@ A model is covariant when each party's outcome is the same function of
     F_BA(b, lam) = S_AB(a, b, lam)   (Bob)
 
 for every probe. Covariance forces the second-party functions to ignore the
-other setting, so a covariant model reduces to a Bell-local one. The finite
-scan verifies the consequence exhaustively at two settings per side: all 4096
-deterministic strategies, exact integer CHSH, local bound 2 vs unconstrained 4.
+other setting, so a covariant model reduces to a Bell-local one. The check
+takes first-frame outcomes once per setting (they depend on the first party's
+setting alone) and second-frame outcomes once per pair. The finite scan
+verifies the consequence exhaustively at two settings per side: a bit-matrix
+scan of all 4096 deterministic strategies, exact integer CHSH, local bound 2
+vs unconstrained 4.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HiddenPoint, Outcome, TimeOrdering
-from .models import OrderedModel, eval_pairs
+from .models import OrderedModel
 from .stats import exact_joint
 
 
@@ -83,11 +86,9 @@ class NotCovariantError(ValueError):
 
 
 def _as_lam_array(lams, dim: int) -> np.ndarray:
-    if isinstance(lams, np.ndarray):
-        arr = lams
-    else:
-        arr = np.array([lam.as_array() if isinstance(lam, HiddenPoint) else lam
-                        for lam in lams], dtype=float)
+    if not isinstance(lams, np.ndarray):
+        lams = [lam.as_array() if isinstance(lam, HiddenPoint) else lam for lam in lams]
+    arr = np.asarray(lams, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"lambda dimension: expected (n, {dim}), got {arr.shape}")
     # HiddenPoint's rule; a NaN makes min/max NaN, which fails both comparisons
@@ -101,25 +102,32 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                      witness_cap: int = 32) -> CovarianceReport:
     """Count pointwise covariance failures over all (lambda, a, b) probes.
 
-    A probe violates if either party's outcome from ``eval_pairs`` in the frame
-    where it measures first differs from its outcome in the frame where it
-    measures second; witnesses record each failing side, lowest probe index
-    first, up to the cap.
+    A probe violates if either party's outcome in the frame where it measures
+    first differs from its outcome in the frame where it measures second;
+    witnesses record each failing side, lowest probe index first, up to the
+    cap. A first-frame outcome depends on the first party's setting alone, so
+    first-frame outcomes are taken once per setting and only the two
+    second-frame outcomes once per pair.
     """
     arr = _as_lam_array(lams, m.lambda_dim)
     bound = m.bind(arr)
-    checked = 0
+    pairs = list(setting_pairs)
+    alphas_ab = {a: bound.first_values(TimeOrdering.AB, state, a, arr)
+                 for a in dict.fromkeys(a for a, _ in pairs)}
+    betas_ba = {b: bound.first_values(TimeOrdering.BA, state, b, arr)
+                for b in dict.fromkeys(b for _, b in pairs)}
     violations = 0
     witnesses = []
-    for a, b in setting_pairs:
-        alpha_ab, beta_ab = eval_pairs(bound, TimeOrdering.AB, state, a, b, arr)
-        alpha_ba, beta_ba = eval_pairs(bound, TimeOrdering.BA, state, a, b, arr)
+    for a, b in pairs:
+        alpha_ab, beta_ba = alphas_ab[a], betas_ba[b]
+        beta_ab = bound.second_values(TimeOrdering.AB, state, a, b, arr)
+        alpha_ba = bound.second_values(TimeOrdering.BA, state, a, b, arr)
         alice_bad = alpha_ab != alpha_ba
         bob_bad = beta_ba != beta_ab
-        checked += arr.shape[0]
-        violations += int(np.count_nonzero(alice_bad | bob_bad))
+        bad = alice_bad | bob_bad
+        violations += int(np.count_nonzero(bad))
         if len(witnesses) < witness_cap:
-            for i in np.nonzero(alice_bad | bob_bad)[0]:
+            for i in np.nonzero(bad)[0]:
                 lam = HiddenPoint(tuple(arr[i]))
                 if alice_bad[i] and len(witnesses) < witness_cap:
                     witnesses.append(Witness(lam, a, b, Side.ALICE,
@@ -129,6 +137,7 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                                              Outcome(int(beta_ba[i])), Outcome(int(beta_ab[i]))))
                 if len(witnesses) >= witness_cap:
                     break
+    checked = arr.shape[0] * len(pairs)
     fraction = violations / checked if checked else 0.0
     return CovarianceReport(checked=checked, violations=violations,
                             witnesses=tuple(witnesses), violation_fraction=fraction)
@@ -168,9 +177,10 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
     """Reduce a covariant model to its Bell-local view, or fail with a witness.
 
     On success the view's joint statistics equal the original model's on the
-    probe set by construction.
+    probe set by construction. The check keeps at least one witness, whatever
+    the cap, for the error to name.
     """
-    report = check_covariance(m, state, setting_pairs, lams, witness_cap=witness_cap)
+    report = check_covariance(m, state, setting_pairs, lams, witness_cap=max(1, witness_cap))
     if report.violations:
         raise NotCovariantError(report.witnesses[0], report)
     return LocalModelView(m, state)
@@ -279,24 +289,24 @@ def enumerate_finite() -> EnumerationSummary:
 
     CHSH is evaluated in the AB frame (frames disagree for non-covariant
     strategies); the per-strategy rows also carry the BA-frame value.
+
+    A bit-matrix scan: row i holds the 12 bits of ``FiniteStrategy.from_index(i)``
+    (bit 1 is outcome -1), so a correlator is 1 - 2 * (XOR of two bit columns),
+    covariance is equality of columns and CHSH a signed sum of correlators.
     """
-    rows = []
-    covariant_count = 0
-    max_s = 0
-    max_s_cov = 0
-    for index in range(4096):
-        strat = FiniteStrategy.from_index(index)
-        s_ab = strat.chsh(TimeOrdering.AB)
-        s_ba = strat.chsh(TimeOrdering.BA)
-        cov = strat.covariant
-        rows.append(StrategyRow(index=index, covariant=cov, s_ab=s_ab, s_ba=s_ba))
-        max_s = max(max_s, abs(s_ab))
-        if cov:
-            covariant_count += 1
-            max_s_cov = max(max_s_cov, abs(s_ab))
-    return EnumerationSummary(total=4096, covariant=covariant_count,
-                              max_abs_s=max_s, max_abs_s_covariant=max_s_cov,
-                              rows=tuple(rows))
+    bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    f_ab, s_ab, f_ba, s_ba = bits[:, 0:2], bits[:, 2:6], bits[:, 6:8], bits[:, 8:12]
+    x, y = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # column 2x+y of s_ab, s_ba
+    terms = np.array([1, 1, 1, -1])  # E(0,0) + E(0,1) + E(1,0) - E(1,1)
+    chsh_ab = (1 - 2 * (f_ab[:, x] ^ s_ab)) @ terms
+    chsh_ba = (1 - 2 * (s_ba ^ f_ba[:, y])) @ terms
+    covariant = ((s_ba == f_ab[:, x]) & (s_ab == f_ba[:, y])).all(axis=1)
+    rows = tuple(map(StrategyRow, range(4096), covariant.tolist(), chsh_ab.tolist(),
+                     chsh_ba.tolist()))
+    return EnumerationSummary(total=4096, covariant=int(np.count_nonzero(covariant)),
+                              max_abs_s=int(np.abs(chsh_ab).max()),
+                              max_abs_s_covariant=int(np.abs(chsh_ab[covariant]).max(initial=0)),
+                              rows=rows)
 
 
 def frame_consistency(m: OrderedModel, state, a, b, grid: int,

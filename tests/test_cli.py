@@ -68,6 +68,18 @@ def test_failed_reduce_honours_output(tmp_path, capsys):
     assert json.loads(out_path.read_text())["reduced"] is False
 
 
+@pytest.mark.parametrize("model", ["gisin-singlet", "determinized-singlet"])
+def test_failed_reduce_names_a_witness_at_witness_cap_zero(model, capsys):
+    args = ["reduce", "--model", model, "--settings", "grid:2", "--probes", "400"]
+    code, out, err = run(args + ["--witness-cap", "0"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["reduced"] is False
+    _, capped_out, capped_err = run(args + ["--witness-cap", "1"], capsys)
+    assert doc["witness"] == json.loads(capped_out)["witness"]
+    assert err == capped_err and "not covariant" in err
+
+
 def test_reduce_local_sphere_succeeds(capsys):
     code, out, _ = run(["reduce", "--model", "local-sphere", "--probes",
                         "2000", "--seed", "7"], capsys)

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           QuantumState, TimeOrdering, dot, setting_grid)
-from covbell.covariance import (FiniteStrategy, NotCovariantError, Side,
-                                check_covariance, enumerate_finite,
+from covbell.covariance import (FiniteStrategy, LocalModelView, NotCovariantError,
+                                Side, Witness, check_covariance, enumerate_finite,
                                 forced_covariant_extension, frame_consistency,
                                 reduce_to_local)
-from covbell.models import (GisinSingletModel, OrderedModel,
+from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
-                            make_gisin_singlet, make_local_sphere)
+                            make_gisin_singlet, make_local_sphere, make_model)
 from covbell.stats import SeedSpec, sample_lambda
+from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -47,6 +50,41 @@ def test_bad_lambda_rows_rejected(check, bad):
         check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
     with pytest.raises(ValueError, match="outside"):
         check(make_local_sphere(), SINGLET, [(A_X, B_09)], [[0.3, bad]])
+
+
+def _reference_report(m, pairs, lams, cap):
+    """(checked, violations, fraction, witnesses) from eval_pairs in AB and BA per pair."""
+    violations, witnesses = 0, []
+    for a, b in pairs:
+        alpha_ab, beta_ab = eval_pairs(m, AB, SINGLET, a, b, lams)
+        alpha_ba, beta_ba = eval_pairs(m, BA, SINGLET, a, b, lams)
+        alice_bad, bob_bad = alpha_ab != alpha_ba, beta_ba != beta_ab
+        violations += int(np.count_nonzero(alice_bad | bob_bad))
+        for i in np.nonzero(alice_bad | bob_bad)[0][:cap]:  # each bad row gives a witness
+            lam = HiddenPoint(tuple(lams[i]))
+            if alice_bad[i]:
+                witnesses.append(Witness(lam, a, b, Side.ALICE, Outcome(int(alpha_ab[i])),
+                                         Outcome(int(alpha_ba[i]))))
+            if bob_bad[i]:
+                witnesses.append(Witness(lam, a, b, Side.BOB, Outcome(int(beta_ba[i])),
+                                         Outcome(int(beta_ab[i]))))
+    checked = len(pairs) * len(lams)
+    return checked, violations, violations / checked, tuple(witnesses[:cap])
+
+
+_MODELS = [*sorted(MODEL_REGISTRY), "local-view of local-sphere"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(_MODELS), cap=st.integers(0, 40),
+       pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=6), data=st.data())
+def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
+    m = (LocalModelView(make_local_sphere(), SINGLET) if name.startswith("local-view")
+         else make_model(name))
+    lams = draw_hidden_points(data, m.lambda_dim, 3000)
+    report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
+    assert (report.checked, report.violations, report.violation_fraction,
+            report.witnesses) == _reference_report(m, pairs, lams, cap)
 
 
 def test_local_sphere_is_covariant():
@@ -152,6 +190,18 @@ def test_enumeration_counts_and_bounds():
     assert summary.covariant == 16
     assert summary.max_abs_s == 4
     assert summary.max_abs_s_covariant == 2
+
+
+def test_enumeration_rows_match_the_strategy_oracle():
+    summary = enumerate_finite()
+    assert len(summary.rows) == 4096
+    for i, row in enumerate(summary.rows):
+        strat = FiniteStrategy.from_index(i)
+        assert (row.index, row.covariant, row.s_ab, row.s_ba) == (
+            i, strat.covariant, strat.chsh(AB), strat.chsh(BA))
+        assert (type(row.index), type(row.covariant), type(row.s_ab), type(row.s_ba)) == (
+            int, bool, int, int)
+    assert {type(v) for v in summary.to_dict().values()} == {int, str}
 
 
 def test_enumeration_covariant_set_equals_forced_extensions():

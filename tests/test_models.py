@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
-                          TimeOrdering, dot, setting_grid, tsirelson_settings)
+                          TimeOrdering, dot, setting_grid)
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
-                            StochasticResponse, determinize, eval_pairs,
+                            StochasticResponse, _pm, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import (SeedSpec, _lattice_block, _sample_block, correlator, estimate_joint,
-                           exact_joint, sample_lambda)
+from covbell.stats import SeedSpec, correlator, estimate_joint, exact_joint, sample_lambda
+from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -42,6 +42,19 @@ def test_gisin_first_ab_threshold():
     m = make_gisin_singlet()
     vals = m.first_values(AB, SINGLET, A_X, np.array([[0.3, 0.6], [0.6, 0.6]]))
     assert vals.tolist() == [Outcome.PLUS, Outcome.MINUS]
+
+
+def test_gisin_second_outcome_is_plus_on_its_thresholds():
+    # a.b = 1/2: after a first +1 the level is 1/4, after a first -1 it is 3/4;
+    # a first coordinate of exactly 1/2 counts as a first +1
+    b = MeasurementSetting(0.5, math.sqrt(0.75), 0)
+    assert dot(A_X, b) == 0.5
+    m = make_gisin_singlet()
+    points = [(0.3, 0.25), (0.5, 0.25), (0.7, 0.75), (0.3, 0.2500001), (0.5, 0.75),
+              (0.7, 0.7500001)]
+    expected = [1, 1, 1, -1, -1, -1]
+    for ordering, lams in ((AB, np.array(points)), (BA, np.array(points)[:, ::-1])):
+        assert m.second_values(ordering, SINGLET, A_X, b, lams).tolist() == expected
 
 
 def test_gisin_ba_role_swap_witness_pair():
@@ -83,29 +96,13 @@ def test_lambda_dimension_mismatch_rejected():
             m.count_pairs(AB, SINGLET, [(A_X, B_09)], np.array([[0.5]]))
 
 
-# Few settings, so pairs repeat them; tsirelson's a' = +z puts the midpoints of
-# odd grids with u = 1/2 exactly on its measurement plane.
-_SETTINGS = [*setting_grid(3), *tsirelson_settings(), MeasurementSetting(0, 0, -1)]
-_UNIT = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
-    lambda v: MeasurementSetting(*(x / math.hypot(*v) for x in v)))
-_SETTING = st.one_of(st.sampled_from(_SETTINGS), _UNIT)
-
-
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(MODEL_REGISTRY)), ordering=st.sampled_from([AB, BA]),
-       pairs=st.lists(st.tuples(_SETTING, _SETTING), max_size=6), data=st.data())
+       pairs=st.lists(st.tuples(SETTING, SETTING), max_size=6), data=st.data())
 def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
     m = make_model(name)
     assert type(m).count_pairs is not OrderedModel.count_pairs
-    d = m.lambda_dim
-    if data.draw(st.booleans(), label="lattice"):
-        grid = data.draw(st.integers(1, 200).map(lambda k: 2 * k + 1), label="odd grid")
-        start = data.draw(st.integers(0, grid ** d - 1), label="start")
-        rows = data.draw(st.integers(1, min(grid ** d - start, 6000)), label="rows")
-        lams = _lattice_block(d, grid, start, rows)
-    else:
-        spec = SeedSpec(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
-        lams = _sample_block(d, spec, 0, data.draw(st.integers(1, 6000), label="rows"))
+    lams = draw_hidden_points(data, m.lambda_dim, 6000)
     counts = m.count_pairs(ordering, SINGLET, pairs, lams)
     assert counts.dtype == np.int64 and counts.shape == (len(pairs), 2, 2)
     assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
@@ -243,6 +240,27 @@ def test_probability_out_of_range_rejected():
     m = determinize(_constant_response(1.5, 0.5))
     with pytest.raises(ValueError, match="probability"):
         m.first_values(AB, SINGLET, A_X, np.array([[0.2, 0.0]]))
+
+
+@pytest.mark.parametrize("rule", ["p_first", "p_second"])
+def test_nan_response_probability_rejected(rule):
+    # a NaN probability must not pass as outcome -1
+    m = determinize(_constant_response(math.nan, 0.5) if rule == "p_first"
+                    else _constant_response(0.5, math.nan))
+    lams = np.array([[0.2, 0.3], [0.7, 0.9], [0.4, 0.1]])
+    for ordering in (AB, BA):
+        with pytest.raises(ValueError, match="probability"):
+            eval_pairs(m, ordering, SINGLET, A_X, B_09, lams)
+        with pytest.raises(ValueError, match="probability"):
+            m.count_pairs(ordering, SINGLET, [(A_X, B_09)], lams)
+
+
+def test_sign_kernel_gives_int8_for_strided_bools():
+    cond = np.array([[True, False, False], [False, True, True]])
+    for strided in (cond[:, ::2], cond.T, cond[1, ::-1]):
+        signs = _pm(strided)
+        assert signs.dtype == np.int8
+        assert signs.tolist() == np.where(strided, 1, -1).tolist()
 
 
 def test_unknown_model_name():
