@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: tomography, chsh, check-covariance, reduce, enumerate,
-frame-order. Config is accepted both as flags and as a JSON file
-(``--config``); flags override file values. Every output embeds the full
-resolved config and seed. Exit codes: 0 success, 1 usage error, 2 domain
-error (e.g. a non-covariant model passed to ``reduce``).
+frame-order. Each subcommand takes only the config keys it reads, as flags
+and as a JSON file (``--config``); flags override file values, and any other
+key is a usage error. Every output embeds its command's resolved config and
+seed. Exit codes: 0 success, 1 usage error, 2 domain error (e.g. a
+non-covariant model passed to ``reduce``, or a size that does not fit in
+memory).
 """
 
 from __future__ import annotations
@@ -34,25 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Every option's default, type and allowed values (None: any). Flags and
-# config-file values are checked against the same entry.
+# Every option's default, type, allowed values (None: any) and minimum (None:
+# none). Flags and config-file values are checked against the same entry.
 _OPTIONS = {
-    "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY))),
-    "ordering": ("AB", str, ("AB", "BA")),
-    "settings": ("grid:5", str, None),
-    "mode": ("mc", str, ("mc", "exact")),
-    "n": (1_000_000, int, None),
-    "grid": (2000, int, None),
-    "seed": (0, int, None),
-    "stream": (0, int, None),
-    "workers": (os.cpu_count() or 1, int, None),
-    "probes": (10_000, int, None),
-    "witness_cap": (32, int, None),
-    "output": (None, str, None),
-    "format": ("csv", str, ("csv", "json")),
-    "event_a": ("0,-1", str, None),
-    "event_b": ("0,1", str, None),
-    "velocities": ("-0.5,0,0.5", str, None),
+    "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY)), None),
+    "ordering": ("AB", str, ("AB", "BA"), None),
+    "settings": ("grid:5", str, None, None),
+    "mode": ("mc", str, ("mc", "exact"), None),
+    "n": (1_000_000, int, None, 1),
+    "grid": (2000, int, None, 2),
+    "seed": (0, int, None, None),
+    "stream": (0, int, None, None),
+    "workers": (os.cpu_count() or 1, int, None, 1),
+    "probes": (10_000, int, None, 1),
+    "witness_cap": (32, int, None, 0),
+    "output": (None, str, None, None),
+    "format": ("csv", str, ("csv", "json"), None),
+    "event_a": ("0,-1", str, None, None),
+    "event_b": ("0,1", str, None, None),
+    "velocities": ("-0.5,0,0.5", str, None, None),
 }
 
 _HELP = {
@@ -62,30 +64,43 @@ _HELP = {
     "velocities": "comma-separated boost velocities",
 }
 
+# The keys each subcommand reads, besides seed, workers and output, which every
+# subcommand takes: every output names its seed, and the other two never enter
+# an output. A command accepts and embeds only its own keys.
+_KEYS = {
+    "tomography": ("model", "ordering", "settings", "mode", "n", "grid", "stream", "format"),
+    "chsh": ("model", "ordering", "settings", "mode", "n", "grid", "stream"),
+    "check-covariance": ("model", "settings", "stream", "probes", "witness_cap"),
+    "reduce": ("model", "settings", "stream", "probes", "witness_cap"),
+    "enumerate": ("format",),
+    "frame-order": ("event_a", "event_b", "velocities", "format"),
+}
+
 # Defaults that differ by subcommand: chsh takes a quadruple, not a grid.
 _COMMAND_DEFAULTS = {"chsh": {"settings": "tsirelson"}}
 
-_MINIMUM = {"n": 1, "grid": 2, "probes": 1, "workers": 1, "witness_cap": 0}
 
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    for key, (_, typ, choices) in _OPTIONS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
-                       help=_HELP.get(key) or (choices and "one of: " + ", ".join(choices)))
+def _keys(command: str) -> tuple:
+    return _KEYS[command] + ("seed", "workers", "output")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="covbell", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("tomography", "chsh", "check-covariance", "reduce",
-                 "enumerate", "frame-order"):
-        _add_common(sub.add_parser(name))
+    for name in _KEYS:
+        # no prefix matching: check-covariance must refuse --mode, not read it as --model
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in _keys(name):
+            _, typ, choices, _ = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                           help=_HELP.get(key) or (choices and "one of: " + ", ".join(choices)))
     return parser
 
 
 def _resolve_config(args) -> dict:
-    cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
+    keys = _keys(args.command)
+    cfg = {key: _OPTIONS[key][0] for key in keys}
     cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         with open(args.config) as fh:
@@ -95,15 +110,16 @@ def _resolve_config(args) -> dict:
                 raise UsageError(f"config file must hold a JSON object: {err}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_OPTIONS)
+        unknown = set(file_cfg) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in _OPTIONS:
-        val = getattr(args, key, None)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    for key, (default, typ, choices) in _OPTIONS.items():
+    for key in keys:
+        default, typ, choices, low = _OPTIONS[key]
         val = cfg[key]
         if val is None and default is None:
             continue
@@ -111,8 +127,7 @@ def _resolve_config(args) -> dict:
             raise UsageError(f"{key} must be of type {typ.__name__}, got {val!r}")
         if choices and val not in choices:
             raise UsageError(f"unknown {key} {val!r}; available: {', '.join(choices)}")
-    for key, low in _MINIMUM.items():
-        if cfg[key] < low:
+        if low is not None and val < low:
             raise UsageError(f"{key} must be at least {low}")
     cfg["command"] = args.command
     return cfg
@@ -245,13 +260,11 @@ def _cmd_reduce(cfg) -> int:
         _emit(doc, cfg["output"])
         print(str(err), file=sys.stderr)
         return 2
-    correlators = []
-    for a, b in pairs:
-        prod = view.responds_alice_values(a, lams) * view.responds_bob_values(b, lams)
-        correlators.append({
-            "a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],
-            "E": float(np.mean(prod)),
-        })
+    # each party's outcomes once per distinct setting, as check_covariance takes them
+    alphas = {a: view.responds_alice_values(a, lams) for a in dict.fromkeys(a for a, _ in pairs)}
+    betas = {b: view.responds_bob_values(b, lams) for b in dict.fromkeys(b for _, b in pairs)}
+    correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],
+                    "E": float(np.mean(alphas[a] * betas[b]))} for a, b in pairs]
     _emit(_json_doc({"reduced": True, "correlators": correlators}, cfg), cfg["output"])
     return 0
 
@@ -327,7 +340,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 2
 

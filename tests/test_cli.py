@@ -1,13 +1,21 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from covbell import cli
 from covbell.cli import main
 from covbell.core import QuantumState, TimeOrdering, tsirelson_settings
-from covbell.models import make_model
+from covbell.models import LocalSphereModel, make_model
 from covbell.stats import SeedSpec, chsh_pairs, correlator, estimate_joint, joint_record
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("covbell ")]
 
 
 def run(args, capsys):
@@ -194,7 +202,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 ])
 def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"settings": "tsirelson", "n": 1000, **file_cfg}))
+    cfg_path.write_text(json.dumps(file_cfg))
     code, out, err = run([command, "--config", str(cfg_path)], capsys)
     assert code == 1
     assert out == ""
@@ -232,10 +240,13 @@ def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     ["reduce", "--settings", "tsirelson", "--probes", "10"],
 ])
 def test_bad_flag_value_is_usage_error(args, capsys):
-    code, out, err = run(args + ["--n", "1000"], capsys)
+    code, out, err = run(args, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("covbell: ")
+    # the last flag of each case holds the bad value, and the error names its key
+    bad_flag = [a for a in args if a.startswith("--")][-1].split("=")[0]
+    assert bad_flag[2:].replace("-", "_") in err
 
 
 def test_nan_setting_is_domain_error(capsys):
@@ -279,6 +290,87 @@ def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
     code, out, err = run(args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: ")
+
+
+# The config keys each subcommand reads. Every subcommand also takes seed, which
+# it embeds, and workers and output, which it does not.
+COMMAND_KEYS = {
+    "tomography": {"model", "ordering", "settings", "mode", "n", "grid", "stream", "format"},
+    "chsh": {"model", "ordering", "settings", "mode", "n", "grid", "stream"},
+    "check-covariance": {"model", "settings", "stream", "probes", "witness_cap"},
+    "reduce": {"model", "settings", "stream", "probes", "witness_cap"},
+    "enumerate": {"format"},
+    "frame-order": {"event_a", "event_b", "velocities", "format"},
+}
+
+# Flags that make each subcommand's run small and its document JSON.
+SMALL_JSON_RUN = {
+    "tomography": ["--settings", "grid:1", "--mode", "exact", "--grid", "2", "--format", "json"],
+    "chsh": ["--mode", "exact", "--grid", "2"],
+    "check-covariance": ["--settings", "grid:1", "--probes", "1"],
+    "reduce": ["--model", "local-sphere", "--settings", "grid:1", "--probes", "1"],
+    "enumerate": ["--format", "json"],
+    "frame-order": ["--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
+    every = {"seed", "workers", "output"}
+    args = cli.build_parser().parse_args([command])
+    assert vars(args).keys() == {"command", "config", *every, *COMMAND_KEYS[command]}
+    out_path = tmp_path / "out.json"
+    code, _, err = run([command, *SMALL_JSON_RUN[command], "--seed", "3", "--workers", "1",
+                        "--output", str(out_path)], capsys)
+    assert (code, err) == (0, "")
+    embedded = json.loads(out_path.read_text())["config"]
+    assert embedded.keys() == {"command", "seed", *COMMAND_KEYS[command]}
+    cfg_path = tmp_path / "cfg.json"
+    for key in sorted(set(cli._OPTIONS) - every - COMMAND_KEYS[command]):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run([command, flag, "1"], capsys)
+        assert (code, out) == (1, "") and f"unrecognized arguments: {flag}" in err
+        cfg_path.write_text(json.dumps({key: cli._OPTIONS[key][0]}))
+        code, out, err = run([command, "--config", str(cfg_path)], capsys)
+        assert (code, out) == (1, "") and f"unknown config keys: [{key!r}]" in err
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples(), ids=lambda line: line.split()[1])
+def test_readme_cli_examples_take_only_known_flags(line):
+    # parsed and resolved, not run
+    cli._resolve_config(cli.build_parser().parse_args(shlex.split(line)[1:]))
+
+
+def test_reduce_takes_each_partys_outcomes_once_per_setting(monkeypatch, capsys):
+    calls = {"first_values": 0, "second_values": 0}
+
+    def counting(name):
+        method = getattr(LocalSphereModel, name)
+
+        def count(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(LocalSphereModel, name, counting(name))
+    code, _, _ = run(["reduce", "--model", "local-sphere", "--settings", "grid:5",
+                      "--probes", "1000"], capsys)
+    assert code == 0
+    # the covariance check takes 5 + 5 first-frame arrays and 2 second-frame
+    # arrays per pair; the correlators take 5 per party again, not 2 per pair
+    assert calls == {"first_values": 20, "second_values": 50}
+
+
+def test_impossible_probe_count_is_domain_error(monkeypatch, capsys):
+    def too_big(d, n, spec):
+        raise MemoryError(f"Unable to allocate an array of {n} hidden points")
+
+    monkeypatch.setattr(cli, "sample_lambda", too_big)
+    code, out, err = run(["check-covariance", "--settings", "grid:1",
+                          "--probes", str(10 ** 12)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("covbell: Unable to allocate")
 
 
 def test_probes_must_divide_among_the_setting_pairs(capsys):

@@ -14,7 +14,7 @@ from covbell.covariance import (FiniteStrategy, LocalModelView, NotCovariantErro
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model)
-from covbell.stats import SeedSpec, sample_lambda
+from covbell.stats import SeedSpec, joint_tables, sample_lambda
 from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -221,6 +221,20 @@ def test_covariant_strategies_frame_invariant_tables():
         if row.covariant:
             assert strat.correlation_table(AB) == strat.correlation_table(BA)
             assert row.s_ab == row.s_ba
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["local-sphere", "local-view"])
+def test_covariant_models_count_identical_exact_frame_tables(view):
+    # a covariant model answers alike in both orderings, so the two frames'
+    # lattice counts agree integer for integer
+    pairs = _grid_pairs(4)
+    m = make_local_sphere()
+    if view:
+        m = reduce_to_local(m, SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
+    for grid in (7, 1001):
+        ab, ba = ([t.counts for t in joint_tables(m, ordering, SINGLET, pairs, "exact", 1,
+                                                  grid, SeedSpec(0))] for ordering in (AB, BA))
+        assert np.array_equal(ab, ba)
 
 
 def test_pr_box_strategy_reaches_four():

@@ -1,10 +1,11 @@
 """Golden output bytes: SHA-256 of stdout (and of the --output file, where one
 is written) for CLI jobs that use no random numbers.
 
-The first five hashes were recorded from the initial 1,419-line package, the
-three ``--format json`` ones from the package before tomography, CHSH,
-enumerate and frame-order shared one table loop and one CSV writer. Monte Carlo jobs
-and ``grid:N`` settings are left out on purpose: numpy does not promise
+The hashes were re-recorded when each subcommand got its own config schema.
+That change altered only the embedded config (the ``# config = `` line, or
+the JSON ``config`` object): with it removed, every job's stdout and
+``--output`` bytes are the same before and after it. Monte Carlo jobs and
+``grid:N`` settings are left out on purpose: numpy does not promise
 ``Generator.random`` streams across versions, and ``setting_grid`` goes
 through libm ``cos``/``sin``, so their bytes may move with the platform.
 """
@@ -20,30 +21,30 @@ TSIRELSON_EXACT = ["--settings", "tsirelson", "--mode", "exact"]
 GOLDEN = {
     "tomography-gisin": (
         ["tomography", "--model", "gisin-singlet", *TSIRELSON_EXACT, "--grid", "300"],
-        "40770cfa2215690632c9122f681ead9a8360119ec1969ae479b25b22001f2da9", None),
+        "d547e33b722781d5b1de2eef0f754f4be24ed06f670bd307e296b7d91214fe99", None),
     "tomography-sphere": (
         ["tomography", "--model", "local-sphere", *TSIRELSON_EXACT, "--grid", "300"],
-        "6873c0666b3db059e3a99ba8e95a689e490e0de25c396ce277e5439ff7841ce4", None),
+        "d2afedaf71f5d13e5d1232dfa1d3f218a33c5eae60da2d14ae94bc0adc10f985", None),
     "chsh": (
         ["chsh", *TSIRELSON_EXACT, "--grid", "500"],
-        "b53849b8a91c21a6b05525049d822928c427184f75d0e0454c57200ee3b34a74", None),
+        "0162671d07b05b48dc1137775c31e48d122a987531015f50bfce6b96380d8fdf", None),
     "enumerate": (
         ["enumerate", "--output", "F"],
         "0b9d2f64cd40c799182bfa7b8df8fac1a33e2ebdf0536603c10d0acbf31335ac",
-        "57773e769a67cdc502627aa7e01e72192379b113474dc8398175cc484cd09900"),
+        "638c9c2e6dd2621b956f5c8713e8ae1118919acfc378f1b0b5e11067c30c05f4"),
     "frame-order": (
         ["frame-order", "--velocities=-0.5,0,0.5"],
-        "7c5ea779919f3e661e89b15a8f342673275d358e8615cde22b6a245d57df194c", None),
+        "7a44d52863bb497ba277f80fb29e217b9633a56ba7a311478d2b233123315bfa", None),
     "tomography-json": (
         ["tomography", *TSIRELSON_EXACT, "--grid", "300", "--format", "json"],
-        "51717dc2d2852f6bdf7d66b615dd7875dfec64390fe2f6913a2b8c73f44f12c6", None),
+        "c0ead28c4047d550683112a7c172610f6ec97b0aa07790511347cea64af48117", None),
     "enumerate-json": (
         ["enumerate", "--format", "json", "--output", "F"],
         "0b9d2f64cd40c799182bfa7b8df8fac1a33e2ebdf0536603c10d0acbf31335ac",
-        "303a012ff5f5e800832d0b9eb37f96af340a82a7fb4114299e8e878efe6d0801"),
+        "15e17d6b75c036efa09d06a3402b18a3115930f03e4164cdd3b25d0b18220011"),
     "frame-order-json": (
         ["frame-order", "--velocities=-0.5,0,0.5", "--format", "json"],
-        "2d6690ca968b2d294cf9e82593e40131570f4d3e5cc1c8587c93e3bfb3f45360", None),
+        "88dfac220009173b588d85efe8899ebd04b50f1615761556f2aaf6461182caf0", None),
 }
 
 

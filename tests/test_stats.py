@@ -80,10 +80,16 @@ def test_exact_joint_gisin_cell_value():
 
 
 def test_exact_joint_role_swap_symmetry():
+    # gisin's BA frame is its AB frame with the parties and the two coordinates
+    # swapped, and the lattice is symmetric under that swap, so every BA count
+    # is the AB count with alpha and beta swapped
     m = make_gisin_singlet()
-    t_ab = exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000)
-    t_ba = exact_joint(m, BA, SINGLET, A_X, B_09, grid=2000)
-    assert np.allclose(t_ab.probs, t_ba.probs, atol=5e-4)
+    pairs = [(a, b) for a in setting_grid(4) for b in setting_grid(4)]
+    for grid in (7, 1001):
+        ab, ba = (np.array([t.counts for t in joint_tables(m, ordering, SINGLET, pairs, "exact",
+                                                           1, grid, SeedSpec(0))])
+                  for ordering in (AB, BA))
+        assert np.array_equal(ba, ab.transpose(0, 2, 1))
 
 
 def test_exact_joint_matches_oracle_within_grid_error():
