@@ -247,7 +247,7 @@ def _cmd_reduce(cfg) -> int:
     model = make_model(cfg["model"])
     pairs, lams = _probe_lambdas(model, cfg)
     try:
-        view = reduce_to_local(model.bind(lams), QuantumState.SINGLET, pairs, lams,
+        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams,
                                witness_cap=cfg["witness_cap"])
     except NotCovariantError as err:
         doc = _json_doc({
@@ -260,11 +260,10 @@ def _cmd_reduce(cfg) -> int:
         _emit(doc, cfg["output"])
         print(str(err), file=sys.stderr)
         return 2
-    # each party's outcomes once per distinct setting, as check_covariance takes them
-    alphas = {a: view.responds_alice_values(a, lams) for a in dict.fromkeys(a for a, _ in pairs)}
-    betas = {b: view.responds_bob_values(b, lams) for b in dict.fromkeys(b for _, b in pairs)}
+    counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs, lams)
     correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],
-                    "E": float(np.mean(alphas[a] * betas[b]))} for a, b in pairs]
+                    "E": float((c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / len(lams))}
+                   for (a, b), c in zip(pairs, counts)]
     _emit(_json_doc({"reduced": True, "correlators": correlators}, cfg), cfg["output"])
     return 0
 
@@ -302,7 +301,7 @@ def _cmd_frame_order(cfg) -> int:
     velocities = _numbers(cfg, "velocities")
     rows = []
     for v in velocities:
-        boost = Boost(v)  # |v| >= 1 raises, handled as a domain error
+        boost = Boost(v)  # NaN or |v| >= 1 raises, handled as a domain error
         ta = boost_event(ea, boost).t
         tb = boost_event(eb, boost).t
         try:

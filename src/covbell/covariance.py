@@ -8,11 +8,10 @@ A model is covariant when each party's outcome is the same function of
 
 for every probe. Covariance forces the second-party functions to ignore the
 other setting, so a covariant model reduces to a Bell-local one. The check
-takes first-frame outcomes once per setting (they depend on the first party's
-setting alone) and second-frame outcomes once per pair. The finite scan
-verifies the consequence exhaustively at two settings per side: a bit-matrix
-scan of all 4096 deterministic strategies, exact integer CHSH, local bound 2
-vs unconstrained 4.
+takes first-frame outcomes through ``models.first_outcomes`` and only the
+second-frame outcomes per pair. The finite scan verifies the consequence
+exhaustively at two settings per side: a bit-matrix scan of all 4096
+deterministic strategies, exact integer CHSH, local bound 2 vs unconstrained 4.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HiddenPoint, Outcome, TimeOrdering
-from .models import OrderedModel
+from .models import OrderedModel, count_local_pairs, first_outcomes
 from .stats import exact_joint
 
 
@@ -105,17 +104,13 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
     A probe violates if either party's outcome in the frame where it measures
     first differs from its outcome in the frame where it measures second;
     witnesses record each failing side, lowest probe index first, up to the
-    cap. A first-frame outcome depends on the first party's setting alone, so
-    first-frame outcomes are taken once per setting and only the two
-    second-frame outcomes once per pair.
+    cap.
     """
     arr = _as_lam_array(lams, m.lambda_dim)
     bound = m.bind(arr)
     pairs = list(setting_pairs)
-    alphas_ab = {a: bound.first_values(TimeOrdering.AB, state, a, arr)
-                 for a in dict.fromkeys(a for a, _ in pairs)}
-    betas_ba = {b: bound.first_values(TimeOrdering.BA, state, b, arr)
-                for b in dict.fromkeys(b for _, b in pairs)}
+    alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), arr)
+    betas_ba = first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), arr)
     violations = 0
     witnesses = []
     for a, b in pairs:
@@ -146,7 +141,7 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
 class LocalModelView(OrderedModel):
     """Bell-local view of a covariant model: each party answers from its own
     setting and lambda alone (Alice via the AB-first function, Bob via BA-first),
-    identically in both orderings, so the view is covariant itself."""
+    identically in both orderings, so it is covariant and counts like local-sphere."""
 
     name = "local-view"
 
@@ -171,6 +166,12 @@ class LocalModelView(OrderedModel):
             return self.responds_bob_values(b, lams)
         return self.responds_alice_values(a, lams)
 
+    def bind(self, lams):
+        return LocalModelView(self._m.bind(lams), self._state)
+
+    def count_pairs(self, ordering, state, pairs, lams):
+        return count_local_pairs(self, state, pairs, lams)
+
 
 def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
                     witness_cap: int = 32) -> LocalModelView:
@@ -178,12 +179,15 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
 
     On success the view's joint statistics equal the original model's on the
     probe set by construction. The check keeps at least one witness, whatever
-    the cap, for the error to name.
+    the cap, for the error to name. The view wraps the model bound to the
+    probe array, so it keeps that array's derived data while it lives.
     """
-    report = check_covariance(m, state, setting_pairs, lams, witness_cap=max(1, witness_cap))
+    arr = _as_lam_array(lams, m.lambda_dim)
+    bound = m.bind(arr)
+    report = check_covariance(bound, state, setting_pairs, arr, witness_cap=max(1, witness_cap))
     if report.violations:
         raise NotCovariantError(report.witnesses[0], report)
-    return LocalModelView(m, state)
+    return LocalModelView(bound, state)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,11 @@ methods take an (n, d) array of hidden points and return (n,) int8 arrays of
 ``count_pairs(ordering, state, pairs, lams)`` scores every setting pair of
 one array and returns (k, 2, 2) int64 outcome counts; the stats engine makes
 one such call per block, inside at most ``workers`` pool tasks. The default
-counts each pair's ``eval_pairs`` outcomes. The built-ins override it to
-share work across pairs, with counts equal to the default's: gisin-singlet
-takes the first outcome once (it ignores the setting) and then counts
-thresholds on the other coordinate; local-sphere takes each party's outcomes
-once per distinct setting and counts "++" cells, the rest following from the
-marginals; determinize() takes the first outcome once per distinct first
-setting, where second_values takes it again for every pair.
+counts each pair's ``eval_pairs`` outcomes; the built-ins give the same counts
+with less work. gisin-singlet takes its setting-blind first outcome once and
+counts thresholds, local-sphere counts like any Bell-local model
+(``count_local_pairs``), and determinize() takes each first outcome once per
+setting (``first_outcomes``), where second_values takes it again per pair.
 """
 
 from __future__ import annotations
@@ -110,6 +108,31 @@ def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
         betas = m.first_values(ordering, state, b, lams)
         alphas = m.second_values(ordering, state, a, b, lams)
     return alphas, betas
+
+
+def first_outcomes(m: OrderedModel, ordering, state, settings, lams) -> dict:
+    """First-party outcomes keyed by each distinct setting: a first function sees
+    only its own party's setting, so one array serves every pair that has it."""
+    return {s: m.first_values(ordering, state, s, lams) for s in dict.fromkeys(settings)}
+
+
+def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
+    """``count_pairs`` of a Bell-local model, in either ordering: Alice answers
+    as first party of AB and Bob as first party of BA, each once per distinct
+    setting; a pair counts only its "++" cell, the rest follow from marginals."""
+    lams = _lambdas(m, lams)
+    bound = m.bind(lams)
+    alice = {a: alphas > 0 for a, alphas in
+             first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), lams).items()}
+    bob = {b: betas > 0 for b, betas in
+           first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), lams).items()}
+    alice_plus = {a: np.count_nonzero(plus) for a, plus in alice.items()}
+    bob_plus = {b: np.count_nonzero(plus) for b, plus in bob.items()}
+    counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        counts[i] = _cells(np.count_nonzero(alice[a] & bob[b]), alice_plus[a], bob_plus[b],
+                           len(lams))
+    return counts
 
 
 def _require_singlet(state):
@@ -226,20 +249,7 @@ class LocalSphereModel(OrderedModel):
         return self._alice(a, lams)
 
     def count_pairs(self, ordering, state, pairs, lams):
-        # local: each party's outcomes depend on its own setting only, in any ordering
-        lams = _lambdas(self, lams)
-        bound = self.bind(lams)
-        alice = {a: bound.first_values(TimeOrdering.AB, state, a, lams) > 0
-                 for a in dict.fromkeys(a for a, _ in pairs)}
-        bob = {b: bound.first_values(TimeOrdering.BA, state, b, lams) > 0
-               for b in dict.fromkeys(b for _, b in pairs)}
-        alice_plus = {a: np.count_nonzero(plus) for a, plus in alice.items()}
-        bob_plus = {b: np.count_nonzero(plus) for b, plus in bob.items()}
-        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            counts[i] = _cells(np.count_nonzero(alice[a] & bob[b]), alice_plus[a], bob_plus[b],
-                               len(lams))
-        return counts
+        return count_local_pairs(self, state, pairs, lams)
 
 
 @dataclass(frozen=True)
@@ -304,16 +314,13 @@ class DeterminizedModel(OrderedModel):
 
     def count_pairs(self, ordering, state, pairs, lams):
         lams = _lambdas(self, lams)
+        ab = ordering is TimeOrdering.AB
+        firsts = first_outcomes(self, ordering, state, (a if ab else b for a, b in pairs), lams)
         counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        firsts = {}
         for i, (a, b) in enumerate(pairs):
-            first_setting = a if ordering is TimeOrdering.AB else b
-            if first_setting not in firsts:
-                firsts[first_setting] = self.first_values(ordering, state, first_setting, lams)
-            first = firsts[first_setting]
+            first = firsts[a if ab else b]
             second = self._second(ordering, state, a, b, first, lams)
-            counts[i] = (_table(first, second) if ordering is TimeOrdering.AB
-                         else _table(second, first))
+            counts[i] = _table(first, second) if ab else _table(second, first)
         return counts
 
 

@@ -35,7 +35,9 @@ class Boost:
     v: float
 
     def __post_init__(self):
-        if not (abs(self.v) < 1.0):
+        if math.isnan(self.v):
+            raise ValueError("boost velocity is NaN")
+        if abs(self.v) >= 1.0:
             raise ValueError("superluminal boost")
 
     @property

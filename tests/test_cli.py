@@ -12,9 +12,11 @@ from covbell.models import LocalSphereModel, make_model
 from covbell.stats import SeedSpec, chsh_pairs, correlator, estimate_joint, joint_record
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
 def _readme_cli_examples():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("covbell ")]
 
 
@@ -341,6 +343,12 @@ def test_readme_cli_examples_take_only_known_flags(line):
     cli._resolve_config(cli.build_parser().parse_args(shlex.split(line)[1:]))
 
 
+@pytest.mark.parametrize("block", [part.split("```", 1)[0]
+                                   for part in README.split("```python\n")[1:]])
+def test_readme_python_examples_run(block):
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_reduce_takes_each_partys_outcomes_once_per_setting(monkeypatch, capsys):
     calls = {"first_values": 0, "second_values": 0}
 
@@ -401,6 +409,11 @@ def test_superluminal_velocity_is_domain_error(capsys):
                         "--velocities=1.5"], capsys)
     assert code == 2
     assert "superluminal" in err
+
+
+def test_nan_velocity_is_domain_error_named_as_nan(capsys):
+    code, out, err = run(["frame-order", "--velocities=nan"], capsys)
+    assert (code, out, err) == (2, "", "covbell: boost velocity is NaN\n")
 
 
 def test_mc_pair_i_draws_from_stream_plus_i(capsys):

@@ -237,6 +237,15 @@ def test_covariant_models_count_identical_exact_frame_tables(view):
         assert np.array_equal(ab, ba)
 
 
+def test_reduced_sphere_view_computes_directions_once_per_block(direction_computations):
+    pairs = _grid_pairs(4)
+    view = reduce_to_local(make_local_sphere(), SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
+    del direction_computations[:]
+    joint_tables(view, AB, SINGLET, pairs, "exact", 1, 1001, SeedSpec(0))
+    # 1001^2 points make 4 blocks of 2^18; each block binds once for all 16 pairs
+    assert len(direction_computations) == 4 and sum(direction_computations) == 1001 ** 2
+
+
 def test_pr_box_strategy_reaches_four():
     # f_ab = +1, s_ab anticorrelated only at (1,1), covariance ignored
     strat = FiniteStrategy(f_ab=(1, 1), s_ab=(1, 1, 1, -1),

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
-                          TimeOrdering, dot, setting_grid)
+                          TimeOrdering, dot, setting_grid, tsirelson_settings)
+from covbell.covariance import reduce_to_local
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
                             StochasticResponse, _pm, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import SeedSpec, correlator, estimate_joint, exact_joint, sample_lambda
+from covbell.stats import (SeedSpec, _lattice_block, correlator, estimate_joint, exact_joint,
+                           sample_lambda)
 from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -96,11 +98,18 @@ def test_lambda_dimension_mismatch_rejected():
             m.count_pairs(AB, SINGLET, [(A_X, B_09)], np.array([[0.5]]))
 
 
+def _reduced_sphere_view():
+    """A reduced view of local-sphere, bound to an array other than the one it counts."""
+    return reduce_to_local(make_local_sphere(), SINGLET, [(A_X, B_09)],
+                           sample_lambda(2, 50, SeedSpec(9)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(MODEL_REGISTRY)), ordering=st.sampled_from([AB, BA]),
+@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), "reduced local-sphere view"]),
+       ordering=st.sampled_from([AB, BA]),
        pairs=st.lists(st.tuples(SETTING, SETTING), max_size=6), data=st.data())
 def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
-    m = make_model(name)
+    m = _reduced_sphere_view() if name.startswith("reduced") else make_model(name)
     assert type(m).count_pairs is not OrderedModel.count_pairs
     lams = draw_hidden_points(data, m.lambda_dim, 6000)
     counts = m.count_pairs(ordering, SINGLET, pairs, lams)
@@ -217,6 +226,21 @@ def test_determinized_singlet_matches_gisin_joint():
         t_det = estimate_joint(det, ordering, SINGLET, A_X, B_09, 1_000_000, SeedSpec(33))
         t_gis = exact_joint(gisin, ordering, SINGLET, A_X, B_09, grid=1000)
         assert np.allclose(t_det.probs, t_gis.probs, atol=5e-3)
+
+
+def test_determinized_singlet_is_pointwise_gisin_singlet():
+    # both threshold u_A at 1/2 and u_B at (1 -+ a.b)/2 in the same float arithmetic,
+    # so their outcomes agree on every point, threshold midpoints and corners included
+    lams = np.concatenate([sample_lambda(2, 30_000, SeedSpec(12)),
+                           _lattice_block(2, 201, 0, 201 ** 2),
+                           [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]]])
+    det, gisin = make_model("determinized-singlet"), make_gisin_singlet()
+    probe_settings = [*setting_grid(6), *tsirelson_settings()]
+    for ordering in (AB, BA):
+        for a in probe_settings:
+            for b in probe_settings:
+                assert np.array_equal(eval_pairs(det, ordering, SINGLET, a, b, lams),
+                                      eval_pairs(gisin, ordering, SINGLET, a, b, lams))
 
 
 def test_determinized_count_pairs_takes_each_first_outcome_once():

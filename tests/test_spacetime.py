@@ -36,9 +36,14 @@ def test_identity_boost():
 
 
 def test_superluminal_boost_rejected():
-    for v in (1.0, -1.0, 1.5):
+    for v in (1.0, -1.0, 1.5, float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="superluminal"):
             Boost(v)
+
+
+def test_nan_boost_named_as_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        Boost(float("nan"))
 
 
 def test_time_order_flips_with_velocity_sign():
