@@ -3,10 +3,12 @@
 Subcommands: tomography, chsh, check-covariance, reduce, enumerate,
 frame-order. Each subcommand takes only the config keys it reads, as flags
 and as a JSON file (``--config``); flags override file values, and any other
-key is a usage error. Every output embeds its command's resolved config and
-seed. Exit codes: 0 success, 1 usage error, 2 domain error (e.g. a
-non-covariant model passed to ``reduce``, or a size that does not fit in
-memory).
+key is a usage error. tomography and chsh read ``grid`` in mode exact and
+``n`` and ``stream`` in mode mc, so they take only their mode's (``tomography
+--grid 300`` in the default mode mc is a usage error). Every output embeds
+its command's resolved config and seed. Exit codes: 0 success, 1 usage
+error, 2 domain error (e.g. a non-covariant model passed to ``reduce``, or a
+size that does not fit in memory).
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The estimator keys of the commands with a mode, by the mode that reads them.
+_MODE_KEYS = {"mc": ("n", "stream"), "exact": ("grid",)}
+
 # Every option's default, type, allowed values (None: any) and minimum (None:
 # none). Flags and config-file values are checked against the same entry.
 _OPTIONS = {
     "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY)), None),
     "ordering": ("AB", str, ("AB", "BA"), None),
     "settings": ("grid:5", str, None, None),
-    "mode": ("mc", str, ("mc", "exact"), None),
+    "mode": ("mc", str, tuple(_MODE_KEYS), None),
     "n": (1_000_000, int, None, 1),
     "grid": (2000, int, None, 2),
     "seed": (0, int, None, None),
@@ -59,6 +64,9 @@ _OPTIONS = {
 
 _HELP = {
     "settings": "'tsirelson', 'grid:N', or inline JSON vectors",
+    "n": "samples per setting pair (mode mc only)",
+    "grid": "midpoint lattice points per axis (mode exact only)",
+    "stream": "Philox stream of the sampled points (tomography and chsh: mode mc only)",
     "event_a": "'t,x'",
     "event_b": "'t,x'",
     "velocities": "comma-separated boost velocities",
@@ -66,10 +74,11 @@ _HELP = {
 
 # The keys each subcommand reads, besides seed, workers and output, which every
 # subcommand takes: every output names its seed, and the other two never enter
-# an output. A command accepts and embeds only its own keys.
+# an output. A command accepts and embeds only its own keys; tomography and
+# chsh also take their mode's keys in _MODE_KEYS.
 _KEYS = {
-    "tomography": ("model", "ordering", "settings", "mode", "n", "grid", "stream", "format"),
-    "chsh": ("model", "ordering", "settings", "mode", "n", "grid", "stream"),
+    "tomography": ("model", "ordering", "settings", "mode", "format"),
+    "chsh": ("model", "ordering", "settings", "mode"),
     "check-covariance": ("model", "settings", "stream", "probes", "witness_cap"),
     "reduce": ("model", "settings", "stream", "probes", "witness_cap"),
     "enumerate": ("format",),
@@ -80,8 +89,12 @@ _KEYS = {
 _COMMAND_DEFAULTS = {"chsh": {"settings": "tsirelson"}}
 
 
-def _keys(command: str) -> tuple:
-    return _KEYS[command] + ("seed", "workers", "output")
+def _keys(command: str, mode=None) -> tuple:
+    """The keys a command takes: in a mode, only that mode's estimator keys."""
+    keys = _KEYS[command] + ("seed", "workers", "output")
+    if "mode" in keys:
+        keys += _MODE_KEYS[mode] if mode else sum(_MODE_KEYS.values(), ())
+    return keys
 
 
 def build_parser() -> _Parser:
@@ -100,24 +113,26 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args) -> dict:
     keys = _keys(args.command)
-    cfg = {key: _OPTIONS[key][0] for key in keys}
-    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    given = {}
     if args.config:
         with open(args.config) as fh:
             try:
-                file_cfg = json.load(fh)
+                given = json.load(fh)
             except json.JSONDecodeError as err:
                 raise UsageError(f"config file must hold a JSON object: {err}") from None
-        if not isinstance(file_cfg, dict):
+        if not isinstance(given, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(keys)
+        unknown = set(given) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in keys:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
+    given.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    cfg = {key: _OPTIONS[key][0] for key in keys}
+    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}), **given)
+    if cfg.get("mode") in _OPTIONS["mode"][2]:  # an invalid mode fails its check below
+        keys = _keys(args.command, cfg["mode"])
+        stray = sorted(set(given) - set(keys))
+        if stray:
+            raise UsageError(f"mode {cfg['mode']} does not read {', '.join(stray)}")
     for key in keys:
         default, typ, choices, low = _OPTIONS[key]
         val = cfg[key]
@@ -129,8 +144,7 @@ def _resolve_config(args) -> dict:
             raise UsageError(f"unknown {key} {val!r}; available: {', '.join(choices)}")
         if low is not None and val < low:
             raise UsageError(f"{key} must be at least {low}")
-    cfg["command"] = args.command
-    return cfg
+    return {"command": args.command, **{key: cfg[key] for key in keys}}
 
 
 def _inline_vectors(spec: str, shape: tuple, what: str) -> np.ndarray:
@@ -196,10 +210,10 @@ def _json_doc(payload: dict, cfg: dict) -> str:
 def _cmd_tomography(cfg) -> int:
     model = make_model(cfg["model"])
     ordering = TimeOrdering(cfg["ordering"])
-    seed = SeedSpec(cfg["seed"], cfg["stream"])
+    seed = SeedSpec(cfg["seed"], cfg.get("stream", 0))
     pairs = _setting_pairs(cfg["settings"])
     tables = joint_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["mode"],
-                          cfg["n"], cfg["grid"], seed, cfg["workers"])
+                          cfg.get("n"), cfg.get("grid"), seed, cfg["workers"])
     n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
     records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
                for (a, b), table in zip(pairs, tables)]
@@ -212,8 +226,8 @@ def _cmd_chsh(cfg) -> int:
     model = make_model(cfg["model"])
     quad = _setting_quad(cfg["settings"])
     res = chsh(model, TimeOrdering(cfg["ordering"]), QuantumState.SINGLET, quad,
-               mode=cfg["mode"], n=cfg["n"], grid=cfg["grid"],
-               seed=SeedSpec(cfg["seed"], cfg["stream"]), workers=cfg["workers"])
+               mode=cfg["mode"], n=cfg.get("n"), grid=cfg.get("grid"),
+               seed=SeedSpec(cfg["seed"], cfg.get("stream", 0)), workers=cfg["workers"])
     doc = _json_doc({
         "S": res.value,
         "stderr": res.stderr,

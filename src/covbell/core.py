@@ -70,6 +70,16 @@ class MeasurementSetting:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
+def _unit_interval(x: np.ndarray, what: str) -> np.ndarray:
+    """x, if every entry lies in [0, 1]; else ValueError naming an entry that
+    does not. A NaN makes min and max NaN, which fails both comparisons."""
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ValueError(f"{what} {float(hi if lo >= 0.0 else lo)!r} outside [0,1]")
+    return x
+
+
 @dataclass(frozen=True)
 class HiddenPoint:
     """A hidden-variable sample: a point of [0,1]^d."""
@@ -78,9 +88,7 @@ class HiddenPoint:
 
     def __post_init__(self):
         coords = tuple(float(c) for c in self.coords)
-        for c in coords:
-            if not (0.0 <= c <= 1.0):
-                raise ValueError(f"hidden point coordinate {c!r} outside [0,1]")
+        _unit_interval(np.array(coords), "hidden point coordinate")
         object.__setattr__(self, "coords", coords)
 
     def __len__(self):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HiddenPoint, Outcome, TimeOrdering
-from .models import OrderedModel, count_local_pairs, first_outcomes
+from .core import HiddenPoint, Outcome, TimeOrdering, _unit_interval
+from .models import OrderedModel, _lambdas, count_local_pairs, first_outcomes
 from .stats import exact_joint
 
 
@@ -84,17 +84,12 @@ class NotCovariantError(ValueError):
         )
 
 
-def _as_lam_array(lams, dim: int) -> np.ndarray:
+def _as_lam_array(m: OrderedModel, lams) -> np.ndarray:
+    """The hidden points (an array, rows or HiddenPoints) as the model's (n, d)
+    float array, checked by HiddenPoint's rule: every coordinate in [0, 1]."""
     if not isinstance(lams, np.ndarray):
         lams = [lam.as_array() if isinstance(lam, HiddenPoint) else lam for lam in lams]
-    arr = np.asarray(lams, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"lambda dimension: expected (n, {dim}), got {arr.shape}")
-    # HiddenPoint's rule; a NaN makes min/max NaN, which fails both comparisons
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
-        raise ValueError(f"hidden point coordinate {float(bad)!r} outside [0,1]")
-    return arr
+    return _unit_interval(_lambdas(m, lams), "hidden point coordinate")
 
 
 def check_covariance(m: OrderedModel, state, setting_pairs, lams,
@@ -106,7 +101,7 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
     witnesses record each failing side, lowest probe index first, up to the
     cap.
     """
-    arr = _as_lam_array(lams, m.lambda_dim)
+    arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
     pairs = list(setting_pairs)
     alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), arr)
@@ -182,7 +177,7 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
     the cap, for the error to name. The view wraps the model bound to the
     probe array, so it keeps that array's derived data while it lives.
     """
-    arr = _as_lam_array(lams, m.lambda_dim)
+    arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
     report = check_covariance(bound, state, setting_pairs, arr, witness_cap=max(1, witness_cap))
     if report.violations:
@@ -192,68 +187,6 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
 
 # ---------------------------------------------------------------------------
 # Finite scenario: two settings per side, one deterministic lambda atom.
-
-@dataclass(frozen=True)
-class FiniteStrategy:
-    """Deterministic strategy over indexed settings x, y in {0,1}.
-
-    f_ab[x] / s_ab[2x+y] answer the AB frame, f_ba[y] / s_ba[2x+y] the BA
-    frame; all entries are +/-1.
-    """
-
-    f_ab: tuple
-    s_ab: tuple
-    f_ba: tuple
-    s_ba: tuple
-
-    def __post_init__(self):
-        for name in ("f_ab", "s_ab", "f_ba", "s_ba"):
-            vals = getattr(self, name)
-            if any(v not in (-1, 1) for v in vals):
-                raise ValueError(f"{name} entries must be +/-1")
-
-    @classmethod
-    def from_index(cls, index: int) -> "FiniteStrategy":
-        if not (0 <= index < 4096):
-            raise ValueError("strategy index must be in [0, 4096)")
-        bits = [(index >> i) & 1 for i in range(12)]
-        vals = [1 - 2 * bit for bit in bits]  # bit 0 -> +1, bit 1 -> -1
-        return cls(f_ab=tuple(vals[0:2]), s_ab=tuple(vals[2:6]),
-                   f_ba=tuple(vals[6:8]), s_ba=tuple(vals[8:12]))
-
-    @property
-    def index(self) -> int:
-        vals = list(self.f_ab) + list(self.s_ab) + list(self.f_ba) + list(self.s_ba)
-        return sum(((1 - v) // 2) << i for i, v in enumerate(vals))
-
-    def correlation_table(self, ordering: TimeOrdering):
-        """E(x,y) per setting pair, exact integers in {-1, +1}."""
-        table = [[0, 0], [0, 0]]
-        for x in (0, 1):
-            for y in (0, 1):
-                if ordering is TimeOrdering.AB:
-                    table[x][y] = self.f_ab[x] * self.s_ab[2 * x + y]
-                else:
-                    table[x][y] = self.s_ba[2 * x + y] * self.f_ba[y]
-        return table
-
-    def chsh(self, ordering: TimeOrdering) -> int:
-        t = self.correlation_table(ordering)
-        return t[0][0] + t[0][1] + t[1][0] - t[1][1]
-
-    @property
-    def covariant(self) -> bool:
-        return all(self.s_ba[2 * x + y] == self.f_ab[x] and
-                   self.s_ab[2 * x + y] == self.f_ba[y]
-                   for x in (0, 1) for y in (0, 1))
-
-
-def forced_covariant_extension(f_ab, f_ba) -> FiniteStrategy:
-    """The unique covariant strategy extending single-setting responses."""
-    s_ab = tuple(f_ba[y] for x in (0, 1) for y in (0, 1))
-    s_ba = tuple(f_ab[x] for x in (0, 1) for y in (0, 1))
-    return FiniteStrategy(f_ab=tuple(f_ab), s_ab=s_ab, f_ba=tuple(f_ba), s_ba=s_ba)
-
 
 @dataclass(frozen=True)
 class StrategyRow:
@@ -294,9 +227,12 @@ def enumerate_finite() -> EnumerationSummary:
     CHSH is evaluated in the AB frame (frames disagree for non-covariant
     strategies); the per-strategy rows also carry the BA-frame value.
 
-    A bit-matrix scan: row i holds the 12 bits of ``FiniteStrategy.from_index(i)``
-    (bit 1 is outcome -1), so a correlator is 1 - 2 * (XOR of two bit columns),
-    covariance is equality of columns and CHSH a signed sum of correlators.
+    A bit-matrix scan: row i holds the 12 bits of strategy i, where bits 0-1
+    are f_ab[x], bits 2-5 s_ab[2x+y], bits 6-7 f_ba[y] and bits 8-11 s_ba[2x+y]
+    for settings x, y in {0, 1}, and a set bit is outcome -1. So a correlator
+    is 1 - 2 * (XOR of two bit columns), covariance (s_ba[2x+y] = f_ab[x] and
+    s_ab[2x+y] = f_ba[y]) is equality of columns and CHSH a signed sum of
+    correlators.
     """
     bits = (np.arange(4096)[:, None] >> np.arange(12)) & 1
     f_ab, s_ab, f_ba, s_ba = bits[:, 0:2], bits[:, 2:6], bits[:, 6:8], bits[:, 8:12]

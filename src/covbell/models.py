@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import QuantumState, TimeOrdering, dot
+from .core import QuantumState, TimeOrdering, _unit_interval, dot
 
 
 class OrderedModel(abc.ABC):
@@ -269,11 +269,7 @@ class StochasticResponse:
 
 
 def _check_probs(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    # a NaN makes min/max NaN, which fails both comparisons
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
-        raise ValueError("response probability NaN or outside [0,1]")
-    return p
+    return _unit_interval(np.asarray(p, dtype=float), "response probability")
 
 
 class DeterminizedModel(OrderedModel):

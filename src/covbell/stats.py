@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Outcome, dot
+from .core import Outcome
 from .models import OrderedModel
 
 # Fixed evaluation block size; partitioning is independent of worker count so
@@ -67,25 +67,6 @@ class CorrelationEstimate:
     value: float
     stderr: float
     n: int
-
-
-def singlet_joint_oracle(alpha: Outcome, beta: Outcome, a, b) -> float:
-    """Closed-form singlet joint probability (1 - alpha*beta*a.b)/4."""
-    return (1.0 - int(alpha) * int(beta) * dot(a, b)) / 4.0
-
-
-def singlet_oracle_table(a, b) -> JointStats:
-    """The full analytic singlet table as an exact JointStats."""
-    probs = np.array(
-        [
-            [singlet_joint_oracle(Outcome.PLUS, Outcome.PLUS, a, b),
-             singlet_joint_oracle(Outcome.PLUS, Outcome.MINUS, a, b)],
-            [singlet_joint_oracle(Outcome.MINUS, Outcome.PLUS, a, b),
-             singlet_joint_oracle(Outcome.MINUS, Outcome.MINUS, a, b)],
-        ]
-    )
-    return JointStats(counts=np.zeros((2, 2), dtype=np.int64), n=0, probs=probs,
-                      stderr=np.zeros((2, 2)), exact=True)
 
 
 def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:

@@ -1,0 +1,90 @@
+"""Reference implementations the tests compare covbell against: the singlet's
+closed-form joint table and the per-strategy view of the finite no-go scan."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from covbell.core import Outcome, TimeOrdering, dot
+from covbell.stats import JointStats
+
+
+def singlet_joint_oracle(alpha: Outcome, beta: Outcome, a, b) -> float:
+    """Closed-form singlet joint probability (1 - alpha*beta*a.b)/4."""
+    return (1.0 - int(alpha) * int(beta) * dot(a, b)) / 4.0
+
+
+def singlet_oracle_table(a, b) -> JointStats:
+    """The full analytic singlet table as an exact JointStats."""
+    probs = np.array(
+        [
+            [singlet_joint_oracle(Outcome.PLUS, Outcome.PLUS, a, b),
+             singlet_joint_oracle(Outcome.PLUS, Outcome.MINUS, a, b)],
+            [singlet_joint_oracle(Outcome.MINUS, Outcome.PLUS, a, b),
+             singlet_joint_oracle(Outcome.MINUS, Outcome.MINUS, a, b)],
+        ]
+    )
+    return JointStats(counts=np.zeros((2, 2), dtype=np.int64), n=0, probs=probs,
+                      stderr=np.zeros((2, 2)), exact=True)
+
+
+@dataclass(frozen=True)
+class FiniteStrategy:
+    """Deterministic strategy over indexed settings x, y in {0,1}.
+
+    f_ab[x] / s_ab[2x+y] answer the AB frame, f_ba[y] / s_ba[2x+y] the BA
+    frame; all entries are +/-1.
+    """
+
+    f_ab: tuple
+    s_ab: tuple
+    f_ba: tuple
+    s_ba: tuple
+
+    def __post_init__(self):
+        for name in ("f_ab", "s_ab", "f_ba", "s_ba"):
+            vals = getattr(self, name)
+            if any(v not in (-1, 1) for v in vals):
+                raise ValueError(f"{name} entries must be +/-1")
+
+    @classmethod
+    def from_index(cls, index: int) -> "FiniteStrategy":
+        if not (0 <= index < 4096):
+            raise ValueError("strategy index must be in [0, 4096)")
+        bits = [(index >> i) & 1 for i in range(12)]
+        vals = [1 - 2 * bit for bit in bits]  # bit 0 -> +1, bit 1 -> -1
+        return cls(f_ab=tuple(vals[0:2]), s_ab=tuple(vals[2:6]),
+                   f_ba=tuple(vals[6:8]), s_ba=tuple(vals[8:12]))
+
+    @property
+    def index(self) -> int:
+        vals = list(self.f_ab) + list(self.s_ab) + list(self.f_ba) + list(self.s_ba)
+        return sum(((1 - v) // 2) << i for i, v in enumerate(vals))
+
+    def correlation_table(self, ordering: TimeOrdering):
+        """E(x,y) per setting pair, exact integers in {-1, +1}."""
+        table = [[0, 0], [0, 0]]
+        for x in (0, 1):
+            for y in (0, 1):
+                if ordering is TimeOrdering.AB:
+                    table[x][y] = self.f_ab[x] * self.s_ab[2 * x + y]
+                else:
+                    table[x][y] = self.s_ba[2 * x + y] * self.f_ba[y]
+        return table
+
+    def chsh(self, ordering: TimeOrdering) -> int:
+        t = self.correlation_table(ordering)
+        return t[0][0] + t[0][1] + t[1][0] - t[1][1]
+
+    @property
+    def covariant(self) -> bool:
+        return all(self.s_ba[2 * x + y] == self.f_ab[x] and
+                   self.s_ab[2 * x + y] == self.f_ba[y]
+                   for x in (0, 1) for y in (0, 1))
+
+
+def forced_covariant_extension(f_ab, f_ba) -> FiniteStrategy:
+    """The unique covariant strategy extending single-setting responses."""
+    s_ab = tuple(f_ba[y] for x in (0, 1) for y in (0, 1))
+    s_ba = tuple(f_ab[x] for x in (0, 1) for y in (0, 1))
+    return FiniteStrategy(f_ab=tuple(f_ab), s_ab=s_ab, f_ba=tuple(f_ba), s_ba=s_ba)

@@ -12,15 +12,14 @@ from covbell.cli import main
 from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           QuantumState, TimeOrdering, dot, setting_grid,
                           tsirelson_settings)
-from covbell.covariance import (FiniteStrategy, NotCovariantError, Side,
-                                check_covariance, enumerate_finite,
-                                frame_consistency, reduce_to_local)
+from covbell.covariance import (NotCovariantError, Side, check_covariance,
+                                enumerate_finite, frame_consistency, reduce_to_local)
 from covbell.models import (determinize, eval_pairs, make_gisin_singlet,
                             make_local_sphere, stochastic_singlet)
 from covbell.spacetime import (Boost, Event, SimultaneousEventsError,
                                boost_event, time_order)
-from covbell.stats import (SeedSpec, chsh, correlator, estimate_joint,
-                           exact_joint, singlet_oracle_table)
+from covbell.stats import SeedSpec, chsh, correlator, estimate_joint, exact_joint
+from oracles import FiniteStrategy, singlet_oracle_table
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET

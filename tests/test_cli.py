@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -16,8 +17,27 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def _readme_cli_examples():
+    """Each ``covbell`` line of README's CLI block, with the exit code its comment states."""
     block = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("covbell ")]
+    examples, comment = [], ""
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment = line
+        elif line.startswith("covbell "):
+            code = int(re.search(r"\(exit (\d)", comment).group(1))
+            examples.append(pytest.param(line, code, id=line.split()[1]))
+    return examples
+
+
+def _readme_key_table() -> dict:
+    """{(command, mode or None): keys} from README's table of subcommand keys."""
+    rows = README.split("| subcommand | mode | keys |\n|---|---|---|\n", 1)[1]
+    table = {}
+    for row in rows[:rows.index("\n\n")].splitlines():
+        commands, mode, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            table[command, next(iter(re.findall(r"`(\w+)`", mode)), None)] = set(keys.split(", "))
+    return table
 
 
 def run(args, capsys):
@@ -295,52 +315,98 @@ def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
 
 
 # The config keys each subcommand reads. Every subcommand also takes seed, which
-# it embeds, and workers and output, which it does not.
+# it embeds, and workers and output, which it does not. tomography and chsh also
+# take the estimator keys of their mode, and those only.
 COMMAND_KEYS = {
-    "tomography": {"model", "ordering", "settings", "mode", "n", "grid", "stream", "format"},
-    "chsh": {"model", "ordering", "settings", "mode", "n", "grid", "stream"},
+    "tomography": {"model", "ordering", "settings", "mode", "format"},
+    "chsh": {"model", "ordering", "settings", "mode"},
     "check-covariance": {"model", "settings", "stream", "probes", "witness_cap"},
     "reduce": {"model", "settings", "stream", "probes", "witness_cap"},
     "enumerate": {"format"},
     "frame-order": {"event_a", "event_b", "velocities", "format"},
 }
+MODE_KEYS = {"exact": {"grid"}, "mc": {"n", "stream"}}
 
-# Flags that make each subcommand's run small and its document JSON.
+# Flags that make each run small and its document JSON, by subcommand and mode.
 SMALL_JSON_RUN = {
-    "tomography": ["--settings", "grid:1", "--mode", "exact", "--grid", "2", "--format", "json"],
-    "chsh": ["--mode", "exact", "--grid", "2"],
-    "check-covariance": ["--settings", "grid:1", "--probes", "1"],
-    "reduce": ["--model", "local-sphere", "--settings", "grid:1", "--probes", "1"],
-    "enumerate": ["--format", "json"],
-    "frame-order": ["--format", "json"],
+    ("tomography", "exact"): ["--settings", "grid:1", "--mode", "exact", "--grid", "2",
+                              "--format", "json"],
+    ("tomography", "mc"): ["--settings", "grid:1", "--mode", "mc", "--n", "3", "--format", "json"],
+    ("chsh", "exact"): ["--mode", "exact", "--grid", "2"],
+    ("chsh", "mc"): ["--mode", "mc", "--n", "3"],
+    ("check-covariance", None): ["--settings", "grid:1", "--probes", "1"],
+    ("reduce", None): ["--model", "local-sphere", "--settings", "grid:1", "--probes", "1"],
+    ("enumerate", None): ["--format", "json"],
+    ("frame-order", None): ["--format", "json"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
 def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
     every = {"seed", "workers", "output"}
-    args = cli.build_parser().parse_args([command])
-    assert vars(args).keys() == {"command", "config", *every, *COMMAND_KEYS[command]}
-    out_path = tmp_path / "out.json"
-    code, _, err = run([command, *SMALL_JSON_RUN[command], "--seed", "3", "--workers", "1",
-                        "--output", str(out_path)], capsys)
-    assert (code, err) == (0, "")
-    embedded = json.loads(out_path.read_text())["config"]
-    assert embedded.keys() == {"command", "seed", *COMMAND_KEYS[command]}
-    cfg_path = tmp_path / "cfg.json"
-    for key in sorted(set(cli._OPTIONS) - every - COMMAND_KEYS[command]):
-        flag = "--" + key.replace("_", "-")
-        code, out, err = run([command, flag, "1"], capsys)
-        assert (code, out) == (1, "") and f"unrecognized arguments: {flag}" in err
-        cfg_path.write_text(json.dumps({key: cli._OPTIONS[key][0]}))
-        code, out, err = run([command, "--config", str(cfg_path)], capsys)
-        assert (code, out) == (1, "") and f"unknown config keys: [{key!r}]" in err
+    modes = MODE_KEYS if "mode" in COMMAND_KEYS[command] else {None: set()}
+    # the parser takes every mode's keys; the resolved mode refuses the others'
+    parsed = {"command", "config", *every, *COMMAND_KEYS[command], *set().union(*modes.values())}
+    assert vars(cli.build_parser().parse_args([command])).keys() == parsed
+    out_path, cfg_path = tmp_path / "out.json", tmp_path / "cfg.json"
+    for mode, mode_keys in modes.items():
+        keys = COMMAND_KEYS[command] | mode_keys
+        code, _, err = run([command, *SMALL_JSON_RUN[command, mode], "--seed", "3",
+                            "--workers", "1", "--output", str(out_path)], capsys)
+        assert (code, err) == (0, "")
+        embedded = json.loads(out_path.read_text())["config"]
+        assert embedded.keys() == {"command", "seed", *keys}
+        for key in sorted(set(cli._OPTIONS) - every - keys):
+            flag = "--" + key.replace("_", "-")
+            code, out, err = run([command, *(["--mode", mode] if mode else []), flag, "1"], capsys)
+            refused = f"mode {mode} does not read {key}" if key in parsed else None
+            assert (code, out) == (1, "")
+            assert (refused or f"unrecognized arguments: {flag}") in err
+            in_mode = {"mode": mode} if mode else {}
+            cfg_path.write_text(json.dumps({**in_mode, key: cli._OPTIONS[key][0]}))
+            code, out, err = run([command, "--config", str(cfg_path)], capsys)
+            assert (code, out) == (1, "")
+            assert (refused or f"unknown config keys: [{key!r}]") in err
 
 
-@pytest.mark.parametrize("line", _readme_cli_examples(), ids=lambda line: line.split()[1])
-def test_readme_cli_examples_take_only_known_flags(line):
-    # parsed and resolved, not run
-    cli._resolve_config(cli.build_parser().parse_args(shlex.split(line)[1:]))
+@pytest.mark.parametrize("args,file_cfg,message", [
+    (["chsh", "--mode", "exact", "--grid", "2", "--n", "0"], None, "mode exact does not read n"),
+    (["tomography", "--mode", "exact", "--grid", "50", "--stream", "5"], None,
+     "mode exact does not read stream"),
+    (["tomography", "--grid", "300"], None, "mode mc does not read grid"),
+    (["chsh", "--mode", "mc", "--grid", "10"], None, "mode mc does not read grid"),
+    (["chsh"], {"mode": "exact", "n": 5}, "mode exact does not read n"),
+])
+def test_a_key_the_mode_does_not_read_is_usage_error(args, file_cfg, message, tmp_path, capsys):
+    if file_cfg:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        args = args + ["--config", str(cfg_path)]
+    assert run(args, capsys) == (1, "", f"covbell: {message}\n")
+
+
+def test_help_names_the_mode_that_reads_each_estimator_key(capsys):
+    for command in ("tomography", "chsh"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--grid GRID midpoint lattice points per axis (mode exact only)" in text
+        assert "--n N samples per setting pair (mode mc only)" in text
+        assert "(tomography and chsh: mode mc only)" in text
+
+
+def test_readme_key_table_matches_the_cli():
+    want = {(command, mode): set(cli._keys(command, mode)) - {"seed", "workers", "output"}
+            for command in cli._KEYS
+            for mode in (cli._MODE_KEYS if "mode" in cli._KEYS[command] else [None])}
+    assert _readme_key_table() == want
+
+
+@pytest.mark.parametrize("line,code", _readme_cli_examples())
+def test_readme_cli_examples_take_only_known_flags(line, code, tmp_path, monkeypatch, capsys):
+    # run in a temp dir: each exits with the code its comment states, none with 1
+    monkeypatch.chdir(tmp_path)
+    assert run(shlex.split(line)[1:], capsys)[0] == code
 
 
 @pytest.mark.parametrize("block", [part.split("```", 1)[0]

@@ -95,7 +95,9 @@ def test_outcome_only_plus_minus_one():
 
 def test_hidden_point_range_checked():
     HiddenPoint((0.0, 1.0, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1.5 outside"):
         HiddenPoint((0.5, 1.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="-0.1 outside"):
         HiddenPoint((-0.1,))
+    with pytest.raises(ValueError, match="nan outside"):
+        HiddenPoint((0.5, float("nan")))

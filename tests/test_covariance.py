@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           QuantumState, TimeOrdering, dot, setting_grid)
-from covbell.covariance import (FiniteStrategy, LocalModelView, NotCovariantError,
-                                Side, Witness, check_covariance, enumerate_finite,
-                                forced_covariant_extension, frame_consistency,
+from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness,
+                                check_covariance, enumerate_finite, frame_consistency,
                                 reduce_to_local)
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model)
 from covbell.stats import SeedSpec, joint_tables, sample_lambda
+from oracles import FiniteStrategy, forced_covariant_extension
 from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -50,6 +50,13 @@ def test_bad_lambda_rows_rejected(check, bad):
         check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
     with pytest.raises(ValueError, match="outside"):
         check(make_local_sphere(), SINGLET, [(A_X, B_09)], [[0.3, bad]])
+
+
+@pytest.mark.parametrize("check", [check_covariance, reduce_to_local])
+def test_wrongly_shaped_lambda_rows_rejected(check):
+    for lams in (np.array([[0.5, 0.5, 0.5]]), [[0.5]], np.array([0.5, 0.5])):
+        with pytest.raises(ValueError, match="lambda dimension"):
+            check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
 
 
 def _reference_report(m, pairs, lams, cap):

@@ -1,16 +1,20 @@
 """Golden output bytes: SHA-256 of stdout (and of the --output file, where one
-is written) for CLI jobs that use no random numbers.
+is written) for CLI jobs that use no random numbers, and of the job's payload:
+its document (the --output file, where one is written, else stdout) without
+the embedded config (the ``# config = `` line, or the JSON ``config`` object).
 
-The hashes were re-recorded when each subcommand got its own config schema.
-That change altered only the embedded config (the ``# config = `` line, or
-the JSON ``config`` object): with it removed, every job's stdout and
-``--output`` bytes are the same before and after it. Monte Carlo jobs and
+A change to what a config embeds moves the full hashes but not the payload
+hashes, which show that the results are the same. The full hashes were
+re-recorded when each subcommand got its own config schema, and those of the
+exact tomography and chsh jobs again when each estimator mode got its own
+keys; each time, every payload was unchanged. Monte Carlo jobs and
 ``grid:N`` settings are left out on purpose: numpy does not promise
 ``Generator.random`` streams across versions, and ``setting_grid`` goes
 through libm ``cos``/``sin``, so their bytes may move with the platform.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,33 +22,42 @@ from covbell.cli import main
 
 TSIRELSON_EXACT = ["--settings", "tsirelson", "--mode", "exact"]
 
+# name: (arguments, stdout hash, --output hash or None, payload hash)
 GOLDEN = {
     "tomography-gisin": (
         ["tomography", "--model", "gisin-singlet", *TSIRELSON_EXACT, "--grid", "300"],
-        "d547e33b722781d5b1de2eef0f754f4be24ed06f670bd307e296b7d91214fe99", None),
+        "77a21f9ebb1496ae99e9e11a00db496594f24dd4b0c07db30b2b87acd63f25a5", None,
+        "26af41eec7665caae6e130142a84f72e9cd24a03959c199fabcf6bf428271834"),
     "tomography-sphere": (
         ["tomography", "--model", "local-sphere", *TSIRELSON_EXACT, "--grid", "300"],
-        "d2afedaf71f5d13e5d1232dfa1d3f218a33c5eae60da2d14ae94bc0adc10f985", None),
+        "7228bd135dfa60ff4fe4b13bb0c127de3221f2495823ddf2df1066c4df1ad103", None,
+        "6bf41876ed9ebfb602dd9d96579839275e311a933126e10064176402b05852f1"),
     "chsh": (
         ["chsh", *TSIRELSON_EXACT, "--grid", "500"],
-        "0162671d07b05b48dc1137775c31e48d122a987531015f50bfce6b96380d8fdf", None),
+        "416a3ef0e909f5d2953881ebdeca9130f8ec56f6dd6f438be4c8baee247a7273", None,
+        "5d6526449775fed06b34804e2485fcce6f0bbeb860d939a17b275361a9b79698"),
     "enumerate": (
         ["enumerate", "--output", "F"],
         "0b9d2f64cd40c799182bfa7b8df8fac1a33e2ebdf0536603c10d0acbf31335ac",
-        "638c9c2e6dd2621b956f5c8713e8ae1118919acfc378f1b0b5e11067c30c05f4"),
+        "638c9c2e6dd2621b956f5c8713e8ae1118919acfc378f1b0b5e11067c30c05f4",
+        "135615408eb7ccfb531006382b076df23885074682ca8a67125bab48073120bd"),
     "frame-order": (
         ["frame-order", "--velocities=-0.5,0,0.5"],
-        "7a44d52863bb497ba277f80fb29e217b9633a56ba7a311478d2b233123315bfa", None),
+        "7a44d52863bb497ba277f80fb29e217b9633a56ba7a311478d2b233123315bfa", None,
+        "168f097a7476c91c6a2adf063c473c06b9dceb53ab980e10a4b56232736dda39"),
     "tomography-json": (
         ["tomography", *TSIRELSON_EXACT, "--grid", "300", "--format", "json"],
-        "c0ead28c4047d550683112a7c172610f6ec97b0aa07790511347cea64af48117", None),
+        "14feb51a05f40724fdf30eb1b3f98bb4695fec42269cb69bf69b1b496d486c84", None,
+        "255c31d51d101c3cd844a3ab0ac81fe4b2bbf419737518cf8a80e95cfafa2937"),
     "enumerate-json": (
         ["enumerate", "--format", "json", "--output", "F"],
         "0b9d2f64cd40c799182bfa7b8df8fac1a33e2ebdf0536603c10d0acbf31335ac",
-        "15e17d6b75c036efa09d06a3402b18a3115930f03e4164cdd3b25d0b18220011"),
+        "15e17d6b75c036efa09d06a3402b18a3115930f03e4164cdd3b25d0b18220011",
+        "bec676687312216c96ef6fdf938af0f75bcf8c6266b6adc2c872a2433cf33daf"),
     "frame-order-json": (
         ["frame-order", "--velocities=-0.5,0,0.5", "--format", "json"],
-        "88dfac220009173b588d85efe8899ebd04b50f1615761556f2aaf6461182caf0", None),
+        "88dfac220009173b588d85efe8899ebd04b50f1615761556f2aaf6461182caf0", None,
+        "8c2f2796330d7ce258e052beccacd9d78edc696146227751a51f09e3c8e899e2"),
 }
 
 
@@ -52,14 +65,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _payload(doc: str) -> str:
+    """The document without its embedded config; JSON is re-dumped as the CLI dumps it."""
+    if doc.startswith("{"):
+        parsed = json.loads(doc)
+        del parsed["config"]
+        return json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    lines = doc.splitlines(keepends=True)
+    assert lines[0].startswith("# config = ")
+    return "".join(lines[1:])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_bytes(name, tmp_path, capsys):
-    args, stdout_hash, output_hash = GOLDEN[name]
+    args, stdout_hash, output_hash, payload_hash = GOLDEN[name]
     out_path = tmp_path / "out"
     code = main([str(out_path) if a == "F" else a for a in args])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
+    doc = out_path.read_text() if output_hash else captured.out
+    assert _sha256(_payload(doc).encode()) == payload_hash
     assert _sha256(captured.out.encode()) == stdout_hash
     if output_hash is None:
         assert not out_path.exists()

@@ -15,8 +15,8 @@ from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eva
                             stochastic_singlet)
 from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_block, _sample_block, chsh,
                            correlator, estimate_joint, exact_joint, joint_record, joint_tables,
-                           records_to_csv, sample_lambda, singlet_joint_oracle,
-                           singlet_oracle_table)
+                           records_to_csv, sample_lambda)
+from oracles import singlet_joint_oracle, singlet_oracle_table
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
