@@ -14,19 +14,20 @@ methods take an (n, d) array of hidden points and return (n,) int8 arrays of
 +/-1. A loop that scores many setting pairs on one array evaluates on
 ``model.bind(lams)``, which may reuse what it derives from that array.
 
-``count_pairs(ordering, state, pairs, lams)`` scores every setting pair of
-one array and returns (k, 2, 2) int64 outcome counts; the stats engine makes
-one such call per block, inside at most ``workers`` pool tasks. The default
-counts each pair's ``eval_pairs`` outcomes; the built-ins give the same counts
-with less work. gisin-singlet takes its setting-blind first outcome once and
-counts thresholds, local-sphere counts like any Bell-local model
-(``count_local_pairs``), and determinize() takes each first outcome once per
-setting (``first_outcomes``), where second_values takes it again per pair.
+``count_pairs(ordering, state, pairs, lams)`` returns the (k, 2, 2) int64
+outcome counts of k setting pairs on one array; the engine calls it once per
+block. The default counts each pair's ``eval_pairs`` outcomes; the built-ins
+count the same with less work. Threshold models (gisin-singlet, determinized
+rules without base coordinates) count through ``count_threshold_pairs``, which
+splits a mask that several pairs share once and counts a one-pair mask in
+place; local-sphere counts as a Bell-local model (``count_local_pairs``), other
+determinized rules take each first outcome once per setting.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,6 +136,28 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
     return counts
 
 
+def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
+    """``count_pairs`` of a threshold model: pair i's first outcome is +1 on the bool
+    mask first_plus[i], its second where u_second <= levels[i][0] (first +1) or
+    <= levels[i][1] (first -1). Pairs sharing a mask (the same array) split u_second
+    by it once; a one-pair mask is counted in place, cheaper than splitting a random one."""
+    shared, halves = Counter(map(id, first_plus)), {}
+    counts = np.empty((len(first_plus), 2, 2), dtype=np.int64)
+    for i, (mask, (lo, hi)) in enumerate(zip(first_plus, levels)):
+        if shared[id(mask)] > 1:
+            if id(mask) not in halves:
+                halves[id(mask)] = u_second[mask], u_second[~mask]
+            u_plus, u_minus = halves[id(mask)]
+            plus, plus_plus = u_plus.size, np.count_nonzero(u_plus <= lo)
+            minus_plus = np.count_nonzero(u_minus <= hi)
+        else:
+            plus, plus_plus = np.count_nonzero(mask), np.count_nonzero(mask & (u_second <= lo))
+            below_hi = u_second <= hi
+            minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
+        counts[i] = _cells(plus_plus, plus, plus_plus + minus_plus, u_second.size)
+    return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
+
+
 def _require_singlet(state):
     if state is not QuantumState.SINGLET:
         raise ValueError("only the singlet state is supported")
@@ -184,23 +207,12 @@ class GisinSingletModel(OrderedModel):
 
     def count_pairs(self, ordering, state, pairs, lams):
         lams = _lambdas(self, lams)
-        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        if not pairs:
-            return counts
-        # the first outcome ignores the setting: one mask splits the other coordinate
-        a, b = pairs[0]
-        first_plus = self.first_values(ordering, state, a if ordering is TimeOrdering.AB else b,
-                                       lams) > 0
-        r_second = lams[:, 1] if ordering is TimeOrdering.AB else lams[:, 0]
-        r_plus, r_minus = r_second[first_plus], r_second[~first_plus]
-        for i, (a, b) in enumerate(pairs):
-            lo, hi = self._levels(a, b)
-            plus_plus = np.count_nonzero(r_plus <= lo)
-            minus_plus = np.count_nonzero(r_minus <= hi)
-            table = np.array([[plus_plus, r_plus.size - plus_plus],
-                              [minus_plus, r_minus.size - minus_plus]])
-            counts[i] = table if ordering is TimeOrdering.AB else table.T
-        return counts
+        ab = ordering is TimeOrdering.AB
+        # the first outcome ignores the setting: one mask serves every pair
+        first_plus = [self.first_values(ordering, state, a if ab else b, lams) > 0
+                      for a, b in pairs[:1]]
+        return count_threshold_pairs(ordering, first_plus * len(pairs), lams[:, 1 if ab else 0],
+                                     [self._levels(a, b) for a, b in pairs])
 
 
 class LocalSphereModel(OrderedModel):
@@ -311,6 +323,19 @@ class DeterminizedModel(OrderedModel):
     def count_pairs(self, ordering, state, pairs, lams):
         lams = _lambdas(self, lams)
         ab = ordering is TimeOrdering.AB
+        if self._sr.lambda_dim == 0:
+            # an elementwise rule that sees no hidden coordinate is a threshold model:
+            # one p_first per setting and one p_second per first outcome
+            _, u_alice, u_bob = self._split(lams)
+            sr, firsts = self._sr, np.array([1, -1], dtype=np.int8)
+            p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
+                       for s in dict.fromkeys(a if ab else b for a, b in pairs)}
+            masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first.values())}
+            return count_threshold_pairs(
+                ordering, [masks[p_first[a if ab else b]] for a, b in pairs],
+                u_bob if ab else u_alice,
+                [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
+                 for a, b in pairs])
         firsts = first_outcomes(self, ordering, state, (a if ab else b for a, b in pairs), lams)
         counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
         for i, (a, b) in enumerate(pairs):

@@ -409,8 +409,12 @@ def test_readme_cli_examples_take_only_known_flags(line, code, tmp_path, monkeyp
     assert run(shlex.split(line)[1:], capsys)[0] == code
 
 
-@pytest.mark.parametrize("block", [part.split("```", 1)[0]
-                                   for part in README.split("```python\n")[1:]])
+_README_PYTHON = [part.split("```", 1)[0] for part in README.split("```python\n")[1:]]
+
+
+# ids by position, so rewording an example keeps its test's name
+@pytest.mark.parametrize("block", _README_PYTHON,
+                         ids=[f"block{i}" for i in range(1, len(_README_PYTHON) + 1)])
 def test_readme_python_examples_run(block):
     exec(compile(block, "README.md", "exec"), {})
 

@@ -7,10 +7,12 @@ A change to what a config embeds moves the full hashes but not the payload
 hashes, which show that the results are the same. The full hashes were
 re-recorded when each subcommand got its own config schema, and those of the
 exact tomography and chsh jobs again when each estimator mode got its own
-keys; each time, every payload was unchanged. Monte Carlo jobs and
-``grid:N`` settings are left out on purpose: numpy does not promise
-``Generator.random`` streams across versions, and ``setting_grid`` goes
-through libm ``cos``/``sin``, so their bytes may move with the platform.
+keys; each time, every payload was unchanged. The determinized-singlet job
+was recorded before its count went through ``count_threshold_pairs``; its
+payload equals gisin-singlet's, as the two models agree pointwise. Monte
+Carlo jobs and ``grid:N`` settings are left out on purpose: numpy does not
+promise ``Generator.random`` streams across versions, and ``setting_grid``
+goes through libm ``cos``/``sin``, so their bytes may move with the platform.
 """
 
 import hashlib
@@ -32,6 +34,10 @@ GOLDEN = {
         ["tomography", "--model", "local-sphere", *TSIRELSON_EXACT, "--grid", "300"],
         "7228bd135dfa60ff4fe4b13bb0c127de3221f2495823ddf2df1066c4df1ad103", None,
         "6bf41876ed9ebfb602dd9d96579839275e311a933126e10064176402b05852f1"),
+    "tomography-determinized": (
+        ["tomography", "--model", "determinized-singlet", *TSIRELSON_EXACT, "--grid", "300"],
+        "2c787256e12e167e96358db4513007657fa5086e35999ae74198b7f442195ba1", None,
+        "26af41eec7665caae6e130142a84f72e9cd24a03959c199fabcf6bf428271834"),
     "chsh": (
         ["chsh", *TSIRELSON_EXACT, "--grid", "500"],
         "416a3ef0e909f5d2953881ebdeca9130f8ec56f6dd6f438be4c8baee247a7273", None,

@@ -104,17 +104,68 @@ def _reduced_sphere_view():
                            sample_lambda(2, 50, SeedSpec(9)))
 
 
+def _setting_dependent_rule():
+    """A rule without base coordinates whose first threshold depends on the setting:
+    settings with the same |z| share it, as +z and -z or tsirelson's b and b' do."""
+    return StochasticResponse(
+        lambda_dim=0,
+        p_first=lambda o, s, sf, lams: np.full(lams.shape[0], (1.0 + abs(sf.z)) / 3.0),
+        p_second=lambda o, s, a, b, f, lams: (2.0 - f * a.z - b.x) / 4.0,
+        name="setting-dependent")
+
+
+_TEST_MODELS = {"reduced local-sphere view": _reduced_sphere_view,
+                "setting-dependent base-free rule": lambda: determinize(_setting_dependent_rule())}
+
+
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), "reduced local-sphere view"]),
+@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), *_TEST_MODELS]),
        ordering=st.sampled_from([AB, BA]),
        pairs=st.lists(st.tuples(SETTING, SETTING), max_size=6), data=st.data())
 def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
-    m = _reduced_sphere_view() if name.startswith("reduced") else make_model(name)
+    m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
     assert type(m).count_pairs is not OrderedModel.count_pairs
     lams = draw_hidden_points(data, m.lambda_dim, 6000)
     counts = m.count_pairs(ordering, SINGLET, pairs, lams)
     assert counts.dtype == np.int64 and counts.shape == (len(pairs), 2, 2)
     assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
+
+
+@pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])
+@pytest.mark.parametrize("ordering", [AB, BA])
+@pytest.mark.parametrize("pairs", [[(A_X, B_09)],  # one pair: its mask is counted in place
+                                   [(A_X, B_09), (B_09, A_X), (A_X, A_X),  # a shared mask splits
+                                    tsirelson_settings()[2:]]])
+def test_threshold_counts_match_the_default_on_the_thresholds(name, ordering, pairs):
+    # every coordinate takes 1/2, each pair's two levels (0 and 1 for a.b = 1), and
+    # the next float above each, so a point sits on every threshold of every pair;
+    # the default counts second_values, which puts a point on its threshold at +1
+    levels = [v for a, b in pairs for v in ((1.0 - dot(a, b)) / 2.0, (1.0 + dot(a, b)) / 2.0)]
+    values = np.array([0.25, 0.5, 0.75, *levels])
+    values = np.concatenate([values, np.nextafter(values, 2.0)])
+    lams = np.array([(x, y) for x in values for y in values])
+    m = make_model(name)
+    assert np.array_equal(m.count_pairs(ordering, SINGLET, pairs, lams),
+                          OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
+
+
+def test_gisin_count_pairs_takes_its_first_outcome_once_per_call(monkeypatch):
+    # a wrapper of the class's first_values, as a tracer installs, sees every block
+    calls = []
+    first_values = GisinSingletModel.first_values
+
+    def counting(self, *args):
+        calls.append(args)
+        return first_values(self, *args)
+
+    monkeypatch.setattr(GisinSingletModel, "first_values", counting)
+    lams = sample_lambda(2, 500, SeedSpec(5))
+    pairs = [(A_X, B_09), (B_09, A_X), (A_X, A_X)]
+    for ordering in (AB, BA):
+        for k in (1, 3):
+            calls.clear()
+            make_gisin_singlet().count_pairs(ordering, SINGLET, pairs[:k], lams)
+            assert len(calls) == 1
 
 
 def test_sphere_positive_projection():
