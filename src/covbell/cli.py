@@ -25,8 +25,8 @@ from .covariance import NotCovariantError, check_covariance, enumerate_finite, r
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 # exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
-from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, joint_record,  # noqa: F401
-                    joint_tables, records_to_csv, records_to_json, sample_lambda)
+from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, exact_tables,  # noqa: F401
+                    joint_record, records_to_csv, records_to_json, sample_lambda, sample_tables)
 
 
 class UsageError(Exception):
@@ -144,6 +144,7 @@ def _resolve_config(args) -> dict:
             raise UsageError(f"unknown {key} {val!r}; available: {', '.join(choices)}")
         if low is not None and val < low:
             raise UsageError(f"{key} must be at least {low}")
+    SeedSpec(cfg["seed"])  # every command embeds its seed: out of range is a domain error
     return {"command": args.command, **{key: cfg[key] for key in keys}}
 
 
@@ -207,13 +208,21 @@ def _json_doc(payload: dict, cfg: dict) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_tomography(cfg) -> int:
+def _tables(cfg, ordering, pairs) -> list:
+    """The joint tables of the config's model on the setting pairs, by the
+    estimator its mode names."""
     model = make_model(cfg["model"])
+    if cfg["mode"] == "exact":
+        return exact_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["grid"],
+                            cfg["workers"])
+    return sample_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["n"],
+                         SeedSpec(cfg["seed"], cfg["stream"]), cfg["workers"])
+
+
+def _cmd_tomography(cfg) -> int:
     ordering = TimeOrdering(cfg["ordering"])
-    seed = SeedSpec(cfg["seed"], cfg.get("stream", 0))
     pairs = _setting_pairs(cfg["settings"])
-    tables = joint_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["mode"],
-                          cfg.get("n"), cfg.get("grid"), seed, cfg["workers"])
+    tables = _tables(cfg, ordering, pairs)
     n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
     records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
                for (a, b), table in zip(pairs, tables)]
@@ -223,11 +232,8 @@ def _cmd_tomography(cfg) -> int:
 
 
 def _cmd_chsh(cfg) -> int:
-    model = make_model(cfg["model"])
     quad = _setting_quad(cfg["settings"])
-    res = chsh(model, TimeOrdering(cfg["ordering"]), QuantumState.SINGLET, quad,
-               mode=cfg["mode"], n=cfg.get("n"), grid=cfg.get("grid"),
-               seed=SeedSpec(cfg["seed"], cfg.get("stream", 0)), workers=cfg["workers"])
+    res = chsh(_tables(cfg, TimeOrdering(cfg["ordering"]), chsh_pairs(quad)))
     doc = _json_doc({
         "S": res.value,
         "stderr": res.stderr,

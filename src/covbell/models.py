@@ -20,8 +20,8 @@ block. The default counts each pair's ``eval_pairs`` outcomes; the built-ins
 count the same with less work. Threshold models (gisin-singlet, determinized
 rules without base coordinates) count through ``count_threshold_pairs``, which
 splits a mask that several pairs share once and counts a one-pair mask in
-place; local-sphere counts as a Bell-local model (``count_local_pairs``), other
-determinized rules take each first outcome once per setting.
+place; local-sphere counts as a Bell-local model (``count_local_pairs``), and
+determinized rules with base coordinates take the default.
 """
 
 from __future__ import annotations
@@ -312,37 +312,27 @@ class DeterminizedModel(OrderedModel):
     def second_values(self, ordering, state, a, b, lams):
         first_setting = a if ordering is TimeOrdering.AB else b
         first_vals = self.first_values(ordering, state, first_setting, lams)
-        return self._second(ordering, state, a, b, first_vals, lams)
-
-    def _second(self, ordering, state, a, b, first_vals, lams):
         base, u_alice, u_bob = self._split(lams)
         u_second = u_bob if ordering is TimeOrdering.AB else u_alice
         p2 = _check_probs(self._sr.p_second(ordering, state, a, b, first_vals, base))
         return _pm(u_second <= p2)
 
     def count_pairs(self, ordering, state, pairs, lams):
-        lams = _lambdas(self, lams)
+        if self._sr.lambda_dim:  # a rule that reads base coordinates takes the default count
+            return super().count_pairs(ordering, state, pairs, lams)
+        # an elementwise rule that sees no hidden coordinate is a threshold model:
+        # one p_first per setting and one p_second per first outcome
         ab = ordering is TimeOrdering.AB
-        if self._sr.lambda_dim == 0:
-            # an elementwise rule that sees no hidden coordinate is a threshold model:
-            # one p_first per setting and one p_second per first outcome
-            _, u_alice, u_bob = self._split(lams)
-            sr, firsts = self._sr, np.array([1, -1], dtype=np.int8)
-            p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
-                       for s in dict.fromkeys(a if ab else b for a, b in pairs)}
-            masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first.values())}
-            return count_threshold_pairs(
-                ordering, [masks[p_first[a if ab else b]] for a, b in pairs],
-                u_bob if ab else u_alice,
-                [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
-                 for a, b in pairs])
-        firsts = first_outcomes(self, ordering, state, (a if ab else b for a, b in pairs), lams)
-        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            first = firsts[a if ab else b]
-            second = self._second(ordering, state, a, b, first, lams)
-            counts[i] = _table(first, second) if ab else _table(second, first)
-        return counts
+        _, u_alice, u_bob = self._split(_lambdas(self, lams))
+        sr, firsts = self._sr, np.array([1, -1], dtype=np.int8)
+        p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
+                   for s in dict.fromkeys(a if ab else b for a, b in pairs)}
+        masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first.values())}
+        return count_threshold_pairs(
+            ordering, [masks[p_first[a if ab else b]] for a, b in pairs],
+            u_bob if ab else u_alice,
+            [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
+             for a, b in pairs])
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

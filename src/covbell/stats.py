@@ -138,13 +138,14 @@ def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarr
         return np.sum(list(pool.map(count, range(tasks))), axis=0)
 
 
-def _counts_to_stats(counts: np.ndarray, n: int, exact: bool, cell_err) -> JointStats:
+def _counts_to_stats(counts: np.ndarray, n: int, grid=None) -> JointStats:
+    """The table of n points; an exact one (grid given) carries the 1/grid cell bound."""
     probs = counts / float(n)
-    if exact:
-        stderr = np.full((2, 2), cell_err)
-    else:
+    if grid is None:
         stderr = np.sqrt(probs * (1.0 - probs) / n)
-    return JointStats(counts=counts, n=n, probs=probs, stderr=stderr, exact=exact)
+    else:
+        stderr = np.full((2, 2), 1.0 / grid)
+    return JointStats(counts=counts, n=n, probs=probs, stderr=stderr, exact=grid is not None)
 
 
 def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
@@ -155,13 +156,13 @@ def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
     d = m.lambda_dim
     counts = _count_blocks(m, ordering, state, [(a, b)], n,
                            lambda start, rows: _sample_block(d, seed, start, rows), workers)
-    return _counts_to_stats(counts[0], n, exact=False, cell_err=0.0)
+    return _counts_to_stats(counts[0], n)
 
 
 def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
                 workers: int = 1) -> JointStats:
     """Midpoint-rule joint table on a grid^d lattice; cells sum to 1 exactly."""
-    return joint_tables(m, ordering, state, [(a, b)], "exact", 1, grid, SeedSpec(0), workers)[0]
+    return exact_tables(m, ordering, state, [(a, b)], grid, workers)[0]
 
 
 def correlator(j: JointStats) -> CorrelationEstimate:
@@ -197,42 +198,42 @@ def chsh_pairs(settings) -> list:
     return [(a, b), (a, bp), (ap, b), (ap, bp)]
 
 
-def joint_tables(m: OrderedModel, ordering, state, pairs, mode: str, n: int,
-                 grid: int, seed: SeedSpec, workers: int = 1) -> list:
-    """One joint table per setting pair under one estimator. Exact mode scores
-    every pair on one pass over the grid^d lattice; in MC mode pair i draws
-    from stream ``seed.stream + i``, so the tables' errors are independent."""
-    if mode == "exact":
-        d = m.lambda_dim
-        if d > 3:
-            raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
-        if grid < 2:
-            raise ValueError("grid must be at least 2")
-        if grid ** d >= 2**63:
-            raise ValueError(f"grid^{d} lattice points exceed 64-bit index arithmetic")
-        counts = _count_blocks(m, ordering, state, pairs, grid ** d,
-                               lambda start, rows: _lattice_block(d, grid, start, rows), workers)
-        return [_counts_to_stats(c, grid ** d, exact=True, cell_err=1.0 / grid) for c in counts]
-    if mode == "mc":
-        return [estimate_joint(m, ordering, state, a, b, n,
-                               SeedSpec(seed.seed, seed.stream + i), workers=workers)
-                for i, (a, b) in enumerate(pairs)]
-    raise ValueError(f"unknown mode {mode!r}; use 'mc' or 'exact'")
+def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
+                 workers: int = 1) -> list:
+    """Midpoint-rule joint tables of every setting pair, scored on one pass over
+    the grid^d lattice."""
+    d = m.lambda_dim
+    if d > 3:
+        raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    if grid ** d >= 2**63:
+        raise ValueError(f"grid^{d} lattice points exceed 64-bit index arithmetic")
+    counts = _count_blocks(m, ordering, state, pairs, grid ** d,
+                           lambda start, rows: _lattice_block(d, grid, start, rows), workers)
+    return [_counts_to_stats(c, grid ** d, grid) for c in counts]
 
 
-def chsh(m: OrderedModel, ordering, state, settings, mode: str = "mc",
-         n: int = 1_000_000, grid: int = 2000, seed: SeedSpec = SeedSpec(0),
-         workers: int = 1) -> ChshEstimate:
-    """CHSH value for the setting quadruple (a, a', b, b') under one estimator.
+def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,
+                  workers: int = 1) -> list:
+    """Monte Carlo joint tables of every setting pair over n hidden points each:
+    pair i draws from stream ``seed.stream + i``, so the tables' errors are
+    independent."""
+    return [estimate_joint(m, ordering, state, a, b, n,
+                           SeedSpec(seed.seed, seed.stream + i), workers=workers)
+            for i, (a, b) in enumerate(pairs)]
 
-    In MC mode stderr combines the four independent correlator errors in
-    quadrature; in exact mode it is the summed discretization bound.
+
+def chsh(tables) -> ChshEstimate:
+    """CHSH value of the four joint tables of ``chsh_pairs`` order.
+
+    Monte Carlo tables' correlator errors are independent and add in
+    quadrature; exact tables' discretization bounds are summed.
     """
-    terms = [correlator(table) for table in joint_tables(
-        m, ordering, state, chsh_pairs(settings), mode, n, grid, seed, workers)]
+    terms = [correlator(table) for table in tables]
     # grouped so identical-term cancellations (e.g. b = b') stay exact
     value = (terms[0].value + terms[1].value) + (terms[2].value - terms[3].value)
-    if mode == "exact":
+    if tables[0].exact:
         stderr = float(sum(t.stderr for t in terms))
     else:
         stderr = float(np.sqrt(sum(t.stderr ** 2 for t in terms)))

@@ -18,7 +18,8 @@ from covbell.models import (determinize, eval_pairs, make_gisin_singlet,
                             make_local_sphere, stochastic_singlet)
 from covbell.spacetime import (Boost, Event, SimultaneousEventsError,
                                boost_event, time_order)
-from covbell.stats import SeedSpec, chsh, correlator, estimate_joint, exact_joint
+from covbell.stats import (SeedSpec, chsh, chsh_pairs, correlator, estimate_joint, exact_joint,
+                           exact_tables, sample_tables)
 from oracles import FiniteStrategy, singlet_oracle_table
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -49,9 +50,9 @@ def test_criterion_1_quantum_statistics_reproduction():
 def test_criterion_2_tsirelson_value():
     start = time.perf_counter()
     m = make_gisin_singlet()
-    quad = tsirelson_settings()
-    exact = chsh(m, AB, SINGLET, quad, mode="exact", grid=2000)
-    mc = chsh(m, AB, SINGLET, quad, mode="mc", n=1_000_000, seed=SeedSpec(2024))
+    pairs = chsh_pairs(tsirelson_settings())
+    exact = chsh(exact_tables(m, AB, SINGLET, pairs, 2000))
+    mc = chsh(sample_tables(m, AB, SINGLET, pairs, 1_000_000, SeedSpec(2024)))
     ok = abs(exact.value - TWO_SQRT_TWO) <= 5e-3
     ok &= abs(mc.value - TWO_SQRT_TWO) <= 1e-2
     ok &= (time.perf_counter() - start) < 30.0

@@ -369,6 +369,19 @@ def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
             assert (refused or f"unknown config keys: [{key!r}]") in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command,mode", sorted(SMALL_JSON_RUN, key=str))
+def test_out_of_range_seed_is_domain_error_in_every_command(command, mode, seed, tmp_path,
+                                                             capsys):
+    # every output embeds its seed, including those of commands that draw no samples
+    out_path = tmp_path / "out.json"
+    code, out, err = run([command, *SMALL_JSON_RUN[command, mode], "--seed", str(seed),
+                          "--output", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "covbell: seed must fit in 64 unsigned bits\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("args,file_cfg,message", [
     (["chsh", "--mode", "exact", "--grid", "2", "--n", "0"], None, "mode exact does not read n"),
     (["tomography", "--mode", "exact", "--grid", "50", "--stream", "5"], None,

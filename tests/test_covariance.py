@@ -13,7 +13,7 @@ from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model)
-from covbell.stats import SeedSpec, joint_tables, sample_lambda
+from covbell.stats import SeedSpec, exact_tables, sample_lambda
 from oracles import FiniteStrategy, forced_covariant_extension
 from property_inputs import SETTING, draw_hidden_points
 
@@ -239,8 +239,8 @@ def test_covariant_models_count_identical_exact_frame_tables(view):
     if view:
         m = reduce_to_local(m, SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     for grid in (7, 1001):
-        ab, ba = ([t.counts for t in joint_tables(m, ordering, SINGLET, pairs, "exact", 1,
-                                                  grid, SeedSpec(0))] for ordering in (AB, BA))
+        ab, ba = ([t.counts for t in exact_tables(m, ordering, SINGLET, pairs, grid)]
+                  for ordering in (AB, BA))
         assert np.array_equal(ab, ba)
 
 
@@ -248,7 +248,7 @@ def test_reduced_sphere_view_computes_directions_once_per_block(direction_comput
     pairs = _grid_pairs(4)
     view = reduce_to_local(make_local_sphere(), SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     del direction_computations[:]
-    joint_tables(view, AB, SINGLET, pairs, "exact", 1, 1001, SeedSpec(0))
+    exact_tables(view, AB, SINGLET, pairs, 1001)
     # 1001^2 points make 4 blocks of 2^18; each block binds once for all 16 pairs
     assert len(direction_computations) == 4 and sum(direction_computations) == 1001 ** 2
 

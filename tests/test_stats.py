@@ -14,8 +14,8 @@ from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eva
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
 from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_block, _sample_block, chsh,
-                           correlator, estimate_joint, exact_joint, joint_record, joint_tables,
-                           records_to_csv, sample_lambda)
+                           chsh_pairs, correlator, estimate_joint, exact_joint, exact_tables,
+                           joint_record, records_to_csv, sample_lambda, sample_tables)
 from oracles import singlet_joint_oracle, singlet_oracle_table
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -86,8 +86,7 @@ def test_exact_joint_role_swap_symmetry():
     m = make_gisin_singlet()
     pairs = [(a, b) for a in setting_grid(4) for b in setting_grid(4)]
     for grid in (7, 1001):
-        ab, ba = (np.array([t.counts for t in joint_tables(m, ordering, SINGLET, pairs, "exact",
-                                                           1, grid, SeedSpec(0))])
+        ab, ba = (np.array([t.counts for t in exact_tables(m, ordering, SINGLET, pairs, grid)])
                   for ordering in (AB, BA))
         assert np.array_equal(ba, ab.transpose(0, 2, 1))
 
@@ -162,28 +161,47 @@ def test_mc_converges_to_exact_within_four_sigma():
 
 
 def test_chsh_exact_tsirelson():
-    res = chsh(make_gisin_singlet(), AB, SINGLET, tsirelson_settings(),
-               mode="exact", grid=2000)
+    tables = exact_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs(tsirelson_settings()), 2000)
+    res = chsh(tables)
     assert res.value == pytest.approx(2.0 * math.sqrt(2.0), abs=2e-3)
 
 
 def test_chsh_sphere_respects_bell_bound():
-    res = chsh(make_local_sphere(), AB, SINGLET, tsirelson_settings(),
-               mode="mc", n=1_000_000, seed=SeedSpec(8))
-    assert abs(res.value) <= 2.0 + 0.01
+    tables = sample_tables(make_local_sphere(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
+                           1_000_000, SeedSpec(8))
+    assert abs(chsh(tables).value) <= 2.0 + 0.01
 
 
 def test_chsh_degenerate_quadruple_identity():
     a, ap, b, _ = tsirelson_settings()
-    res = chsh(make_gisin_singlet(), AB, SINGLET, (a, ap, b, b),
-               mode="exact", grid=500)
+    res = chsh(exact_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs((a, ap, b, b)), 500))
     e_ab = correlator(exact_joint(make_gisin_singlet(), AB, SINGLET, a, b, grid=500))
     assert res.value == 2.0 * e_ab.value
 
 
-def test_chsh_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        chsh(make_gisin_singlet(), AB, SINGLET, tsirelson_settings(), mode="zen")
+@pytest.mark.parametrize("grid", [7, 500])
+def test_chsh_sums_the_exact_terms_discretization_bounds(grid):
+    # each term's correlator bound is its four cells' 1/grid
+    tables = exact_tables(make_gisin_singlet(), BA, SINGLET, chsh_pairs(tsirelson_settings()),
+                          grid)
+    res = chsh(tables)
+    assert res.stderr == pytest.approx(16.0 / grid, rel=1e-12)
+    assert [t.stderr for t in res.terms] == [pytest.approx(4.0 / grid, rel=1e-12)] * 4
+
+
+def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
+    n = 10_000
+    tables = sample_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
+                           n, SeedSpec(5, 3))
+    res = chsh(tables)
+    term_errs = [math.sqrt(1.0 - correlator(t).value ** 2) / math.sqrt(n) for t in tables]
+    assert [t.stderr for t in res.terms] == pytest.approx(term_errs, rel=1e-12)
+    assert res.stderr == pytest.approx(math.sqrt(sum(e * e for e in term_errs)), rel=1e-12)
+    assert res.stderr < sum(term_errs)
+    # pair i draws from stream seed.stream + i
+    for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings())):
+        alone = estimate_joint(make_gisin_singlet(), AB, SINGLET, a, b, n, SeedSpec(5, 3 + i))
+        assert np.array_equal(tables[i].counts, alone.counts)
 
 
 def test_estimate_joint_reproducible_across_workers():
@@ -249,8 +267,7 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
         return _lattice_block(d, grid, start, rows)
 
     monkeypatch.setattr(stats, "_lattice_block", record)
-    joint_tables(make_gisin_singlet(), AB, SINGLET, THREE_PAIRS, "exact", 1, 600, SeedSpec(0),
-                 workers=2)
+    exact_tables(make_gisin_singlet(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
 
 
@@ -270,12 +287,12 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
     monkeypatch.setattr(stats, "_lattice_block", record)
     monkeypatch.setattr(stats, "_BLOCK", 64)  # a 20 x 20 lattice is 7 blocks
     m = make_gisin_singlet()
-    serial = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 20, SeedSpec(0), workers=1)
+    serial = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers=1)
     assert submitted == []
     for workers, tasks in ((2, 2), (3, 3), (10, 7)):
         submitted.clear()
         made.clear()
-        tables = joint_tables(m, AB, SINGLET, THREE_PAIRS, "exact", 1, 20, SeedSpec(0), workers)
+        tables = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers)
         assert len(submitted) == tasks
         assert sorted(made) == [(start, min(64, 400 - start)) for start in range(0, 400, 64)]
         assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
@@ -289,13 +306,11 @@ def test_sphere_directions_once_per_lattice_block(direction_computations):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tables = joint_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, "exact", 1, 1200,
-                              SeedSpec(0), workers=8)
+        tables = exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert len(direction_computations) == 6  # once per block, for all three pairs
-    serial = joint_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, "exact", 1, 1200,
-                          SeedSpec(0), workers=1)
+    serial = exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=1)
     assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
 
 
@@ -340,7 +355,7 @@ _SETTINGS = [*setting_grid(3), *tsirelson_settings()]
        grid=st.integers(2, 700), workers=st.integers(1, 3))
 def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs, grid, workers):
     m = make_model(model)
-    tables = joint_tables(m, ordering, SINGLET, pairs, "exact", 1, grid, SeedSpec(0), workers)
+    tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
     assert [table.counts.sum() for table in tables] == [grid ** m.lambda_dim] * len(pairs)
     for (a, b), table in zip(pairs, tables):
         assert np.array_equal(table.counts, exact_joint(m, ordering, SINGLET, a, b, grid).counts)
@@ -405,8 +420,7 @@ def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
             expected.append([[np.sum((alphas == x) & (betas == y)) for y in (1, -1)]
                              for x in (1, -1)])
         for workers in (1, 2, 3):
-            tables = joint_tables(m, ordering, SINGLET, pairs, "exact", 1, grid, SeedSpec(0),
-                                  workers)
+            tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
             assert np.array_equal([t.counts for t in tables], expected)
         for (sa, sb), counts in zip(pairs[:3], expected):
             assert np.array_equal(exact_joint(m, ordering, SINGLET, sa, sb, grid).counts, counts)
