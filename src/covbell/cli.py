@@ -5,10 +5,12 @@ frame-order. Each subcommand takes only the config keys it reads, as flags
 and as a JSON file (``--config``); flags override file values, and any other
 key is a usage error. tomography and chsh read ``grid`` in mode exact and
 ``n`` and ``stream`` in mode mc, so they take only their mode's (``tomography
---grid 300`` in the default mode mc is a usage error). Every output embeds
-its command's resolved config and seed. Exit codes: 0 success, 1 usage
-error, 2 domain error (e.g. a non-covariant model passed to ``reduce``, or a
-size that does not fit in memory).
+--grid 300`` in the default mode mc is a usage error). One writer writes
+every document, to ``--output`` or stdout: CSV or JSON by the command's
+``format`` (JSON if it has none), with the command's resolved config and
+seed embedded. Exit codes: 0 success, 1 usage error, 2 domain error (e.g. a
+non-covariant model passed to ``reduce``, or a size that does not fit in
+memory).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .covariance import NotCovariantError, check_covariance, enumerate_finite, r
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 # exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
-from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, exact_tables,  # noqa: F401
-                    joint_record, records_to_csv, records_to_json, sample_lambda, sample_tables)
+from .stats import (CSV_COLUMNS, SeedSpec, chsh, chsh_pairs, exact_joint,  # noqa: F401
+                    exact_tables, joint_record, records_to_csv, records_to_json, sample_lambda,
+                    sample_tables)
 
 
 class UsageError(Exception):
@@ -80,7 +83,7 @@ _KEYS = {
     "tomography": ("model", "ordering", "settings", "mode", "format"),
     "chsh": ("model", "ordering", "settings", "mode"),
     "check-covariance": ("model", "settings", "stream", "probes", "witness_cap"),
-    "reduce": ("model", "settings", "stream", "probes", "witness_cap"),
+    "reduce": ("model", "settings", "stream", "probes"),
     "enumerate": ("format",),
     "frame-order": ("event_a", "event_b", "velocities", "format"),
 }
@@ -115,10 +118,10 @@ def _resolve_config(args) -> dict:
     keys = _keys(args.command)
     given = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 given = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # not JSON, or not UTF-8 (RFC 8259)
                 raise UsageError(f"config file must hold a JSON object: {err}") from None
         if not isinstance(given, dict):
             raise UsageError("config file must hold a JSON object")
@@ -188,24 +191,22 @@ def _setting_quad(spec: str):
     raise UsageError(f"cannot parse settings spec {spec!r} for chsh")
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w") as fh:
+def _emit(cfg, payload: dict, rows=None, columns=CSV_COLUMNS, notes=()):
+    """Write a command's document to its output file, or to stdout: when its
+    format is csv, the given columns of ``payload[rows]`` with the notes as
+    comment lines, otherwise the JSON of the payload. Either embeds the config
+    less the worker count and destination path, which cannot affect results;
+    this keeps documents byte-identical across worker counts."""
+    config = {k: v for k, v in cfg.items() if k not in ("workers", "output")}
+    if cfg.get("format") == "csv":
+        text = records_to_csv(payload[rows], config, columns, notes)
+    else:
+        text = records_to_json(payload, config)
+    if cfg["output"]:
+        with open(cfg["output"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _provenance(cfg: dict) -> dict:
-    """Config as embedded in outputs. Worker count and destination path are
-    execution details that cannot affect results, so they are excluded; this
-    keeps outputs byte-identical across worker counts."""
-    return {k: v for k, v in cfg.items() if k not in ("workers", "output")}
-
-
-def _json_doc(payload: dict, cfg: dict) -> str:
-    return json.dumps({"config": _provenance(cfg), **payload},
-                      sort_keys=True, indent=2) + "\n"
 
 
 def _tables(cfg, ordering, pairs) -> list:
@@ -226,20 +227,18 @@ def _cmd_tomography(cfg) -> int:
     n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
     records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
                for (a, b), table in zip(pairs, tables)]
-    writer = records_to_json if cfg["format"] == "json" else records_to_csv
-    _emit(writer(records, _provenance(cfg)), cfg["output"])
+    _emit(cfg, {"records": records}, rows="records")
     return 0
 
 
 def _cmd_chsh(cfg) -> int:
     quad = _setting_quad(cfg["settings"])
     res = chsh(_tables(cfg, TimeOrdering(cfg["ordering"]), chsh_pairs(quad)))
-    doc = _json_doc({
+    _emit(cfg, {
         "S": res.value,
         "stderr": res.stderr,
         "terms": [{"E": t.value, "stderr": t.stderr, "n": t.n} for t in res.terms],
-    }, cfg)
-    _emit(doc, cfg["output"])
+    })
     if cfg["output"]:
         print(f"S = {res.value:.17g} +/- {res.stderr:.17g}")
     return 0
@@ -259,7 +258,7 @@ def _cmd_check_covariance(cfg) -> int:
     pairs, lams = _probe_lambdas(model, cfg)
     report = check_covariance(model, QuantumState.SINGLET, pairs, lams,
                               witness_cap=cfg["witness_cap"])
-    _emit(_json_doc(report.to_dict(), cfg), cfg["output"])
+    _emit(cfg, report.to_dict())
     return 0
 
 
@@ -267,24 +266,23 @@ def _cmd_reduce(cfg) -> int:
     model = make_model(cfg["model"])
     pairs, lams = _probe_lambdas(model, cfg)
     try:
-        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams,
-                               witness_cap=cfg["witness_cap"])
+        # a failed reduction reports only the first witness
+        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams, witness_cap=1)
     except NotCovariantError as err:
-        doc = _json_doc({
+        _emit(cfg, {
             "reduced": False,
             "witness": err.witness.to_dict(),
             "checked": err.report.checked,
             "violations": err.report.violations,
             "violation_fraction": err.report.violation_fraction,
-        }, cfg)
-        _emit(doc, cfg["output"])
+        })
         print(str(err), file=sys.stderr)
         return 2
     counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs, lams)
     correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],
                     "E": float((c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / len(lams))}
                    for (a, b), c in zip(pairs, counts)]
-    _emit(_json_doc({"reduced": True, "correlators": correlators}, cfg), cfg["output"])
+    _emit(cfg, {"reduced": True, "correlators": correlators})
     return 0
 
 
@@ -295,12 +293,8 @@ def _cmd_enumerate(cfg) -> int:
     if cfg["output"]:
         rows = [{"id": r.index, "covariant": r.covariant,
                  "S_AB": r.s_ab, "S_BA": r.s_ba} for r in summary.rows]
-        if cfg["format"] == "json":
-            text = _json_doc({**summary.to_dict(), "strategies": rows}, cfg)
-        else:
-            text = records_to_csv(rows, _provenance(cfg),
-                                  columns=("id", "covariant", "S_AB", "S_BA"))
-        _emit(text, cfg["output"])
+        _emit(cfg, {**summary.to_dict(), "strategies": rows}, rows="strategies",
+              columns=("id", "covariant", "S_AB", "S_BA"))
     return 0
 
 
@@ -329,12 +323,9 @@ def _cmd_frame_order(cfg) -> int:
         except SimultaneousEventsError:
             ordering = "simultaneous"
         rows.append({"v": v, "tA": ta, "tB": tb, "ordering": ordering})
-    if cfg["format"] == "json":
-        text = _json_doc({"spacelike": is_spacelike(ea, eb), "rows": rows}, cfg)
-    else:
-        text = records_to_csv(rows, _provenance(cfg), columns=("v", "tA", "tB", "ordering"),
-                              notes=[f"spacelike = {is_spacelike(ea, eb)}"])
-    _emit(text, cfg["output"])
+    spacelike = is_spacelike(ea, eb)
+    _emit(cfg, {"spacelike": spacelike, "rows": rows}, rows="rows",
+          columns=("v", "tA", "tB", "ordering"), notes=[f"spacelike = {spacelike}"])
     return 0
 
 

@@ -287,7 +287,7 @@ def records_to_csv(records, config: dict, columns=CSV_COLUMNS, notes=()) -> str:
     return buf.getvalue()
 
 
-def records_to_json(records, config: dict) -> str:
-    """JSON mirror of the CSV records, config embedded."""
-    return json.dumps({"config": config, "records": list(records)},
-                      sort_keys=True, indent=2) + "\n"
+def records_to_json(payload: dict, config: dict) -> str:
+    """JSON document of the payload's keys with the resolved config under
+    ``config``, keys sorted."""
+    return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"

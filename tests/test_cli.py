@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,15 +100,18 @@ def test_failed_reduce_honours_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model", ["gisin-singlet", "determinized-singlet"])
-def test_failed_reduce_names_a_witness_at_witness_cap_zero(model, capsys):
-    args = ["reduce", "--model", model, "--settings", "grid:2", "--probes", "400"]
-    code, out, err = run(args + ["--witness-cap", "0"], capsys)
-    assert code == 2
+def test_failed_reduce_names_the_first_witness_check_covariance_reports(model, capsys):
+    args = ["--model", model, "--settings", "grid:2", "--probes", "400", "--seed", "5"]
+    code, out, err = run(["reduce", *args], capsys)
+    assert code == 2 and "not covariant" in err
     doc = json.loads(out)
+    code, out, _ = run(["check-covariance", *args], capsys)
+    assert code == 0
+    report = json.loads(out)
     assert doc["reduced"] is False
-    _, capped_out, capped_err = run(args + ["--witness-cap", "1"], capsys)
-    assert doc["witness"] == json.loads(capped_out)["witness"]
-    assert err == capped_err and "not covariant" in err
+    assert doc["witness"] == report["witnesses"][0]
+    for key in ("checked", "violations", "violation_fraction"):
+        assert doc[key] == report[key]
 
 
 def test_reduce_local_sphere_succeeds(capsys):
@@ -188,6 +192,40 @@ def test_byte_identical_across_runs_and_workers(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("args", [
+    ["tomography", "--settings", "grid:1", "--mode", "mc", "--n", "3"],
+    ["tomography", "--settings", "grid:1", "--mode", "exact", "--grid", "2", "--format", "json"],
+    ["chsh", "--mode", "exact", "--grid", "2"],
+    ["check-covariance", "--settings", "grid:2", "--probes", "400"],
+    ["reduce", "--model", "local-sphere", "--settings", "grid:1", "--probes", "10"],
+    ["reduce", "--settings", "grid:2", "--probes", "400"],
+    ["frame-order"],
+    ["frame-order", "--format", "json"],
+], ids=["tomography-csv", "tomography-json", "chsh", "check-covariance", "reduce-succeeds",
+        "reduce-fails", "frame-order-csv", "frame-order-json"])
+def test_output_file_holds_the_document_stdout_would(args, tmp_path, capsys):
+    code, out, err = run(args, capsys)
+    out_path = tmp_path / "doc"
+    ran = run(args + ["--output", str(out_path)], capsys)
+    assert out_path.read_text() == out
+    # with --output, only chsh writes stdout: its value
+    doc = json.loads(out) if args[0] == "chsh" else None
+    value = f"S = {doc['S']:.17g} +/- {doc['stderr']:.17g}\n" if doc else ""
+    assert ran == (code, value, err)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["frame-order", "--velocities=0.5"], 0),
+    (["frame-order", "--frobnicate"], 1),
+    (["frame-order", "--velocities=2"], 2),
+])
+def test_console_script_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["covbell", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == code
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"model": "gisin-singlet", "settings": "tsirelson", "mode": "exact",
            "grid": 200}
@@ -232,10 +270,10 @@ def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsy
     assert next(iter(file_cfg)) in err
 
 
-@pytest.mark.parametrize("text", ["null", "[{}]", "3", '{"n": 5'])
+@pytest.mark.parametrize("text", ["null", "[{}]", "3", '{"n": 5', b'\xff\xfe{"n": 5}'])
 def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
+    cfg_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, _, err = run(["chsh", "--config", str(cfg_path)], capsys)
     assert code == 1
     assert "JSON object" in err
@@ -321,7 +359,7 @@ COMMAND_KEYS = {
     "tomography": {"model", "ordering", "settings", "mode", "format"},
     "chsh": {"model", "ordering", "settings", "mode"},
     "check-covariance": {"model", "settings", "stream", "probes", "witness_cap"},
-    "reduce": {"model", "settings", "stream", "probes", "witness_cap"},
+    "reduce": {"model", "settings", "stream", "probes"},
     "enumerate": {"format"},
     "frame-order": {"event_a", "event_b", "velocities", "format"},
 }

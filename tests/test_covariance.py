@@ -166,6 +166,14 @@ def test_reduce_gisin_fails_with_witness():
     assert err.value.report.violations > 0
 
 
+def test_reduce_at_witness_cap_zero_names_the_checks_first_witness():
+    m, pairs = make_gisin_singlet(), _grid_pairs(2)
+    lams = sample_lambda(2, 100, SeedSpec(46))
+    with pytest.raises(NotCovariantError) as err:
+        reduce_to_local(m, SINGLET, pairs, lams, witness_cap=0)
+    assert err.value.witness == check_covariance(m, SINGLET, pairs, lams).witnesses[0]
+
+
 def test_reduce_fully_random_determinized_model():
     sr = StochasticResponse(
         lambda_dim=0,
