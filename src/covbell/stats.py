@@ -24,6 +24,8 @@ from .models import OrderedModel
 # merged counts are bit-identical under any scheduling.
 _BLOCK = 1 << 18
 
+_CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
+
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
 
 
@@ -71,19 +73,27 @@ class CorrelationEstimate:
 
 def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
     """Rows start..start+rows of the (seed, stream) sample sequence of [0,1]^d,
-    drawn without the rows before it: Philox yields 4 words per counter step."""
+    drawn without the rows before it: Philox yields 4 words per counter step.
+    The block is column-major, as models read one coordinate at a time. Draws
+    of _CHUNK rows fill it and continue one word stream, so its values are
+    those of one (rows, d) draw, without a second block-sized buffer."""
     if start * d % 4:
         raise ValueError("a sample block must start on a Philox counter step")
     bitgen = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
     bitgen.advance(start * d // 4)
-    return np.random.Generator(bitgen).random((rows, d))
+    gen = np.random.Generator(bitgen)
+    blk = np.empty((rows, d), order="F")
+    for i in range(0, rows, _CHUNK):
+        blk[i:i + _CHUNK] = gen.random((min(_CHUNK, rows - i), d))
+    return blk
 
 
 def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
     """n uniform points in [0,1]^d as an (n, d) array, one hidden point per row.
 
     Counter-based (Philox) generation keyed on (seed, stream): the output
-    depends only on (d, n, seed, stream), never on call history.
+    depends only on (d, n, seed, stream), never on call history. The array is
+    column-major, like every engine block; models take either layout.
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
@@ -94,10 +104,11 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
 
 def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
     """Rows start..start+rows of the midpoint lattice of [0,1]^d in C order, as
-    a read-only array: every setting pair of a pool task reads the same block.
-    Axis j holds runs of grid^(d-1-j) equal midpoints, so each column is the
-    1-D midpoints tiled over the runs the block meets, each repeated its length."""
-    blk = np.empty((rows, d))
+    a read-only column-major array: every setting pair of a pool task reads the
+    same block, one contiguous column per coordinate. Axis j holds runs of
+    grid^(d-1-j) equal midpoints, so each column is the 1-D midpoints tiled
+    over the runs the block meets, each repeated its length."""
+    blk = np.empty((rows, d), order="F")
     run = 1
     for axis in reversed(range(d)):
         first = start // run

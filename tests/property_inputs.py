@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from covbell.core import MeasurementSetting, setting_grid, tsirelson_settings
@@ -17,11 +18,14 @@ SETTING = st.one_of(st.sampled_from(SETTINGS), _UNIT)
 
 
 def draw_hidden_points(data, d, max_rows):
-    """A Philox block, or a block of an odd-grid lattice that starts anywhere."""
+    """A Philox block, or a block of an odd-grid lattice that starts anywhere,
+    laid out row-major as a caller's array or column-major as the engine's."""
+    order = data.draw(st.sampled_from("CF"), label="order")
     if data.draw(st.booleans(), label="lattice"):
         grid = data.draw(st.integers(1, 200).map(lambda k: 2 * k + 1), label="odd grid")
         start = data.draw(st.integers(0, grid ** d - 1), label="start")
         rows = data.draw(st.integers(1, min(grid ** d - start, max_rows)), label="rows")
-        return _lattice_block(d, grid, start, rows)
+        return np.asarray(_lattice_block(d, grid, start, rows), order=order)
     spec = SeedSpec(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
-    return _sample_block(d, spec, 0, data.draw(st.integers(1, max_rows), label="rows"))
+    rows = data.draw(st.integers(1, max_rows), label="rows")
+    return np.asarray(_sample_block(d, spec, 0, rows), order=order)

@@ -240,7 +240,7 @@ def test_lattice_blocks_split_by_point_count(d, grid):
         bounds = [0, *range(first, n, _BLOCK), n]
         blocks = [_lattice_block(d, grid, start, stop - start)
                   for start, stop in zip(bounds, bounds[1:])]
-        assert all(not blk.flags.writeable for blk in blocks)
+        assert all(not blk.flags.writeable and blk.flags.f_contiguous for blk in blocks)
         assert np.array_equal(np.concatenate(blocks), lattice)
     for start, rows in ((grid // 2, 1), (grid // 2, grid), (n - grid - 1, grid + 1)):
         if 0 <= start and rows <= n - start:
@@ -328,9 +328,22 @@ def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
     pieces = [_sample_block(d, spec, start, min(_BLOCK, n - start))
               for start in range(0, n, _BLOCK)]
     one_shot = sample_lambda(d, n, spec)
+    assert all(blk.flags.f_contiguous for blk in (*pieces, one_shot))
     assert np.array_equal(np.concatenate(pieces), one_shot)
     bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
+
+
+def test_sample_block_fill_holds_about_one_block():
+    """The column-major block is filled from small row-major draws; converting
+    one whole row-major draw would hold two blocks at once."""
+    tracemalloc.start()
+    try:
+        blk = _sample_block(2, SeedSpec(3), 0, _BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * blk.nbytes
 
 
 def test_seed_spec_takes_64_bit_seeds_and_streams():
