@@ -22,6 +22,14 @@ rules without base coordinates) count through ``count_threshold_pairs``, which
 splits a mask that several pairs share once and counts a one-pair mask in
 place; local-sphere counts as a Bell-local model (``count_local_pairs``), and
 determinized rules with base coordinates take the default.
+
+``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
+(k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
+lattice, or None (the default), which leaves them to the block engine. On that
+lattice a threshold model's table is a product of 1-D counts, so gisin-singlet
+and base-free determinized rules count it through ``lattice_threshold_counts``
+in O(grid + pairs) rather than O(grid^2 * pairs); every other model keeps the
+engine.
 """
 
 from __future__ import annotations
@@ -71,6 +79,12 @@ class OrderedModel(abc.ABC):
         for i, (a, b) in enumerate(pairs):
             counts[i] = _table(*eval_pairs(bound, ordering, state, a, b, lams))
         return counts
+
+    def lattice_counts(self, ordering, state, pairs, grid):
+        """The (k, 2, 2) int64 counts that ``count_pairs`` sums over the whole grid^d
+        midpoint lattice, found without scoring its cells; None leaves them to the
+        block engine."""
+        return None
 
 
 def _lambdas(m: OrderedModel, lams) -> np.ndarray:
@@ -158,6 +172,27 @@ def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
     return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
 
 
+def lattice_midpoints(grid) -> np.ndarray:
+    """The grid midpoints (k + 1/2)/grid of one lattice axis, the floats that the
+    engine's lattice blocks hold, in one grid-long buffer (divided in place)."""
+    mids = np.arange(0.5, grid)
+    mids /= grid
+    return mids
+
+
+def lattice_threshold_counts(ordering, first_plus, levels, mids) -> np.ndarray:
+    """``count_threshold_pairs`` summed over the whole midpoint lattice of [0,1]^2
+    with axis midpoints mids, from 1-D counts: pair i's first outcome is +1 on
+    first_plus[i] midpoints of its coordinate, and N(t) = searchsorted(mids, t,
+    "right") midpoints of the other are <= t, so every cell is a product of two."""
+    grid = mids.size
+    below = np.searchsorted(mids, np.asarray(levels, dtype=float).reshape(-1, 2), side="right")
+    counts = np.empty((len(below), 2, 2), dtype=np.int64)
+    for i, (plus, (lo, hi)) in enumerate(zip(first_plus, below)):
+        counts[i] = _cells(plus * lo, plus * grid, plus * lo + (grid - plus) * hi, grid * grid)
+    return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
+
+
 def _require_singlet(state):
     if state is not QuantumState.SINGLET:
         raise ValueError("only the singlet state is supported")
@@ -213,6 +248,16 @@ class GisinSingletModel(OrderedModel):
                       for a, b in pairs[:1]]
         return count_threshold_pairs(ordering, first_plus * len(pairs), lams[:, 1 if ab else 0],
                                      [self._levels(a, b) for a, b in pairs])
+
+    def lattice_counts(self, ordering, state, pairs, grid):
+        ab, mids = ordering is TimeOrdering.AB, lattice_midpoints(grid)
+        # one first_values call on the midpoints, read as either coordinate, counts
+        # the first +1 outcomes of every pair
+        lams = np.broadcast_to(mids[:, None], (grid, 2))
+        first_plus = [np.count_nonzero(self.first_values(ordering, state, a if ab else b, lams) > 0)
+                      for a, b in pairs[:1]]
+        return lattice_threshold_counts(ordering, first_plus * len(pairs),
+                                        [self._levels(a, b) for a, b in pairs], mids)
 
 
 class LocalSphereModel(OrderedModel):
@@ -317,22 +362,35 @@ class DeterminizedModel(OrderedModel):
         p2 = _check_probs(self._sr.p_second(ordering, state, a, b, first_vals, base))
         return _pm(u_second <= p2)
 
+    def _thresholds(self, ordering, state, pairs):
+        """Per pair, p_first of its first setting and p_second after a first +1 and
+        -1, of a rule that sees no hidden coordinate: one p_first per setting."""
+        ab, sr = ordering is TimeOrdering.AB, self._sr
+        p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
+                   for s in dict.fromkeys(a if ab else b for a, b in pairs)}
+        firsts = np.array([1, -1], dtype=np.int8)
+        return ([p_first[a if ab else b] for a, b in pairs],
+                [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
+                 for a, b in pairs])
+
     def count_pairs(self, ordering, state, pairs, lams):
         if self._sr.lambda_dim:  # a rule that reads base coordinates takes the default count
             return super().count_pairs(ordering, state, pairs, lams)
-        # an elementwise rule that sees no hidden coordinate is a threshold model:
-        # one p_first per setting and one p_second per first outcome
+        # an elementwise rule that sees no hidden coordinate is a threshold model
         ab = ordering is TimeOrdering.AB
         _, u_alice, u_bob = self._split(_lambdas(self, lams))
-        sr, firsts = self._sr, np.array([1, -1], dtype=np.int8)
-        p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
-                   for s in dict.fromkeys(a if ab else b for a, b in pairs)}
-        masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first.values())}
-        return count_threshold_pairs(
-            ordering, [masks[p_first[a if ab else b]] for a, b in pairs],
-            u_bob if ab else u_alice,
-            [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
-             for a, b in pairs])
+        p_first, levels = self._thresholds(ordering, state, pairs)
+        masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first)}
+        return count_threshold_pairs(ordering, [masks[p] for p in p_first],
+                                     u_bob if ab else u_alice, levels)
+
+    def lattice_counts(self, ordering, state, pairs, grid):
+        if self._sr.lambda_dim:
+            return None
+        mids = lattice_midpoints(grid)
+        p_first, levels = self._thresholds(ordering, state, pairs)
+        return lattice_threshold_counts(ordering, np.searchsorted(mids, p_first, side="right"),
+                                        levels, mids)
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

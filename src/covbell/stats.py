@@ -26,6 +26,12 @@ _BLOCK = 1 << 18
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
+# Most pair-points (lattice points x setting pairs) that one exact_tables call
+# scores in the block engine: local-sphere counts about 1.4e8 a second with two
+# workers on a 2-CPU x86 host, so the cap is some 12 minutes of work. Models
+# whose lattice_counts hook counts the lattice without the engine are not capped.
+_ENGINE_CAP = 10 ** 11
+
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
 
 
@@ -211,8 +217,9 @@ def chsh_pairs(settings) -> list:
 
 def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
                  workers: int = 1) -> list:
-    """Midpoint-rule joint tables of every setting pair, scored on one pass over
-    the grid^d lattice."""
+    """Midpoint-rule joint tables of every setting pair over the grid^d lattice:
+    counted by the model's ``lattice_counts`` hook if it has one, else scored on
+    one pass of the block engine, which takes at most _ENGINE_CAP pair-points."""
     d = m.lambda_dim
     if d > 3:
         raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
@@ -220,8 +227,13 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
         raise ValueError("grid must be at least 2")
     if grid ** d >= 2**63:
         raise ValueError(f"grid^{d} lattice points exceed 64-bit index arithmetic")
-    counts = _count_blocks(m, ordering, state, pairs, grid ** d,
-                           lambda start, rows: _lattice_block(d, grid, start, rows), workers)
+    counts = m.lattice_counts(ordering, state, pairs, grid)
+    if counts is None:
+        if grid ** d * len(pairs) > _ENGINE_CAP:
+            raise ValueError(f"{grid}^{d} lattice points x {len(pairs)} setting pairs exceed the "
+                             f"exact engine's cap of {_ENGINE_CAP:,}; use Monte Carlo")
+        counts = _count_blocks(m, ordering, state, pairs, grid ** d,
+                               lambda start, rows: _lattice_block(d, grid, start, rows), workers)
     return [_counts_to_stats(c, grid ** d, grid) for c in counts]
 
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -350,6 +352,32 @@ def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
     code, out, err = run(args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: ")
+
+
+def test_engine_job_above_the_cost_cap_is_domain_error(capsys):
+    # local-sphere has no lattice_counts hook: 25 pairs x 10^12 points would go to the engine
+    code, out, err = run(["tomography", "--model", "local-sphere", "--settings", "grid:5",
+                          "--mode", "exact", "--grid", str(10 ** 6)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("covbell: ") and "cap" in err and "Traceback" not in err
+
+
+def test_threshold_model_counts_a_1e14_cell_lattice_in_a_fresh_process():
+    """Exact tables of gisin-singlet at grid 1e7 come from 1-D midpoint counts."""
+    script = ("import sys, time\n"
+              "from covbell.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(['tomography', '--settings', 'grid:3', '--mode', 'exact',"
+              " '--grid', '10000000'])\n"
+              "print(code, time.perf_counter() - start, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    code, seconds = done.stderr.split()
+    assert (done.returncode, code) == (0, "0")
+    assert float(seconds) < 1.0
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == 9 and all(row.endswith(",10000000,0") for row in rows)
 
 
 # The config keys each subcommand reads. Every subcommand also takes seed, which

@@ -12,8 +12,8 @@ from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel,
                             StochasticResponse, _pm, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import (SeedSpec, _lattice_block, correlator, estimate_joint, exact_joint,
-                           sample_lambda)
+from covbell.stats import (SeedSpec, _count_blocks, _lattice_block, correlator, estimate_joint,
+                           exact_joint, sample_lambda)
 from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -129,6 +129,32 @@ def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
     counts = m.count_pairs(ordering, SINGLET, pairs, lams)
     assert counts.dtype == np.int64 and counts.shape == (len(pairs), 2, 2)
     assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
+
+
+_MIDPOINT_LEVELS = (math.nextafter(0.375, 0.0), 0.375, math.nextafter(0.375, 1.0))
+
+
+def _midpoint_level_settings():
+    """(x, b) with x.b = 0.25, so the level (1 - x.b)/2 after a first +1 is 0.375,
+    a midpoint of a grid-4 axis, and the settings whose level is one float either side."""
+    return [(A_X, MeasurementSetting(c, math.sqrt(1.0 - c * c), 0.0))
+            for c in (1.0 - 2.0 * t for t in _MIDPOINT_LEVELS)]
+
+
+@pytest.mark.parametrize("grid", [2, 3, 4, 7, 101])
+@pytest.mark.parametrize("ordering", [AB, BA])
+@pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet",
+                                  "setting-dependent base-free rule"])
+def test_lattice_counts_equal_the_engine_counts(name, ordering, grid):
+    level_pairs = _midpoint_level_settings()
+    assert tuple((1.0 - dot(a, b)) / 2.0 for a, b in level_pairs) == _MIDPOINT_LEVELS
+    setts = [*setting_grid(3), *tsirelson_settings()]
+    pairs = [*level_pairs, *((a, b) for a in setts for b in setts)]
+    m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
+    engine = _count_blocks(m, ordering, SINGLET, pairs, grid ** 2,
+                           lambda start, rows: _lattice_block(2, grid, start, rows), 1)
+    counts = m.lattice_counts(ordering, SINGLET, pairs, grid)
+    assert counts.dtype == np.int64 and np.array_equal(counts, engine)
 
 
 @pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])

@@ -267,7 +267,7 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
         return _lattice_block(d, grid, start, rows)
 
     monkeypatch.setattr(stats, "_lattice_block", record)
-    exact_tables(make_gisin_singlet(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
+    exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
 
 
@@ -286,7 +286,7 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
     monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(stats, "_lattice_block", record)
     monkeypatch.setattr(stats, "_BLOCK", 64)  # a 20 x 20 lattice is 7 blocks
-    m = make_gisin_singlet()
+    m = make_local_sphere()  # a model without a lattice_counts hook: exact tables use the engine
     serial = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers=1)
     assert submitted == []
     for workers, tasks in ((2, 2), (3, 3), (10, 7)):
@@ -376,7 +376,10 @@ def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs,
 
 @pytest.mark.parametrize("run", [
     lambda m: estimate_joint(m, AB, SINGLET, A_X, B_09, 4_000_000, SeedSpec(3), workers=2),
-    lambda m: exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000, workers=2),
+    # the engine itself: gisin-singlet's exact tables no longer reach it, and local-sphere's
+    # direction arrays would take 40 MiB
+    lambda m: stats._count_blocks(m, AB, SINGLET, [(A_X, B_09)], 2000 ** 2,
+                                  lambda start, rows: _lattice_block(2, 2000, start, rows), 2),
 ], ids=["estimate_joint", "exact_joint"])
 def test_table_memory_is_bounded_by_blocks_not_points(run):
     """4e6 two-dimensional points take 61 MiB; two live blocks take a few."""
@@ -388,6 +391,55 @@ def test_table_memory_is_bounded_by_blocks_not_points(run):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_exact_tables_of_a_hook_model_make_no_lattice_block(monkeypatch):
+    made = []
+
+    def record(d, grid, start, rows):
+        made.append((start, rows))
+        return _lattice_block(d, grid, start, rows)
+
+    monkeypatch.setattr(stats, "_lattice_block", record)
+    for name in ("gisin-singlet", "determinized-singlet"):
+        exact_tables(make_model(name), BA, SINGLET, THREE_PAIRS, 600, workers=2)
+    assert made == []
+    exact_tables(make_local_sphere(), BA, SINGLET, THREE_PAIRS, 600, workers=2)
+    assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
+    assert make_local_sphere().lattice_counts(AB, SINGLET, THREE_PAIRS, 600) is None
+
+
+def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
+    """Only sizes are checked: the engine is replaced, so nothing is allocated."""
+    engine_jobs = []
+
+    def engine(m, ordering, state, pairs, n, make_block, workers):
+        engine_jobs.append(n * len(pairs))
+        return np.zeros((len(pairs), 2, 2), dtype=np.int64)
+
+    def no_block(*args):
+        raise AssertionError("a lattice block was made")
+
+    monkeypatch.setattr(stats, "_count_blocks", engine)
+    monkeypatch.setattr(stats, "_lattice_block", no_block)
+    sphere, side = make_local_sphere(), math.isqrt(stats._ENGINE_CAP // 10)
+    assert side ** 2 * 10 == stats._ENGINE_CAP
+    exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
+    assert engine_jobs == [stats._ENGINE_CAP]
+    deep = determinize(StochasticResponse(1, stochastic_singlet().p_first,
+                                          stochastic_singlet().p_second))  # lambda_dim 3
+    for m, pairs, grid in ((sphere, [(A_X, B_09)] * 11, side), (sphere, [(A_X, B_09)], 10 ** 6),
+                           (deep, [(A_X, B_09)], 5000)):
+        with pytest.raises(ValueError, match="cap"):
+            exact_tables(m, AB, SINGLET, pairs, grid)
+    assert engine_jobs == [stats._ENGINE_CAP]
+
+
+def test_hook_models_are_not_capped():
+    pairs = chsh_pairs(tsirelson_settings()) * 7  # 28 pairs of a 10^12-point lattice
+    for name in ("gisin-singlet", "determinized-singlet"):
+        tables = exact_tables(make_model(name), AB, SINGLET, pairs, 10 ** 6)
+        assert [t.counts.sum() for t in tables] == [10 ** 12] * len(pairs)
 
 
 def _n_at_or_below(grid, t) -> int:
