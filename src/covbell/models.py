@@ -28,8 +28,9 @@ determinized rules with base coordinates take the default.
 lattice, or None (the default), which leaves them to the block engine. On that
 lattice a threshold model's table is a product of 1-D counts, so gisin-singlet
 and base-free determinized rules count it through ``lattice_threshold_counts``
-in O(grid + pairs) rather than O(grid^2 * pairs); every other model keeps the
-engine.
+in O(grid + pairs) rather than O(grid^2 * pairs). local-sphere still scores every
+cell, but takes its trig on the 1-D midpoints and one projection per setting;
+every other model keeps the engine.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from typing import Callable
 import numpy as np
 
 from .core import QuantumState, TimeOrdering, _unit_interval, dot
+
+_SPHERE_CHUNK = 1 << 18  # lattice cells per chunk of whole u-lines in local-sphere's lattice_counts
 
 
 class OrderedModel(abc.ABC):
@@ -267,6 +270,10 @@ class LocalSphereModel(OrderedModel):
     phi = 2*pi*v. Alice outputs sign(a.lam_hat), Bob outputs -sign(b.lam_hat),
     in every ordering; the second party ignores the first party's setting.
     sign(0) counts as +1.
+
+    ``lattice_counts`` takes the trig of each axis midpoint once and writes the
+    unit vectors of whole u-lines from its products, the floats ``_directions``
+    writes; each chunk projects every distinct setting once, for both parties.
     """
 
     lambda_dim = 2
@@ -307,6 +314,33 @@ class LocalSphereModel(OrderedModel):
 
     def count_pairs(self, ordering, state, pairs, lams):
         return count_local_pairs(self, state, pairs, lams)
+
+    def lattice_counts(self, ordering, state, pairs, grid):
+        from .stats import check_engine_cap  # deferred: stats imports this module
+        check_engine_cap(self.lambda_dim, grid, pairs)
+        mids = lattice_midpoints(grid)
+        cos_t = 2.0 * mids - 1.0
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+        phi = 2.0 * np.pi * mids
+        cos_p, sin_p = np.cos(phi), np.sin(phi)
+        lines = max(1, _SPHERE_CHUNK // grid)
+        buf, bound = np.empty((lines, grid, 3)), LocalSphereModel()
+        plus = dict.fromkeys((s for pair in pairs for s in pair), 0)  # Alice's +1 cells
+        both = np.zeros(len(pairs), dtype=np.int64)  # cells where a and b both project >= 0
+        for top in range(0, grid, lines):
+            dirs, rows = buf[:grid - top], slice(top, top + lines)
+            np.multiply(sin_t[rows, None], cos_p, out=dirs[..., 0])
+            np.multiply(sin_t[rows, None], sin_p, out=dirs[..., 1])
+            dirs[..., 2] = cos_t[rows, None]
+            dirs = dirs.reshape(-1, 3)
+            bound._bound = (dirs, dirs)  # first_values projects these unit vectors
+            masks = {s: bound.first_values(TimeOrdering.AB, state, s, dirs) > 0 for s in plus}
+            for s, mask in masks.items():
+                plus[s] += np.count_nonzero(mask)
+            both += [np.count_nonzero(masks[a] & masks[b]) for a, b in pairs]
+        n = grid * grid  # Bob's +1 cells are the rest of Alice's
+        return np.array([_cells(plus[a] - k, plus[a], n - plus[b], n)
+                         for (a, b), k in zip(pairs, both)], dtype=np.int64).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ _BLOCK = 1 << 18
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
 # Most pair-points (lattice points x setting pairs) that one exact_tables call
-# scores in the block engine: local-sphere counts about 1.4e8 a second with two
-# workers on a 2-CPU x86 host, so the cap is some 12 minutes of work. Models
-# whose lattice_counts hook counts the lattice without the engine are not capped.
+# scores cell by cell: in the block engine (local-sphere's cells at 2.3e8 a second
+# with two workers on a 2-CPU x86 host, 7 minutes at the cap) or in local-sphere's
+# lattice_counts (1.1e9 on one thread, 90 s). Threshold models' hooks are uncapped.
 _ENGINE_CAP = 10 ** 11
 
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
@@ -215,6 +215,13 @@ def chsh_pairs(settings) -> list:
     return [(a, b), (a, bp), (ap, b), (ap, bp)]
 
 
+def check_engine_cap(d, grid, pairs):
+    """Reject an exact job that would score more than _ENGINE_CAP pair-points cell by cell."""
+    if grid ** d * len(pairs) > _ENGINE_CAP:
+        raise ValueError(f"{grid}^{d} lattice points x {len(pairs)} setting pairs exceed the "
+                         f"exact engine's cap of {_ENGINE_CAP:,}; use Monte Carlo")
+
+
 def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
                  workers: int = 1) -> list:
     """Midpoint-rule joint tables of every setting pair over the grid^d lattice:
@@ -229,9 +236,7 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
         raise ValueError(f"grid^{d} lattice points exceed 64-bit index arithmetic")
     counts = m.lattice_counts(ordering, state, pairs, grid)
     if counts is None:
-        if grid ** d * len(pairs) > _ENGINE_CAP:
-            raise ValueError(f"{grid}^{d} lattice points x {len(pairs)} setting pairs exceed the "
-                             f"exact engine's cap of {_ENGINE_CAP:,}; use Monte Carlo")
+        check_engine_cap(d, grid, pairs)
         counts = _count_blocks(m, ordering, state, pairs, grid ** d,
                                lambda start, rows: _lattice_block(d, grid, start, rows), workers)
     return [_counts_to_stats(c, grid ** d, grid) for c in counts]

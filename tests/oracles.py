@@ -1,11 +1,13 @@
 """Reference implementations the tests compare covbell against: the singlet's
-closed-form joint table and the per-strategy view of the finite no-go scan."""
+closed-form joint table, the per-strategy view of the finite no-go scan, and a
+local-sphere whose exact tables take the block engine."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from covbell.core import Outcome, TimeOrdering, dot
+from covbell.models import LocalSphereModel, OrderedModel
 from covbell.stats import JointStats
 
 
@@ -88,3 +90,10 @@ def forced_covariant_extension(f_ab, f_ba) -> FiniteStrategy:
     s_ab = tuple(f_ba[y] for x in (0, 1) for y in (0, 1))
     s_ba = tuple(f_ab[x] for x in (0, 1) for y in (0, 1))
     return FiniteStrategy(f_ab=tuple(f_ab), s_ab=s_ab, f_ba=tuple(f_ba), s_ba=s_ba)
+
+
+class EngineSphere(LocalSphereModel):
+    """local-sphere without its lattice_counts hook: exact tables score every
+    lattice cell in the block engine."""
+
+    lattice_counts = OrderedModel.lattice_counts

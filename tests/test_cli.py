@@ -355,7 +355,7 @@ def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
 
 
 def test_engine_job_above_the_cost_cap_is_domain_error(capsys):
-    # local-sphere has no lattice_counts hook: 25 pairs x 10^12 points would go to the engine
+    # local-sphere's lattice_counts scores every cell: 25 pairs x 10^12 points pass the cap
     code, out, err = run(["tomography", "--model", "local-sphere", "--settings", "grid:5",
                           "--mode", "exact", "--grid", str(10 ** 6)], capsys)
     assert (code, out) == (2, "")

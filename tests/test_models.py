@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covbell import models
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
 from covbell.covariance import reduce_to_local
@@ -155,6 +156,52 @@ def test_lattice_counts_equal_the_engine_counts(name, ordering, grid):
                            lambda start, rows: _lattice_block(2, grid, start, rows), 1)
     counts = m.lattice_counts(ordering, SINGLET, pairs, grid)
     assert counts.dtype == np.int64 and np.array_equal(counts, engine)
+
+
+_Z, _MINUS_Z = MeasurementSetting(0, 0, 1), MeasurementSetting(0, 0, -1)
+_SPHERE_SETTINGS = [A_X, _Z, _MINUS_Z, B_09, *tsirelson_settings()[2:], *setting_grid(3)]
+_SPHERE_PAIRS = [(a, b) for a in _SPHERE_SETTINGS for b in _SPHERE_SETTINGS]
+
+
+def _sphere_engine_counts(ordering, grid):
+    return _count_blocks(make_local_sphere(), ordering, SINGLET, _SPHERE_PAIRS, grid ** 2,
+                         lambda start, rows: _lattice_block(2, grid, start, rows), 1)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 4, 7, 101, 1001])
+@pytest.mark.parametrize("ordering", [AB, BA])
+def test_local_sphere_lattice_counts_equal_the_engine_counts(ordering, grid):
+    # on an odd grid the midpoints with u = 1/2 have cos(theta) = 0 exactly: they lie on
+    # the measurement plane of +z and -z, where sign(0) counts as +1
+    assert (grid % 2 == 1) == np.any(models.lattice_midpoints(grid) == 0.5)
+    counts = make_local_sphere().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
+
+
+@pytest.mark.parametrize("chunk,lines", [(1, [1] * 7), (20, [2, 2, 2, 1])],
+                         ids=["one u-line a chunk", "partial last chunk"])
+def test_local_sphere_lattice_counts_do_not_depend_on_the_chunk(monkeypatch, chunk, lines):
+    grid, rows = 7, []
+    first_values = LocalSphereModel.first_values
+
+    def recording(self, ordering, state, setting, lams):
+        rows.append(len(lams))
+        return first_values(self, ordering, state, setting, lams)
+
+    monkeypatch.setattr(models, "_SPHERE_CHUNK", chunk)
+    monkeypatch.setattr(LocalSphereModel, "first_values", recording)
+    for ordering in (AB, BA):
+        rows.clear()
+        counts = make_local_sphere().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
+        # one first_values call per distinct setting and chunk, on the chunk's cells
+        assert rows == [n * grid for n in lines for _ in dict.fromkeys(_SPHERE_SETTINGS)]
+        assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
+
+
+def test_local_sphere_lattice_counts_require_the_singlet():
+    with pytest.raises(ValueError, match="singlet"):
+        make_local_sphere().lattice_counts(AB, "not a state", [(A_X, B_09)], 4)
 
 
 @pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covbell import stats
+from covbell import models, stats
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
 from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eval_pairs,
@@ -16,7 +16,7 @@ from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eva
 from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_block, _sample_block, chsh,
                            chsh_pairs, correlator, estimate_joint, exact_joint, exact_tables,
                            joint_record, records_to_csv, sample_lambda, sample_tables)
-from oracles import singlet_joint_oracle, singlet_oracle_table
+from oracles import EngineSphere, singlet_joint_oracle, singlet_oracle_table
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -267,7 +267,7 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
         return _lattice_block(d, grid, start, rows)
 
     monkeypatch.setattr(stats, "_lattice_block", record)
-    exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
+    exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
 
 
@@ -286,7 +286,7 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
     monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(stats, "_lattice_block", record)
     monkeypatch.setattr(stats, "_BLOCK", 64)  # a 20 x 20 lattice is 7 blocks
-    m = make_local_sphere()  # a model without a lattice_counts hook: exact tables use the engine
+    m = EngineSphere()  # a model without a lattice_counts hook: exact tables use the engine
     serial = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers=1)
     assert submitted == []
     for workers, tasks in ((2, 2), (3, 3), (10, 7)):
@@ -306,11 +306,11 @@ def test_sphere_directions_once_per_lattice_block(direction_computations):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tables = exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=8)
+        tables = exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert len(direction_computations) == 6  # once per block, for all three pairs
-    serial = exact_tables(make_local_sphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=1)
+    serial = exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=1)
     assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
 
 
@@ -401,12 +401,12 @@ def test_exact_tables_of_a_hook_model_make_no_lattice_block(monkeypatch):
         return _lattice_block(d, grid, start, rows)
 
     monkeypatch.setattr(stats, "_lattice_block", record)
-    for name in ("gisin-singlet", "determinized-singlet"):
+    for name in ("gisin-singlet", "determinized-singlet", "local-sphere"):
         exact_tables(make_model(name), BA, SINGLET, THREE_PAIRS, 600, workers=2)
     assert made == []
-    exact_tables(make_local_sphere(), BA, SINGLET, THREE_PAIRS, 600, workers=2)
+    exact_tables(EngineSphere(), BA, SINGLET, THREE_PAIRS, 600, workers=2)
     assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
-    assert make_local_sphere().lattice_counts(AB, SINGLET, THREE_PAIRS, 600) is None
+    assert EngineSphere().lattice_counts(AB, SINGLET, THREE_PAIRS, 600) is None
 
 
 def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
@@ -422,7 +422,7 @@ def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
 
     monkeypatch.setattr(stats, "_count_blocks", engine)
     monkeypatch.setattr(stats, "_lattice_block", no_block)
-    sphere, side = make_local_sphere(), math.isqrt(stats._ENGINE_CAP // 10)
+    sphere, side = EngineSphere(), math.isqrt(stats._ENGINE_CAP // 10)
     assert side ** 2 * 10 == stats._ENGINE_CAP
     exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
     assert engine_jobs == [stats._ENGINE_CAP]
@@ -433,6 +433,20 @@ def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
         with pytest.raises(ValueError, match="cap"):
             exact_tables(m, AB, SINGLET, pairs, grid)
     assert engine_jobs == [stats._ENGINE_CAP]
+
+
+def test_local_sphere_hook_is_capped_before_any_allocation(monkeypatch):
+    """local-sphere's hook scores every cell, so the engine's cap binds it too."""
+    def no_midpoints(grid):
+        raise AssertionError("the hook allocated its midpoints")
+
+    monkeypatch.setattr(models, "lattice_midpoints", no_midpoints)  # the hook's first buffer
+    sphere, side = make_local_sphere(), math.isqrt(stats._ENGINE_CAP // 10)
+    with pytest.raises(AssertionError, match="midpoints"):  # exactly the cap passes
+        exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
+    for pairs, grid in (([(A_X, B_09)] * 11, side), ([(A_X, B_09)], 10 ** 6)):
+        with pytest.raises(ValueError, match="cap"):
+            exact_tables(sphere, AB, SINGLET, pairs, grid)
 
 
 def test_hook_models_are_not_capped():
