@@ -28,9 +28,11 @@ determinized rules with base coordinates take the default.
 lattice, or None (the default), which leaves them to the block engine. On that
 lattice a threshold model's table is a product of 1-D counts, so gisin-singlet
 and base-free determinized rules count it through ``lattice_threshold_counts``
-in O(grid + pairs) rather than O(grid^2 * pairs). local-sphere still scores every
-cell, but takes its trig on the 1-D midpoints and one projection per setting;
-every other model keeps the engine.
+in O(pairs), gisin-singlet in O(grid + pairs) for its one ``first_values`` call
+on the midpoints. On a u-line of that lattice local-sphere's +1 cells of a
+setting are one cyclic run, whose ends it re-scores in float, so it counts in
+O(grid * (settings + pairs)) rather than O(grid^2 * settings); every other
+model keeps the engine.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ import numpy as np
 
 from .core import QuantumState, TimeOrdering, _unit_interval, dot
 
-_SPHERE_CHUNK = 1 << 18  # lattice cells per chunk of whole u-lines in local-sphere's lattice_counts
+# local-sphere's lattice_counts. Every float path computes a cell's projection within
+# 1e-14 of its exact value (unit vectors, unit settings), so one computed beyond
+# _ARC_MARGIN from 0 has the same sign in all. Each end of an arc is re-scored on the
+# _ARC_HALF cells either side of its nearest cell, for _ARC_LINES u-lines at a time.
+_ARC_MARGIN = 1e-12
+_ARC_HALF = 1
+_ARC_LINES = 1 << 12
 
 
 class OrderedModel(abc.ABC):
@@ -183,13 +191,27 @@ def lattice_midpoints(grid) -> np.ndarray:
     return mids
 
 
-def lattice_threshold_counts(ordering, first_plus, levels, mids) -> np.ndarray:
-    """``count_threshold_pairs`` summed over the whole midpoint lattice of [0,1]^2
-    with axis midpoints mids, from 1-D counts: pair i's first outcome is +1 on
-    first_plus[i] midpoints of its coordinate, and N(t) = searchsorted(mids, t,
-    "right") midpoints of the other are <= t, so every cell is a product of two."""
-    grid = mids.size
-    below = np.searchsorted(mids, np.asarray(levels, dtype=float).reshape(-1, 2), side="right")
+def lattice_at_or_below(grid, t) -> np.ndarray:
+    """N(t) = searchsorted(lattice_midpoints(grid), t, "right") for each t, without the
+    midpoints: the least k with fl((k + 1/2)/grid) > t, from the closed form
+    ceil(t * grid - 1/2) moved while a float midpoint next to it disagrees."""
+    t = np.asarray(t, dtype=float)
+    k = np.clip(np.ceil(t * grid - 0.5), 0, grid)
+    while True:
+        up = (k < grid) & ((k + 0.5) / grid <= t)
+        down = (k > 0) & ((k - 0.5) / grid > t)
+        if not (up.any() or down.any()):
+            return k.astype(np.int64)
+        k += up
+        k -= down
+
+
+def lattice_threshold_counts(ordering, first_plus, levels, grid) -> np.ndarray:
+    """``count_threshold_pairs`` summed over the whole grid x grid midpoint lattice
+    of [0,1]^2, from 1-D counts: pair i's first outcome is +1 on first_plus[i]
+    midpoints of its coordinate, and N(t) = ``lattice_at_or_below(grid, t)``
+    midpoints of the other are <= t, so every cell is a product of two."""
+    below = lattice_at_or_below(grid, np.asarray(levels, dtype=float).reshape(-1, 2))
     counts = np.empty((len(below), 2, 2), dtype=np.int64)
     for i, (plus, (lo, hi)) in enumerate(zip(first_plus, below)):
         counts[i] = _cells(plus * lo, plus * grid, plus * lo + (grid - plus) * hi, grid * grid)
@@ -254,13 +276,13 @@ class GisinSingletModel(OrderedModel):
 
     def lattice_counts(self, ordering, state, pairs, grid):
         ab, mids = ordering is TimeOrdering.AB, lattice_midpoints(grid)
-        # one first_values call on the midpoints, read as either coordinate, counts
-        # the first +1 outcomes of every pair
+        # one first_values call on the midpoints, read as either coordinate, counts the
+        # first +1 outcomes of every pair; the levels' counts need no midpoints
         lams = np.broadcast_to(mids[:, None], (grid, 2))
         first_plus = [np.count_nonzero(self.first_values(ordering, state, a if ab else b, lams) > 0)
                       for a, b in pairs[:1]]
         return lattice_threshold_counts(ordering, first_plus * len(pairs),
-                                        [self._levels(a, b) for a, b in pairs], mids)
+                                        [self._levels(a, b) for a, b in pairs], grid)
 
 
 class LocalSphereModel(OrderedModel):
@@ -271,9 +293,12 @@ class LocalSphereModel(OrderedModel):
     in every ordering; the second party ignores the first party's setting.
     sign(0) counts as +1.
 
-    ``lattice_counts`` takes the trig of each axis midpoint once and writes the
-    unit vectors of whole u-lines from its products, the floats ``_directions``
-    writes; each chunk projects every distinct setting once, for both parties.
+    ``lattice_counts`` takes the trig of each axis midpoint once. On a u-line a
+    setting's +1 cells form one cyclic run of v-indices, whose ends it finds
+    analytically and re-scores in float, on unit vectors that are products of
+    that trig, the floats ``_directions`` writes. Bob's +1 cells are the rest of
+    Alice's, and a pair's "++" cells are the overlap of two runs per line, so the
+    cost is O(grid x (settings + pairs)), not O(grid^2).
     """
 
     lambda_dim = 2
@@ -323,24 +348,95 @@ class LocalSphereModel(OrderedModel):
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
         phi = 2.0 * np.pi * mids
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        lines = max(1, _SPHERE_CHUNK // grid)
-        buf, bound = np.empty((lines, grid, 3)), LocalSphereModel()
-        plus = dict.fromkeys((s for pair in pairs for s in pair), 0)  # Alice's +1 cells
-        both = np.zeros(len(pairs), dtype=np.int64)  # cells where a and b both project >= 0
-        for top in range(0, grid, lines):
-            dirs, rows = buf[:grid - top], slice(top, top + lines)
-            np.multiply(sin_t[rows, None], cos_p, out=dirs[..., 0])
-            np.multiply(sin_t[rows, None], sin_p, out=dirs[..., 1])
-            dirs[..., 2] = cos_t[rows, None]
-            dirs = dirs.reshape(-1, 3)
-            bound._bound = (dirs, dirs)  # first_values projects these unit vectors
-            masks = {s: bound.first_values(TimeOrdering.AB, state, s, dirs) > 0 for s in plus}
-            for s, mask in masks.items():
-                plus[s] += np.count_nonzero(mask)
-            both += [np.count_nonzero(masks[a] & masks[b]) for a, b in pairs]
+        runs = {}  # Alice's +1 cells of each distinct setting, _ARC_LINES u-lines at a time
+        for s in dict.fromkeys(s for pair in pairs for s in pair):
+            blocks = [_line_runs(state, s, (sin_t[top:top + _ARC_LINES],
+                                            cos_t[top:top + _ARC_LINES], cos_p, sin_p))
+                      for top in range(0, grid, _ARC_LINES)]
+            runs[s] = tuple(np.concatenate(parts) for parts in zip(*blocks))
+        plus = {s: length.sum() + np.count_nonzero(masks)
+                for s, (_, length, _, masks) in runs.items()}
         n = grid * grid  # Bob's +1 cells are the rest of Alice's
-        return np.array([_cells(plus[a] - k, plus[a], n - plus[b], n)
-                         for (a, b), k in zip(pairs, both)], dtype=np.int64).reshape(-1, 2, 2)
+        counts = []
+        for a, b in pairs:
+            both = _runs_overlap(runs[a], runs[b], grid)  # cells where a and b both project >= 0
+            counts.append(_cells(plus[a] - both, plus[a], n - plus[b], n))
+        return np.array(counts, dtype=np.int64).reshape(-1, 2, 2)
+
+
+def _scored_plus(state, s, rows, cols, trig) -> np.ndarray:
+    """Alice's +1 outcomes of setting s on the lattice cells (rows, cols), index arrays
+    that broadcast together, from one ``first_values`` call on their unit vectors:
+    the products of the 1-D midpoint trig that ``_directions`` writes."""
+    sin_t, cos_t, cos_p, sin_p = trig
+    dirs = np.empty(np.broadcast_shapes(rows.shape, cols.shape) + (3,))
+    np.multiply(sin_t[rows], cos_p[cols], out=dirs[..., 0])
+    np.multiply(sin_t[rows], sin_p[cols], out=dirs[..., 1])
+    dirs[..., 2] = cos_t[rows]
+    flat, bound = dirs.reshape(-1, 3), LocalSphereModel()
+    bound._bound = (flat, flat)  # first_values projects these unit vectors
+    return (bound.first_values(TimeOrdering.AB, state, s, flat) > 0).reshape(dirs.shape[:-1])
+
+
+def _line_runs(state, s, trig):
+    """Alice's +1 cells of setting s on the u-lines of trig = (sin_t, cos_t, cos_p,
+    sin_p), as (start, length, whole, masks): on u-line i they are the length[i]
+    cells from v-index start[i] on, cyclically, except where the bool whole[i]
+    holds: that line has length 0, its cells are scored one by one, and its +1
+    cells are the next row of the bool ``masks``.
+
+    On u-line i the projection is amp[i] cos(phi - phi0) + off[i], so its +1 cells
+    are one arc of the circle at most. A line whose |off| passes amp by _ARC_MARGIN
+    has one sign throughout. Else the 2 _ARC_HALF + 1 cells around each analytic
+    end of the arc are re-scored. Where the outer of those cells project below
+    -_ARC_MARGIN and the inner above it, every cell between the two windows has the
+    sign of its side, as the projection has one maximum and one minimum. If both
+    windows then read -1 up to +1 once, the run ends where they change. Lines
+    without that proof are scored whole."""
+    sin_t, cos_t, cos_p, sin_p = trig
+    grid, k = cos_p.size, _ARC_HALF
+    amp, off = sin_t * np.hypot(s.x, s.y), cos_t * s.z
+    start, length = np.zeros(sin_t.size, dtype=np.int64), np.where(off - amp > _ARC_MARGIN, grid, 0)
+    whole = (off - amp <= _ARC_MARGIN) & (off + amp >= -_ARC_MARGIN)  # not one sign throughout
+    rows = np.flatnonzero(whole & (amp > _ARC_MARGIN))
+    half = np.arccos(np.clip(-off[rows] / amp[rows], -1.0, 1.0))
+    phi0, per_radian = np.arctan2(s.y, s.x), grid / (2.0 * np.pi)
+    lo = np.rint((phi0 - half) * per_radian - 0.5).astype(np.int64)  # the arc's first cell
+    hi = np.rint((phi0 + half) * per_radian - 0.5).astype(np.int64)  # and its last
+    edges = np.stack([lo - k, hi + k, lo + k, hi - k], axis=1) % grid  # two outside, two inside
+    proj = sin_t[rows, None] * (s.x * cos_p[edges] + s.y * sin_p[edges]) + cos_t[rows, None] * s.z
+    sure = ((hi - lo > 2 * k) & (lo + grid - hi > 2 * k)  # the windows do not meet
+            & (proj[:, :2] < -_ARC_MARGIN).all(1) & (proj[:, 2:] > _ARC_MARGIN).all(1))
+    rows, lo, hi, inward = rows[sure], lo[sure], hi[sure], np.arange(-k, k + 1)
+    # (line, end, cell): both windows read from outside the arc to inside it
+    cols = np.stack([lo[:, None] + inward, hi[:, None] - inward], axis=1) % grid
+    ends = _scored_plus(state, s, rows[:, None, None], cols, trig)
+    clean = (~ends[..., 0] & ends[..., -1] & (ends[..., :-1] <= ends[..., 1:]).all(-1)).all(1)
+    minus = np.count_nonzero(~ends[clean], axis=-1)
+    rows, first, last = rows[clean], lo[clean] - k + minus[:, 0], hi[clean] + k - minus[:, 1]
+    start[rows], length[rows], whole[rows] = first % grid, last + 1 - first, False
+    return start, length, whole, _scored_plus(state, s, np.flatnonzero(whole)[:, None],
+                                              np.arange(grid), trig)
+
+
+def _runs_overlap(runs_a, runs_b, grid) -> int:
+    """Lattice cells in both +1 sets of ``_line_runs``: the overlap of two cyclic
+    runs per line, and on lines that either scores whole, the overlap of their rows."""
+    (start_a, length_a, whole_a, _), (start_b, length_b, whole_b, _) = runs_a, runs_b
+    both = sum(np.maximum(0, np.minimum(start_a + length_a, start_b + shift + length_b)
+                          - np.maximum(start_a, start_b + shift)).sum()
+               for shift in (-grid, 0, grid))
+    lines = np.flatnonzero(whole_a | whole_b)
+    return int(both) + np.count_nonzero(_line_masks(runs_a, lines, grid)
+                                        & _line_masks(runs_b, lines, grid))
+
+
+def _line_masks(runs, lines, grid) -> np.ndarray:
+    """The +1 cells of ``_line_runs`` on each of the sorted lines, as bool rows."""
+    start, length, whole, masks = runs
+    rows = (np.arange(grid) - start[lines, None]) % grid < length[lines, None]
+    rows[whole[lines]] = masks
+    return rows
 
 
 @dataclass(frozen=True)
@@ -421,10 +517,8 @@ class DeterminizedModel(OrderedModel):
     def lattice_counts(self, ordering, state, pairs, grid):
         if self._sr.lambda_dim:
             return None
-        mids = lattice_midpoints(grid)
         p_first, levels = self._thresholds(ordering, state, pairs)
-        return lattice_threshold_counts(ordering, np.searchsorted(mids, p_first, side="right"),
-                                        levels, mids)
+        return lattice_threshold_counts(ordering, lattice_at_or_below(grid, p_first), levels, grid)
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

@@ -26,10 +26,12 @@ _BLOCK = 1 << 18
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
-# Most pair-points (lattice points x setting pairs) that one exact_tables call
-# scores cell by cell: in the block engine (local-sphere's cells at 2.3e8 a second
-# with two workers on a 2-CPU x86 host, 7 minutes at the cap) or in local-sphere's
-# lattice_counts (1.1e9 on one thread, 90 s). Threshold models' hooks are uncapped.
+# Most pair-points (lattice points x setting pairs) of one exact_tables call that
+# the block engine scores cell by cell (local-sphere's cells at 2.3e8 a second with
+# two workers on a 2-CPU x86 host, 7 minutes at the cap). local-sphere's
+# lattice_counts no longer scores every cell (grid 3e5, one pair, about 0.5 s), but
+# keeps this cap: lifting it would turn a documented exit 2 into a run, and would
+# leave no command that reaches the cap. Threshold models' hooks are uncapped.
 _ENGINE_CAP = 10 ** 11
 
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1

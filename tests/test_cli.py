@@ -355,7 +355,7 @@ def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
 
 
 def test_engine_job_above_the_cost_cap_is_domain_error(capsys):
-    # local-sphere's lattice_counts scores every cell: 25 pairs x 10^12 points pass the cap
+    # local-sphere's lattice_counts keeps the engine's cap: 25 pairs x 10^12 points pass it
     code, out, err = run(["tomography", "--model", "local-sphere", "--settings", "grid:5",
                           "--mode", "exact", "--grid", str(10 ** 6)], capsys)
     assert (code, out) == (2, "")
@@ -378,6 +378,33 @@ def test_threshold_model_counts_a_1e14_cell_lattice_in_a_fresh_process():
     assert float(seconds) < 1.0
     rows = done.stdout.splitlines()[2:]
     assert len(rows) == 9 and all(row.endswith(",10000000,0") for row in rows)
+
+
+def test_local_sphere_counts_a_9e8_cell_lattice_in_a_fresh_process():
+    """Exact tables of local-sphere at grid 30000 (9 pairs, 8.1e9 pair-points) come
+    from one run of +1 cells per u-line and setting, not from scoring every cell."""
+    script = ("import sys, time, tracemalloc\n"
+              "from covbell.cli import main\n"
+              "from covbell.core import QuantumState, TimeOrdering, setting_grid\n"
+              "from covbell.models import make_local_sphere\n"
+              "start = time.perf_counter()\n"
+              "code = main(['tomography', '--model', 'local-sphere', '--settings', 'grid:3',"
+              " '--mode', 'exact', '--grid', '30000'])\n"
+              "seconds = time.perf_counter() - start\n"
+              "pairs = [(a, b) for a in setting_grid(3) for b in setting_grid(3)]\n"
+              "tracemalloc.start()\n"
+              "make_local_sphere().lattice_counts(TimeOrdering.AB, QuantumState.SINGLET, pairs,"
+              " 30000)\n"
+              "print(code, seconds, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    code, seconds, peak = done.stderr.split()
+    assert (done.returncode, code) == (0, "0")
+    assert float(seconds) < 1.0
+    assert int(peak) < 8 << 20  # a grid^2 mask alone would take 900 MB
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == 9 and all(row.endswith(",30000,0") for row in rows)
 
 
 # The config keys each subcommand reads. Every subcommand also takes seed, which

@@ -159,12 +159,18 @@ def test_lattice_counts_equal_the_engine_counts(name, ordering, grid):
 
 
 _Z, _MINUS_Z = MeasurementSetting(0, 0, 1), MeasurementSetting(0, 0, -1)
-_SPHERE_SETTINGS = [A_X, _Z, _MINUS_Z, B_09, *tsirelson_settings()[2:], *setting_grid(3)]
+# exact +-x and +-z; xy-plane settings, on whose measurement plane the u = 1/2 line of an
+# odd grid lies; a setting 1e-9 off +z, whose arcs on that line are decided by 1e-9 terms;
+# b with -b, so a = -b occurs; tsirelson's b and b'; the grid:3 and grid:7 spirals
+_SPHERE_SETTINGS = [A_X, MeasurementSetting(-1, 0, 0), _Z, _MINUS_Z, B_09,
+                    MeasurementSetting(-B_09.x, -B_09.y, 0), MeasurementSetting(0, 1, 0),
+                    MeasurementSetting(1e-9, 0, 1), *tsirelson_settings()[2:], *setting_grid(3),
+                    *setting_grid(7)]
 _SPHERE_PAIRS = [(a, b) for a in _SPHERE_SETTINGS for b in _SPHERE_SETTINGS]
 
 
-def _sphere_engine_counts(ordering, grid):
-    return _count_blocks(make_local_sphere(), ordering, SINGLET, _SPHERE_PAIRS, grid ** 2,
+def _sphere_engine_counts(ordering, grid, pairs=_SPHERE_PAIRS):
+    return _count_blocks(make_local_sphere(), ordering, SINGLET, pairs, grid ** 2,
                          lambda start, rows: _lattice_block(2, grid, start, rows), 1)
 
 
@@ -179,29 +185,53 @@ def test_local_sphere_lattice_counts_equal_the_engine_counts(ordering, grid):
     assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
 
 
-@pytest.mark.parametrize("chunk,lines", [(1, [1] * 7), (20, [2, 2, 2, 1])],
-                         ids=["one u-line a chunk", "partial last chunk"])
-def test_local_sphere_lattice_counts_do_not_depend_on_the_chunk(monkeypatch, chunk, lines):
-    grid, rows = 7, []
+@settings(max_examples=40, deadline=None)
+@given(ordering=st.sampled_from([AB, BA]), grid=st.integers(2, 1200),
+       setts=st.lists(SETTING, min_size=1, max_size=3))
+def test_local_sphere_lattice_counts_equal_the_engine_on_random_settings(ordering, grid, setts):
+    pairs = [(a, b) for a in setts for b in setts]
+    counts = make_local_sphere().lattice_counts(ordering, SINGLET, pairs, grid)
+    assert np.array_equal(counts, _sphere_engine_counts(ordering, grid, pairs))
+
+
+@pytest.mark.parametrize("patch", [("_ARC_MARGIN", math.inf), ("_ARC_LINES", 1)],
+                         ids=["every line scored whole", "one u-line a block"])
+def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monkeypatch, patch):
+    grid, calls = 41, []
     first_values = LocalSphereModel.first_values
+    engine = {o: _sphere_engine_counts(o, grid) for o in (AB, BA)}
 
     def recording(self, ordering, state, setting, lams):
-        rows.append(len(lams))
+        calls.append((setting, len(lams)))
         return first_values(self, ordering, state, setting, lams)
 
-    monkeypatch.setattr(models, "_SPHERE_CHUNK", chunk)
+    monkeypatch.setattr(models, *patch)
     monkeypatch.setattr(LocalSphereModel, "first_values", recording)
     for ordering in (AB, BA):
-        rows.clear()
+        calls.clear()
         counts = make_local_sphere().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
-        # one first_values call per distinct setting and chunk, on the chunk's cells
-        assert rows == [n * grid for n in lines for _ in dict.fromkeys(_SPHERE_SETTINGS)]
-        assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
+        assert np.array_equal(counts, engine[ordering])
+        # each distinct setting is scored through first_values, which a tracer wraps
+        assert {s for s, _ in calls} == set(_SPHERE_SETTINGS)
+        if patch[0] == "_ARC_MARGIN":  # no arc is proven: empty windows, then every cell
+            assert calls == [(s, n) for s in dict.fromkeys(_SPHERE_SETTINGS)
+                             for n in (0, grid * grid)]
+        else:  # windows, then lines scored whole, per line; some lines have an arc
+            assert len(calls) == 2 * grid * len(set(_SPHERE_SETTINGS))
+            assert any(n == 2 * (2 * models._ARC_HALF + 1) for _, n in calls)
 
 
 def test_local_sphere_lattice_counts_require_the_singlet():
     with pytest.raises(ValueError, match="singlet"):
         make_local_sphere().lattice_counts(AB, "not a state", [(A_X, B_09)], 4)
+
+
+def test_lattice_at_or_below_equals_a_search_of_the_midpoints():
+    for grid in range(2, 601):
+        mids = models.lattice_midpoints(grid)
+        t = np.concatenate([mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0), [0, 0.5, 1]])
+        assert np.array_equal(models.lattice_at_or_below(grid, t),
+                              np.searchsorted(mids, t, side="right")), grid
 
 
 @pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])

@@ -456,6 +456,21 @@ def test_hook_models_are_not_capped():
         assert [t.counts.sum() for t in tables] == [10 ** 12] * len(pairs)
 
 
+def test_determinized_tables_allocate_no_grid_long_array():
+    """N(t) comes from a closed form, not from a search of the midpoints: 3e9 of them
+    would take 24 GB."""
+    grid, pairs = 3 * 10 ** 9, [(a, b) for a in setting_grid(3) for b in setting_grid(3)]
+    tracemalloc.start()
+    try:
+        tables = exact_tables(determinize(stochastic_singlet()), AB, SINGLET, pairs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [t.counts.sum() for t in tables] == [grid * grid] * len(pairs)
+    assert all(t.counts[0].sum() == grid * grid // 2 for t in tables)  # p_first = 1/2
+
+
 def _n_at_or_below(grid, t) -> int:
     """N(t): lattice midpoints (k + 1/2)/grid on one axis that are <= t."""
     return int(((np.arange(grid) + 0.5) / grid <= t).sum())
