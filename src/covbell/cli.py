@@ -16,6 +16,7 @@ memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,6 +101,7 @@ def _keys(command: str, mode=None) -> tuple:
     return keys
 
 
+@functools.cache  # one per process: add_argument builds a help formatter for every option
 def build_parser() -> _Parser:
     parser = _Parser(prog="covbell", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -291,8 +293,9 @@ def _cmd_enumerate(cfg) -> int:
     print(f"total={summary.total} covariant={summary.covariant} "
           f"max_S={summary.max_abs_s} max_S_covariant={summary.max_abs_s_covariant}")
     if cfg["output"]:
-        rows = [{"id": r.index, "covariant": r.covariant,
-                 "S_AB": r.s_ab, "S_BA": r.s_ba} for r in summary.rows]
+        rows = [{"id": i, "covariant": c, "S_AB": s_ab, "S_BA": s_ba}
+                for i, c, s_ab, s_ba in zip(range(summary.total), summary.covariant_mask.tolist(),
+                                            summary.s_ab.tolist(), summary.s_ba.tolist())]
         _emit(cfg, {**summary.to_dict(), "strategies": rows}, rows="strategies",
               columns=("id", "covariant", "S_AB", "S_BA"))
     return 0

@@ -204,12 +204,22 @@ CONVEXITY_NOTE = (
 
 @dataclass(frozen=True)
 class EnumerationSummary:
+    """The scan's totals, and its per-strategy columns as arrays indexed by strategy."""
+
     total: int
     covariant: int
     max_abs_s: int
     max_abs_s_covariant: int
-    rows: tuple = field(repr=False)
+    covariant_mask: np.ndarray = field(repr=False, compare=False)
+    s_ab: np.ndarray = field(repr=False, compare=False)
+    s_ba: np.ndarray = field(repr=False, compare=False)
     convexity_note: str = CONVEXITY_NOTE
+
+    @property
+    def rows(self) -> tuple:
+        """The columns as one StrategyRow of Python scalars per strategy, built on each read."""
+        return tuple(map(StrategyRow, range(self.total), self.covariant_mask.tolist(),
+                         self.s_ab.tolist(), self.s_ba.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +235,7 @@ def enumerate_finite() -> EnumerationSummary:
     """Exhaustive scan of all 4096 two-setting deterministic strategies.
 
     CHSH is evaluated in the AB frame (frames disagree for non-covariant
-    strategies); the per-strategy rows also carry the BA-frame value.
+    strategies); the per-strategy columns also carry the BA-frame value.
 
     A bit-matrix scan: row i holds the 12 bits of strategy i, where bits 0-1
     are f_ab[x], bits 2-5 s_ab[2x+y], bits 6-7 f_ba[y] and bits 8-11 s_ba[2x+y]
@@ -241,12 +251,10 @@ def enumerate_finite() -> EnumerationSummary:
     chsh_ab = (1 - 2 * (f_ab[:, x] ^ s_ab)) @ terms
     chsh_ba = (1 - 2 * (s_ba ^ f_ba[:, y])) @ terms
     covariant = ((s_ba == f_ab[:, x]) & (s_ab == f_ba[:, y])).all(axis=1)
-    rows = tuple(map(StrategyRow, range(4096), covariant.tolist(), chsh_ab.tolist(),
-                     chsh_ba.tolist()))
     return EnumerationSummary(total=4096, covariant=int(np.count_nonzero(covariant)),
                               max_abs_s=int(np.abs(chsh_ab).max()),
                               max_abs_s_covariant=int(np.abs(chsh_ab[covariant]).max(initial=0)),
-                              rows=rows)
+                              covariant_mask=covariant, s_ab=chsh_ab, s_ba=chsh_ba)
 
 
 def frame_consistency(m: OrderedModel, state, a, b, grid: int,

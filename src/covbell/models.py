@@ -12,7 +12,7 @@ which is what makes a model nonlocal. Built-ins:
 All evaluation is pure, and models hold no state between calls. Evaluation
 methods take an (n, d) array of hidden points and return (n,) int8 arrays of
 +/-1. A loop that scores many setting pairs on one array evaluates on
-``model.bind(lams)``, which may reuse what it derives from that array.
+``model.bind(lams)``, which keeps what it derives from that array.
 
 ``count_pairs(ordering, state, pairs, lams)`` returns the (k, 2, 2) int64
 outcome counts of k setting pairs on one array; the engine calls it once per
@@ -38,6 +38,7 @@ model keeps the engine.
 from __future__ import annotations
 
 import abc
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -67,6 +68,7 @@ class OrderedModel(abc.ABC):
 
     lambda_dim: int = 0
     name: str = "ordered-model"
+    _bound = None  # (lams, {key: what _kept derived from lams}) of a model made by bind
 
     @abc.abstractmethod
     def first_values(self, ordering, state, setting_first, lams) -> np.ndarray:
@@ -78,8 +80,25 @@ class OrderedModel(abc.ABC):
 
     def bind(self, lams) -> "OrderedModel":
         """A model with this one's outcomes on every array; on ``lams`` itself (the
-        same object, unchanged while bound) it may reuse what it derived once."""
-        return self
+        same object, unchanged while bound) it reuses what ``_kept`` derived once.
+        A model bound to lams is its own binding to it, and keeps what it holds."""
+        if self._bound is not None and self._bound[0] is lams:
+            return self
+        bound = copy.copy(self)
+        bound._bound = (lams, {})
+        return bound
+
+    def _kept(self, lams, key, make):
+        """make(), kept under key while lams is the bound array (read-only if an
+        array, as every later call shares it); made anew on any other array."""
+        if self._bound is None or self._bound[0] is not lams:
+            return make()
+        kept = self._bound[1]
+        if key not in kept:
+            kept[key] = make()
+            if isinstance(kept[key], np.ndarray):
+                kept[key].flags.writeable = False
+        return kept[key]
 
     def count_pairs(self, ordering, state, pairs, lams) -> np.ndarray:
         """(k, 2, 2) int64 counts of the (alpha, beta) outcomes, +1 before -1, of
@@ -244,10 +263,14 @@ class GisinSingletModel(OrderedModel):
     lambda_dim = 2
     name = "gisin-singlet"
 
+    def _first_plus(self, ordering, lams):
+        """Where the first outcome is +1, kept per ordering for the bound array."""
+        r_first = lams[:, 0] if ordering is TimeOrdering.AB else lams[:, 1]
+        return self._kept(lams, ordering, lambda: r_first <= 0.5)
+
     def first_values(self, ordering, state, setting_first, lams):
         _require_singlet(state)
-        r_first = lams[:, 0] if ordering is TimeOrdering.AB else lams[:, 1]
-        return _pm(r_first <= 0.5)
+        return _pm(self._first_plus(ordering, lams))
 
     @staticmethod
     def _levels(a, b):
@@ -257,13 +280,11 @@ class GisinSingletModel(OrderedModel):
 
     def second_values(self, ordering, state, a, b, lams):
         _require_singlet(state)
-        if ordering is TimeOrdering.AB:
-            r_first, r_second = lams[:, 0], lams[:, 1]
-        else:
-            r_first, r_second = lams[:, 1], lams[:, 0]
+        r_second = lams[:, 1] if ordering is TimeOrdering.AB else lams[:, 0]
         lo, hi = self._levels(a, b)
-        first_plus = r_first <= 0.5
-        return _pm((first_plus & (r_second <= lo)) | (~first_plus & (r_second <= hi)))
+        first_plus = self._first_plus(ordering, lams)
+        first_minus = self._kept(lams, (ordering, "minus"), lambda: ~first_plus)
+        return _pm((first_plus & (r_second <= lo)) | (first_minus & (r_second <= hi)))
 
     def count_pairs(self, ordering, state, pairs, lams):
         lams = _lambdas(self, lams)
@@ -303,24 +324,20 @@ class LocalSphereModel(OrderedModel):
 
     lambda_dim = 2
     name = "local-sphere"
-    _bound = None  # (lams, directions) of a model made by bind
-
-    def bind(self, lams):
-        bound = LocalSphereModel()
-        bound._bound = (lams, self._directions(lams))
-        return bound
 
     def _directions(self, lams):
-        """Unit vectors of the rows of lams; those of the bound array are reused."""
-        if self._bound is not None and self._bound[0] is lams:
-            return self._bound[1]
-        cos_t = 2.0 * lams[:, 0] - 1.0
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-        phi = 2.0 * np.pi * lams[:, 1]
-        return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        """Unit vectors of the rows of lams, kept for the bound array."""
+        def directions():
+            cos_t = 2.0 * lams[:, 0] - 1.0
+            sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+            phi = 2.0 * np.pi * lams[:, 1]
+            return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        return self._kept(lams, "directions", directions)
 
     def _alice(self, a, lams):
-        return _pm(self._directions(lams) @ a.as_array() >= 0.0)
+        """Alice's outcomes of setting a, kept per setting for the bound array: Bob's
+        of b are those of a = b negated, so every call of either party shares them."""
+        return self._kept(lams, a, lambda: _pm(self._directions(lams) @ a.as_array() >= 0.0))
 
     def _bob(self, b, lams):
         return -self._alice(b, lams)
@@ -374,7 +391,7 @@ def _scored_plus(state, s, rows, cols, trig) -> np.ndarray:
     np.multiply(sin_t[rows], sin_p[cols], out=dirs[..., 1])
     dirs[..., 2] = cos_t[rows]
     flat, bound = dirs.reshape(-1, 3), LocalSphereModel()
-    bound._bound = (flat, flat)  # first_values projects these unit vectors
+    bound._bound = (flat, {"directions": flat})  # first_values projects these unit vectors
     return (bound.first_values(TimeOrdering.AB, state, s, flat) > 0).reshape(dirs.shape[:-1])
 
 

@@ -278,9 +278,11 @@ CSV_COLUMNS = ["ordering", "ax", "ay", "az", "bx", "by", "bz",
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    if isinstance(x, bool):
+    """A CSV cell: floats with 17 significant digits, booleans as 0/1, numpy
+    scalars as their Python counterparts, anything else as str."""
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    if isinstance(x, (bool, np.bool_)):
         return str(int(x))
     return str(x)
 
@@ -312,8 +314,11 @@ def records_to_csv(records, config: dict, columns=CSV_COLUMNS, notes=()) -> str:
         buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for rec in records:
-        writer.writerow([_fmt(rec[col]) for col in columns])
+    cells = []  # column by column: csv writes a plain int as _fmt does
+    for col in columns:
+        values = [rec[col] for rec in records]
+        cells.append(values if set(map(type, values)) <= {int} else map(_fmt, values))
+    writer.writerows(zip(*cells))
     return buf.getvalue()
 
 

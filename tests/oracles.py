@@ -1,7 +1,11 @@
 """Reference implementations the tests compare covbell against: the singlet's
-closed-form joint table, the per-strategy view of the finite no-go scan, and a
-local-sphere whose exact tables take the block engine."""
+closed-form joint table, the per-strategy view of the finite no-go scan, a
+local-sphere whose exact tables take the block engine, and a CSV writer that
+formats one cell at a time."""
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,3 +101,26 @@ class EngineSphere(LocalSphereModel):
     lattice cell in the block engine."""
 
     lattice_counts = OrderedModel.lattice_counts
+
+
+def fmt_cell(x) -> str:
+    """A CSV cell as covbell writes it: a bool, Python's or numpy's, as 0/1; a float
+    of any width as its double value with 17 significant digits; else its str."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % float(x)
+    return str(x)
+
+
+def per_cell_csv(records, config: dict, columns, notes=()) -> str:
+    """records_to_csv's document written row by row, every cell through fmt_cell."""
+    buf = io.StringIO()
+    buf.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
+    for note in notes:
+        buf.write(f"# {note}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([fmt_cell(rec[col]) for col in columns])
+    return buf.getvalue()

@@ -5,13 +5,15 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from covbell import cli
 from covbell.cli import main
-from covbell.core import QuantumState, TimeOrdering, tsirelson_settings
+from covbell.core import (MeasurementSetting, QuantumState, TimeOrdering, setting_grid,
+                          tsirelson_settings)
 from covbell.models import LocalSphereModel, make_model
 from covbell.stats import SeedSpec, chsh_pairs, correlator, estimate_joint, joint_record
 
@@ -544,6 +546,42 @@ def test_reduce_takes_each_partys_outcomes_once_per_setting(monkeypatch, capsys)
     # the covariance check takes 5 + 5 first-frame arrays and 2 second-frame
     # arrays per pair; the correlators take 5 per party again, not 2 per pair
     assert calls == {"first_values": 20, "second_values": 50}
+
+
+@pytest.mark.parametrize("command", ["reduce", "check-covariance"])
+def test_sphere_projects_each_setting_once_per_probe_array(command, monkeypatch, capsys):
+    projections = Counter()
+    as_array = MeasurementSetting.as_array
+
+    def counting(self):
+        projections[self] += 1
+        return as_array(self)
+
+    monkeypatch.setattr(MeasurementSetting, "as_array", counting)
+    code, _, _ = run([command, "--model", "local-sphere", "--settings", "grid:5",
+                      "--probes", "10000"], capsys)
+    assert code == 0
+    # both parties' outcomes in both frames, and reduce's correlators, read one
+    # projection of each distinct setting: Bob's of b are Alice's of b negated
+    assert projections == Counter(setting_grid(5))
+
+
+def _standalone(argv):
+    """(exit code, stdout, stderr) of the command in a fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "covbell.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_job_of_a_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    jobs = [["tomography", "--grid", "300"],  # mode mc does not read grid: usage error
+            ["tomography", "--settings", "grid:2", "--mode", "exact", "--grid", "20"],
+            ["frame-order", "--velocities=0.25,-0.5"]]
+    results = [run(argv, capsys) for argv in jobs]
+    assert [code for code, _, _ in results] == [1, 0, 0]
+    assert results == [_standalone(argv) for argv in jobs]
 
 
 def test_impossible_probe_count_is_domain_error(monkeypatch, capsys):

@@ -338,24 +338,42 @@ def _constant_response(p1, p2, dim=0):
     )
 
 
+def _assert_bound_gives_unbound_outcomes(m, bound, lams, moved):
+    """Both orderings' outcomes of the bound model, on its own array, a shifted copy
+    and slices, twice over so kept results are read back, equal the unbound model's."""
+    for arr in (lams, moved, lams[::3], lams[:10], lams, moved):
+        for ordering in (AB, BA):
+            assert np.array_equal(eval_pairs(bound, ordering, SINGLET, A_X, B_09, arr),
+                                  eval_pairs(m, ordering, SINGLET, A_X, B_09, arr))
+    assert vars(m) == {}  # the unbound model keeps nothing
+
+
 def test_sphere_bound_model_gives_the_unbound_outcomes(direction_computations):
     m = make_local_sphere()
     lams = sample_lambda(2, 1000, SeedSpec(1))
     bound = m.bind(lams)
     moved = lams.copy()
     moved[:, 1] = (moved[:, 1] + 0.5) % 1.0  # phi + pi flips every x component
-    for arr in (lams, moved, lams[::3], lams[:10]):
-        for ordering in (AB, BA):
-            assert np.array_equal(eval_pairs(bound, ordering, SINGLET, A_X, B_09, arr),
-                                  eval_pairs(m, ordering, SINGLET, A_X, B_09, arr))
+    _assert_bound_gives_unbound_outcomes(m, bound, lams, moved)
     assert np.array_equal(bound.first_values(AB, SINGLET, A_X, moved),
                           -m.first_values(AB, SINGLET, A_X, lams))
-    assert vars(m) == {}  # the unbound model keeps nothing
     del direction_computations[:]
+    assert bound.bind(lams) is bound  # a bound model is its own binding to its array
     bound.bind(lams).second_values(AB, SINGLET, A_X, B_09, lams)
     assert direction_computations == []  # binding again to its array reuses them
     gisin = make_gisin_singlet()
-    assert gisin.bind(lams) is gisin
+    moved = lams.copy()
+    moved[:, 0] = (moved[:, 0] + 0.5) % 1.0  # flips the first AB outcome of almost every row
+    _assert_bound_gives_unbound_outcomes(gisin, gisin.bind(lams), lams, moved)
+
+
+def test_kept_outcomes_are_read_only():
+    lams = sample_lambda(2, 100, SeedSpec(2))
+    bound = make_local_sphere().bind(lams)
+    alphas = bound.first_values(AB, SINGLET, A_X, lams)
+    with pytest.raises(ValueError):
+        alphas[0] = -alphas[0]  # a caller cannot change what later calls read
+    assert np.array_equal(bound.second_values(BA, SINGLET, A_X, B_09, lams), alphas)
 
 
 def test_determinize_threshold_examples():

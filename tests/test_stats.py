@@ -13,10 +13,11 @@ from covbell.core import (MeasurementSetting, Outcome, QuantumState,
 from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import (_BLOCK, JointStats, SeedSpec, _lattice_block, _sample_block, chsh,
+from covbell.stats import (_BLOCK, JointStats, SeedSpec, _fmt, _lattice_block, _sample_block, chsh,
                            chsh_pairs, correlator, estimate_joint, exact_joint, exact_tables,
                            joint_record, records_to_csv, sample_lambda, sample_tables)
-from oracles import EngineSphere, singlet_joint_oracle, singlet_oracle_table
+from oracles import (EngineSphere, fmt_cell, per_cell_csv, singlet_joint_oracle,
+                     singlet_oracle_table)
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -538,3 +539,47 @@ def test_records_csv_columns_and_notes():
                           notes=["spacelike = True"])
     assert text == ('# config = {"a": 2, "b": 1}\n# spacelike = True\nid,flag,x\n'
                     "3,1,0.10000000000000001\n4,0,-2.4999999999999999e-07\n")
+
+
+def test_numpy_scalars_format_as_their_python_counterparts():
+    for value, python in [(np.True_, True), (np.False_, False), (np.float32(0.1), 0.1),
+                          (np.float16(-0.0), -0.0), (np.float64(np.nan), math.nan),
+                          (np.int8(-7), -7), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1)]:
+        assert _fmt(value) == fmt_cell(value)
+        assert _fmt(value) == _fmt(type(python)(value))
+    assert _fmt(np.True_) == "1" and _fmt(np.float32(0.1)) == "0.10000000149011612"
+
+
+# The cells of one column, by kind. A column of plain ints is written as it is;
+# every other column goes through _fmt, which "int+bool" must not escape.
+_CSV_CELLS = {
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "bool": st.booleans(),
+    "float": st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf,
+                                                     5e-324, 2.2250738585072014e-308 / 3])),
+    "numpy": st.one_of(st.booleans().map(np.bool_),
+                       st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                       st.floats(width=32).map(np.float32), st.floats().map(np.float64)),
+    "str": st.text(st.sampled_from('ab,"\' 1.-e\n')),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_wise_csv_matches_the_per_cell_oracle(data):
+    n = data.draw(st.integers(0, 6), label="rows")
+    kinds = data.draw(st.lists(st.sampled_from([*_CSV_CELLS, "int+bool", "mixed"]),
+                               min_size=1, max_size=5), label="column kinds")
+    cols = []
+    for kind in kinds:
+        kind_cells = _CSV_CELLS.values() if kind == "mixed" else [_CSV_CELLS[kind.split("+")[0]]]
+        cell = st.one_of(*kind_cells)
+        col = data.draw(st.lists(cell, min_size=n, max_size=n), label=kind)
+        if kind == "int+bool" and n:
+            col[data.draw(st.integers(0, n - 1), label="bool row")] = data.draw(st.booleans())
+        cols.append(col)
+    columns = [f"c{i}" for i in range(len(cols))]
+    records = [dict(zip(columns, row)) for row in zip(*cols)]
+    notes = data.draw(st.lists(st.text(st.sampled_from("ab =,"), max_size=5), max_size=2))
+    assert (records_to_csv(records, {"k": 1}, columns, notes)
+            == per_cell_csv(records, {"k": 1}, columns, notes))
