@@ -193,16 +193,20 @@ def _setting_quad(spec: str):
     raise UsageError(f"cannot parse settings spec {spec!r} for chsh")
 
 
-def _emit(cfg, payload: dict, rows=None, columns=CSV_COLUMNS, notes=()):
+def _emit(cfg, payload: dict, table=None, notes=()):
     """Write a command's document to its output file, or to stdout: when its
-    format is csv, the given columns of ``payload[rows]`` with the notes as
-    comment lines, otherwise the JSON of the payload. Either embeds the config
-    less the worker count and destination path, which cannot affect results;
-    this keeps documents byte-identical across worker counts."""
+    format is csv, the columns ``payload[table]`` (``{name: cells}``) with the
+    notes as comment lines, otherwise the JSON of the payload, with the table
+    as one object per row. Either embeds the config less the worker count and
+    destination path, which cannot affect results; this keeps documents
+    byte-identical across worker counts."""
     config = {k: v for k, v in cfg.items() if k not in ("workers", "output")}
     if cfg.get("format") == "csv":
-        text = records_to_csv(payload[rows], config, columns, notes)
+        text = records_to_csv(payload[table], config, notes)
     else:
+        if table:
+            cols = payload[table]
+            payload = {**payload, table: [dict(zip(cols, row)) for row in zip(*cols.values())]}
         text = records_to_json(payload, config)
     if cfg["output"]:
         with open(cfg["output"], "w") as fh:
@@ -229,7 +233,7 @@ def _cmd_tomography(cfg) -> int:
     n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
     records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
                for (a, b), table in zip(pairs, tables)]
-    _emit(cfg, {"records": records}, rows="records")
+    _emit(cfg, {"records": dict(zip(CSV_COLUMNS, zip(*records)))}, table="records")
     return 0
 
 
@@ -293,11 +297,9 @@ def _cmd_enumerate(cfg) -> int:
     print(f"total={summary.total} covariant={summary.covariant} "
           f"max_S={summary.max_abs_s} max_S_covariant={summary.max_abs_s_covariant}")
     if cfg["output"]:
-        rows = [{"id": i, "covariant": c, "S_AB": s_ab, "S_BA": s_ba}
-                for i, c, s_ab, s_ba in zip(range(summary.total), summary.covariant_mask.tolist(),
-                                            summary.s_ab.tolist(), summary.s_ba.tolist())]
-        _emit(cfg, {**summary.to_dict(), "strategies": rows}, rows="strategies",
-              columns=("id", "covariant", "S_AB", "S_BA"))
+        columns = {"id": list(range(summary.total)), "covariant": summary.covariant_mask.tolist(),
+                   "S_AB": summary.s_ab.tolist(), "S_BA": summary.s_ba.tolist()}
+        _emit(cfg, {**summary.to_dict(), "strategies": columns}, table="strategies")
     return 0
 
 
@@ -316,19 +318,19 @@ def _cmd_frame_order(cfg) -> int:
     ea = Event(*_numbers(cfg, "event_a", 2))
     eb = Event(*_numbers(cfg, "event_b", 2))
     velocities = _numbers(cfg, "velocities")
-    rows = []
+    rows = {"v": velocities, "tA": [], "tB": [], "ordering": []}
     for v in velocities:
         boost = Boost(v)  # NaN or |v| >= 1 raises, handled as a domain error
-        ta = boost_event(ea, boost).t
-        tb = boost_event(eb, boost).t
+        rows["tA"].append(boost_event(ea, boost).t)
+        rows["tB"].append(boost_event(eb, boost).t)
         try:
             ordering = time_order(ea, eb, boost).value
         except SimultaneousEventsError:
             ordering = "simultaneous"
-        rows.append({"v": v, "tA": ta, "tB": tb, "ordering": ordering})
+        rows["ordering"].append(ordering)
     spacelike = is_spacelike(ea, eb)
-    _emit(cfg, {"spacelike": spacelike, "rows": rows}, rows="rows",
-          columns=("v", "tA", "tB", "ordering"), notes=[f"spacelike = {spacelike}"])
+    _emit(cfg, {"spacelike": spacelike, "rows": rows}, table="rows",
+          notes=[f"spacelike = {spacelike}"])
     return 0
 
 

@@ -287,26 +287,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -> dict:
-    """One output record: setting pair, cell probabilities, correlator."""
+def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -> tuple:
+    """One output record, its cells in CSV_COLUMNS order: setting pair, cell
+    probabilities, correlator."""
     est = correlator(table)
-    return {
-        "ordering": ordering.value,
-        "ax": a.x, "ay": a.y, "az": a.z,
-        "bx": b.x, "by": b.y, "bz": b.z,
-        "ppp": table.prob(Outcome.PLUS, Outcome.PLUS),
-        "ppm": table.prob(Outcome.PLUS, Outcome.MINUS),
-        "pmp": table.prob(Outcome.MINUS, Outcome.PLUS),
-        "pmm": table.prob(Outcome.MINUS, Outcome.MINUS),
-        "E": est.value,
-        "stderr": est.stderr,
-        "n_or_grid": n_or_grid,
-        "seed": seed,
-    }
+    return (ordering.value, a.x, a.y, a.z, b.x, b.y, b.z,
+            table.prob(Outcome.PLUS, Outcome.PLUS), table.prob(Outcome.PLUS, Outcome.MINUS),
+            table.prob(Outcome.MINUS, Outcome.PLUS), table.prob(Outcome.MINUS, Outcome.MINUS),
+            est.value, est.stderr, n_or_grid, seed)
 
 
-def records_to_csv(records, config: dict, columns=CSV_COLUMNS, notes=()) -> str:
-    """CSV text with the resolved config, then each note, as leading comment
+def _cells(values: list):
+    """A column's CSV cells, by one formatter chosen for the whole column
+    (csv.writer writes a plain int or str as _fmt does)."""
+    kinds = set(map(type, values))
+    if kinds <= {int, str}:
+        return values
+    if kinds <= {int, bool}:
+        return map(int, values)
+    if kinds <= {float}:
+        return map("{:.17g}".format, values)
+    return map(_fmt, values)
+
+
+def records_to_csv(columns: dict, config: dict, notes=()) -> str:
+    """CSV text of a table given as columns, ``{name: list of cells}`` in
+    column order, with the resolved config, then each note, as leading comment
     lines. Floats are written with 17 significant digits, booleans as 0/1."""
     buf = io.StringIO()
     buf.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
@@ -314,11 +320,7 @@ def records_to_csv(records, config: dict, columns=CSV_COLUMNS, notes=()) -> str:
         buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    cells = []  # column by column: csv writes a plain int as _fmt does
-    for col in columns:
-        values = [rec[col] for rec in records]
-        cells.append(values if set(map(type, values)) <= {int} else map(_fmt, values))
-    writer.writerows(zip(*cells))
+    writer.writerows(zip(*map(_cells, columns.values())))
     return buf.getvalue()
 
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare covbell against: the singlet's
 closed-form joint table, the per-strategy view of the finite no-go scan, a
-local-sphere whose exact tables take the block engine, and a CSV writer that
-formats one cell at a time."""
+local-sphere whose exact tables take the block engine, a CSV writer that
+formats one cell at a time, and the tables of frame-order and enumerate as one
+dict per row."""
 
 import csv
 import io
@@ -12,6 +13,7 @@ import numpy as np
 
 from covbell.core import Outcome, TimeOrdering, dot
 from covbell.models import LocalSphereModel, OrderedModel
+from covbell.spacetime import Boost, SimultaneousEventsError, boost_event, time_order
 from covbell.stats import JointStats
 
 
@@ -124,3 +126,34 @@ def per_cell_csv(records, config: dict, columns, notes=()) -> str:
     for rec in records:
         writer.writerow([fmt_cell(rec[col]) for col in columns])
     return buf.getvalue()
+
+
+def frame_order_rows(ea, eb, velocities) -> list:
+    """frame-order's table, one dict per velocity: both events' boosted times
+    and their time order in that frame."""
+    rows = []
+    for v in velocities:
+        boost = Boost(v)
+        try:
+            ordering = time_order(ea, eb, boost).value
+        except SimultaneousEventsError:
+            ordering = "simultaneous"
+        rows.append({"v": v, "tA": boost_event(ea, boost).t, "tB": boost_event(eb, boost).t,
+                     "ordering": ordering})
+    return rows
+
+
+def enumeration_rows(summary) -> list:
+    """enumerate's strategy table, one dict per StrategyRow."""
+    return [{"id": r.index, "covariant": r.covariant, "S_AB": r.s_ab, "S_BA": r.s_ba}
+            for r in summary.rows]
+
+
+def row_dict_document(fmt: str, config: dict, payload: dict, table: str, notes=()) -> str:
+    """A command's document from a payload whose table is a list of row dicts:
+    in csv, that table with the notes, written by per_cell_csv; in json, the
+    payload with the config."""
+    if fmt == "csv":
+        rows = payload[table]
+        return per_cell_csv(rows, config, list(rows[0]), notes)
+    return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,13 +11,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbell import cli
 from covbell.cli import main
 from covbell.core import (MeasurementSetting, QuantumState, TimeOrdering, setting_grid,
                           tsirelson_settings)
+from covbell.covariance import enumerate_finite
 from covbell.models import LocalSphereModel, make_model
-from covbell.stats import SeedSpec, chsh_pairs, correlator, estimate_joint, joint_record
+from covbell.spacetime import Event, is_spacelike
+from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, estimate_joint,
+                           joint_record)
+from oracles import enumeration_rows, frame_order_rows, row_dict_document
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -81,6 +89,63 @@ def test_enumerate_strategy_csv(tmp_path, capsys):
     assert lines[0].startswith("# config = ")
     assert lines[1] == "id,covariant,S_AB,S_BA"
     assert len(lines) == 4098
+
+
+def _assert_same_document(got: str, want: str):
+    """got == want, reported by the first line that differs: pytest's own diff of
+    two 4000-line documents takes minutes."""
+    same = got == want
+    assert same, next((f"line {i}: {g!r} != {w!r}" for i, (g, w)
+                       in enumerate(zip(got.splitlines(), want.splitlines())) if g != w),
+                      f"{len(got)} != {len(want)} characters")
+
+
+def _frame_order_matches_the_row_dict_oracle(velocities, fmt):
+    spec = ",".join(map(repr, velocities))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["frame-order", "--velocities=" + spec, "--format", fmt]) == 0
+    ea, eb = Event(0, -1), Event(0, 1)
+    spacelike = is_spacelike(ea, eb)
+    config = {"command": "frame-order", "event_a": "0,-1", "event_b": "0,1", "format": fmt,
+              "seed": 0, "velocities": spec}
+    payload = {"spacelike": spacelike, "rows": frame_order_rows(ea, eb, velocities)}
+    _assert_same_document(buf.getvalue(), row_dict_document(fmt, config, payload, "rows",
+                                                            [f"spacelike = {spacelike}"]))
+
+
+# 0 and -0 are the default events' simultaneous frame; +-0.999 the extreme boosts.
+_VELOCITY = st.one_of(st.sampled_from([0.0, -0.0, 0.999, -0.999]),
+                      st.floats(-0.999, 0.999, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frame_order_documents_match_the_row_dict_oracle(data):
+    pool = data.draw(st.lists(_VELOCITY, min_size=1, max_size=5), label="distinct velocities")
+    # drawn from a small pool, so velocities repeat
+    velocities = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12),
+                           label="velocities")
+    for fmt in ("csv", "json"):
+        _frame_order_matches_the_row_dict_oracle(velocities, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_frame_order_at_benchmark_size_matches_the_row_dict_oracle(fmt):
+    # the nogo-scan workload's 1000 velocities, evenly spaced over [-0.999, 0.999]
+    _frame_order_matches_the_row_dict_oracle([-0.999 + 1.998 * k / 999 for k in range(1000)], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_documents_match_the_row_dict_oracle(fmt, tmp_path, capsys):
+    out_path = tmp_path / "strategies"
+    code, _, _ = run(["enumerate", "--format", fmt, "--output", str(out_path)], capsys)
+    assert code == 0
+    summary = enumerate_finite()
+    payload = {**summary.to_dict(), "strategies": enumeration_rows(summary)}
+    config = {"command": "enumerate", "format": fmt, "seed": 0}
+    _assert_same_document(out_path.read_text(),
+                          row_dict_document(fmt, config, payload, "strategies"))
 
 
 def test_reduce_gisin_exits_with_domain_error(capsys):
@@ -640,7 +705,7 @@ def test_mc_pair_i_draws_from_stream_plus_i(capsys):
               for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings()))]
     code, out, _ = run(["tomography", *common, "--format", "json"], capsys)
     assert code == 0
-    want = [joint_record(ordering, a, b, table, 3000, 8)
+    want = [dict(zip(CSV_COLUMNS, joint_record(ordering, a, b, table, 3000, 8)))
             for (a, b), table in zip(chsh_pairs(tsirelson_settings()), tables)]
     assert json.loads(out)["records"] == want
     code, out, _ = run(["chsh", *common], capsys)

@@ -13,9 +13,10 @@ from covbell.core import (MeasurementSetting, Outcome, QuantumState,
 from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eval_pairs,
                             make_gisin_singlet, make_local_sphere, make_model,
                             stochastic_singlet)
-from covbell.stats import (_BLOCK, JointStats, SeedSpec, _fmt, _lattice_block, _sample_block, chsh,
-                           chsh_pairs, correlator, estimate_joint, exact_joint, exact_tables,
-                           joint_record, records_to_csv, sample_lambda, sample_tables)
+from covbell.stats import (_BLOCK, CSV_COLUMNS, JointStats, SeedSpec, _fmt, _lattice_block,
+                           _sample_block, chsh, chsh_pairs, correlator, estimate_joint,
+                           exact_joint, exact_tables, joint_record, records_to_csv,
+                           sample_lambda, sample_tables)
 from oracles import (EngineSphere, fmt_cell, per_cell_csv, singlet_joint_oracle,
                      singlet_oracle_table)
 
@@ -525,7 +526,7 @@ def test_records_csv_layout():
     m = make_gisin_singlet()
     table = estimate_joint(m, AB, SINGLET, A_X, B_09, 10_000, SeedSpec(10))
     rec = joint_record(AB, A_X, B_09, table, 10_000, 10)
-    text = records_to_csv([rec], {"seed": 10})
+    text = records_to_csv({col: [cell] for col, cell in zip(CSV_COLUMNS, rec)}, {"seed": 10})
     lines = text.splitlines()
     assert lines[0].startswith("# config = ")
     assert lines[1] == ("ordering,ax,ay,az,bx,by,bz,ppp,ppm,pmp,pmm,"
@@ -534,9 +535,8 @@ def test_records_csv_layout():
 
 
 def test_records_csv_columns_and_notes():
-    recs = [{"id": 3, "flag": True, "x": 0.1}, {"id": 4, "flag": False, "x": -2.5e-7}]
-    text = records_to_csv(recs, {"b": 1, "a": 2}, columns=("id", "flag", "x"),
-                          notes=["spacelike = True"])
+    cols = {"id": [3, 4], "flag": [True, False], "x": [0.1, -2.5e-7]}
+    text = records_to_csv(cols, {"b": 1, "a": 2}, notes=["spacelike = True"])
     assert text == ('# config = {"a": 2, "b": 1}\n# spacelike = True\nid,flag,x\n'
                     "3,1,0.10000000000000001\n4,0,-2.4999999999999999e-07\n")
 
@@ -550,8 +550,10 @@ def test_numpy_scalars_format_as_their_python_counterparts():
     assert _fmt(np.True_) == "1" and _fmt(np.float32(0.1)) == "0.10000000149011612"
 
 
-# The cells of one column, by kind. A column of plain ints is written as it is;
-# every other column goes through _fmt, which "int+bool" must not escape.
+# The cells of one column, by kind. The writer picks one formatter per column:
+# plain ints and strs as they are, bools and ints through int, Python floats
+# through one format, anything else through _fmt. A kind "x+y" is a column of x
+# with one cell of y, which must move the column off x's formatter.
 _CSV_CELLS = {
     "int": st.integers(-2 ** 70, 2 ** 70),
     "bool": st.booleans(),
@@ -568,18 +570,20 @@ _CSV_CELLS = {
 @given(st.data())
 def test_column_wise_csv_matches_the_per_cell_oracle(data):
     n = data.draw(st.integers(0, 6), label="rows")
-    kinds = data.draw(st.lists(st.sampled_from([*_CSV_CELLS, "int+bool", "mixed"]),
+    mixes = ["int+bool", "int+str", "bool+float", "float+int", "float+numpy", "str+float"]
+    kinds = data.draw(st.lists(st.sampled_from([*_CSV_CELLS, *mixes, "mixed"]),
                                min_size=1, max_size=5), label="column kinds")
     cols = []
     for kind in kinds:
-        kind_cells = _CSV_CELLS.values() if kind == "mixed" else [_CSV_CELLS[kind.split("+")[0]]]
-        cell = st.one_of(*kind_cells)
-        col = data.draw(st.lists(cell, min_size=n, max_size=n), label=kind)
-        if kind == "int+bool" and n:
-            col[data.draw(st.integers(0, n - 1), label="bool row")] = data.draw(st.booleans())
+        base, *extra = kind.split("+")
+        kind_cells = _CSV_CELLS.values() if kind == "mixed" else [_CSV_CELLS[base]]
+        col = data.draw(st.lists(st.one_of(*kind_cells), min_size=n, max_size=n), label=kind)
+        if extra and n:
+            col[data.draw(st.integers(0, n - 1), label="odd row")] = data.draw(
+                _CSV_CELLS[extra[0]], label="odd cell")
         cols.append(col)
     columns = [f"c{i}" for i in range(len(cols))]
     records = [dict(zip(columns, row)) for row in zip(*cols)]
     notes = data.draw(st.lists(st.text(st.sampled_from("ab =,"), max_size=5), max_size=2))
-    assert (records_to_csv(records, {"k": 1}, columns, notes)
+    assert (records_to_csv(dict(zip(columns, cols)), {"k": 1}, notes)
             == per_cell_csv(records, {"k": 1}, columns, notes))
