@@ -9,8 +9,8 @@ key is a usage error. tomography and chsh read ``grid`` in mode exact and
 every document, to ``--output`` or stdout: CSV or JSON by the command's
 ``format`` (JSON if it has none), with the command's resolved config and
 seed embedded. Exit codes: 0 success, 1 usage error, 2 domain error (e.g. a
-non-covariant model passed to ``reduce``, or a size that does not fit in
-memory).
+non-covariant model passed to ``reduce``, a size that does not fit in memory,
+or a config or output file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -275,6 +275,7 @@ def _cmd_reduce(cfg) -> int:
         # a failed reduction reports only the first witness
         view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams, witness_cap=1)
     except NotCovariantError as err:
+        print(str(err), file=sys.stderr)  # first: an --output that cannot open raises in _emit
         _emit(cfg, {
             "reduced": False,
             "witness": err.witness.to_dict(),
@@ -282,7 +283,6 @@ def _cmd_reduce(cfg) -> int:
             "violations": err.report.violations,
             "violation_fraction": err.report.violation_fraction,
         })
-        print(str(err), file=sys.stderr)
         return 2
     counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs, lams)
     correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],

@@ -152,9 +152,7 @@ class LocalModelView(OrderedModel):
         return self._m.first_values(TimeOrdering.BA, self._state, b, lams)
 
     def first_values(self, ordering, state, setting_first, lams):
-        if ordering is TimeOrdering.AB:
-            return self.responds_alice_values(setting_first, lams)
-        return self.responds_bob_values(setting_first, lams)
+        return self._m.first_values(ordering, self._state, setting_first, lams)
 
     def second_values(self, ordering, state, a, b, lams):
         if ordering is TimeOrdering.AB:

@@ -19,9 +19,9 @@ outcome counts of k setting pairs on one array; the engine calls it once per
 block. The default counts each pair's ``eval_pairs`` outcomes; the built-ins
 count the same with less work. Threshold models (gisin-singlet, determinized
 rules without base coordinates) count through ``count_threshold_pairs``, which
-splits a mask that several pairs share once and counts a one-pair mask in
-place; local-sphere counts as a Bell-local model (``count_local_pairs``), and
-determinized rules with base coordinates take the default.
+counts each pair on its first-outcome mask in place; local-sphere counts as a
+Bell-local model (``count_local_pairs``), and determinized rules with base
+coordinates take the default.
 
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import abc
 import copy
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,23 +182,29 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
 def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
     """``count_pairs`` of a threshold model: pair i's first outcome is +1 on the bool
     mask first_plus[i], its second where u_second <= levels[i][0] (first +1) or
-    <= levels[i][1] (first -1). Pairs sharing a mask (the same array) split u_second
-    by it once; a one-pair mask is counted in place, cheaper than splitting a random one."""
-    shared, halves = Counter(map(id, first_plus)), {}
+    <= levels[i][1] (first -1). Each pair counts on its mask in place."""
     counts = np.empty((len(first_plus), 2, 2), dtype=np.int64)
     for i, (mask, (lo, hi)) in enumerate(zip(first_plus, levels)):
-        if shared[id(mask)] > 1:
-            if id(mask) not in halves:
-                halves[id(mask)] = u_second[mask], u_second[~mask]
-            u_plus, u_minus = halves[id(mask)]
-            plus, plus_plus = u_plus.size, np.count_nonzero(u_plus <= lo)
-            minus_plus = np.count_nonzero(u_minus <= hi)
-        else:
-            plus, plus_plus = np.count_nonzero(mask), np.count_nonzero(mask & (u_second <= lo))
-            below_hi = u_second <= hi
-            minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
-        counts[i] = _cells(plus_plus, plus, plus_plus + minus_plus, u_second.size)
+        plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
+        minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
+        counts[i] = _cells(plus_plus, np.count_nonzero(mask), plus_plus + minus_plus, mask.size)
     return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
+
+
+# Most pair-points (lattice points x setting pairs) of one exact_tables call that
+# the block engine scores cell by cell (local-sphere's cells at 2.3e8 a second with
+# two workers on a 2-CPU x86 host, 7 minutes at the cap). local-sphere's
+# lattice_counts no longer scores every cell (grid 3e5, one pair, about 0.5 s), but
+# keeps this cap: lifting it would turn a documented exit 2 into a run, and would
+# leave no command that reaches the cap. Threshold models' hooks are uncapped.
+_ENGINE_CAP = 10 ** 11
+
+
+def check_engine_cap(d, grid, pairs):
+    """Reject an exact job that would score more than _ENGINE_CAP pair-points cell by cell."""
+    if grid ** d * len(pairs) > _ENGINE_CAP:
+        raise ValueError(f"{grid}^{d} lattice points x {len(pairs)} setting pairs exceed the "
+                         f"exact engine's cap of {_ENGINE_CAP:,}; use Monte Carlo")
 
 
 def lattice_midpoints(grid) -> np.ndarray:
@@ -358,7 +363,6 @@ class LocalSphereModel(OrderedModel):
         return count_local_pairs(self, state, pairs, lams)
 
     def lattice_counts(self, ordering, state, pairs, grid):
-        from .stats import check_engine_cap  # deferred: stats imports this module
         check_engine_cap(self.lambda_dim, grid, pairs)
         mids = lattice_midpoints(grid)
         cos_t = 2.0 * mids - 1.0

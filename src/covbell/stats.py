@@ -18,21 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Outcome
-from .models import OrderedModel
+from .models import OrderedModel, check_engine_cap
 
 # Fixed evaluation block size; partitioning is independent of worker count so
 # merged counts are bit-identical under any scheduling.
 _BLOCK = 1 << 18
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
-
-# Most pair-points (lattice points x setting pairs) of one exact_tables call that
-# the block engine scores cell by cell (local-sphere's cells at 2.3e8 a second with
-# two workers on a 2-CPU x86 host, 7 minutes at the cap). local-sphere's
-# lattice_counts no longer scores every cell (grid 3e5, one pair, about 0.5 s), but
-# keeps this cap: lifting it would turn a documented exit 2 into a run, and would
-# leave no command that reaches the cap. Threshold models' hooks are uncapped.
-_ENGINE_CAP = 10 ** 11
 
 _IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
 
@@ -215,13 +207,6 @@ def chsh_pairs(settings) -> list:
     """The CHSH setting pairs (a,b), (a,b'), (a',b), (a',b') of (a, a', b, b')."""
     a, ap, b, bp = settings
     return [(a, b), (a, bp), (ap, b), (ap, bp)]
-
-
-def check_engine_cap(d, grid, pairs):
-    """Reject an exact job that would score more than _ENGINE_CAP pair-points cell by cell."""
-    if grid ** d * len(pairs) > _ENGINE_CAP:
-        raise ValueError(f"{grid}^{d} lattice points x {len(pairs)} setting pairs exceed the "
-                         f"exact engine's cap of {_ENGINE_CAP:,}; use Monte Carlo")
 
 
 def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,

@@ -348,6 +348,29 @@ def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("config", ["missing.json", "."])
+def test_config_file_that_cannot_be_read_is_domain_error(config, tmp_path, capsys):
+    code, out, err = run(["chsh", "--config", str(tmp_path / config)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("covbell: [Errno ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, stdout, reason", [
+    (["tomography", "--settings", "tsirelson", "--n", "100"], "", None),
+    (["enumerate"], "total=4096 covariant=16 max_S=4 max_S_covariant=2\n", None),
+    (["reduce", "--probes", "4", "--settings", "tsirelson"], "", "not covariant"),
+])
+def test_output_into_a_missing_directory_is_domain_error(args, stdout, reason, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run(args + ["--output", str(missing / "doc")], capsys)
+    assert (code, out) == (2, stdout)
+    *lines, last = err.splitlines()
+    assert last.startswith("covbell: [Errno ") and "Traceback" not in err
+    # a failed reduce still names its reason, before the error that lost its document
+    assert [reason in line for line in lines] == ([True] if reason else [])
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["check-covariance", "--probes", "0"],
     ["reduce", "--probes", "-5"],

@@ -236,8 +236,8 @@ def test_lattice_at_or_below_equals_a_search_of_the_midpoints():
 
 @pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])
 @pytest.mark.parametrize("ordering", [AB, BA])
-@pytest.mark.parametrize("pairs", [[(A_X, B_09)],  # one pair: its mask is counted in place
-                                   [(A_X, B_09), (B_09, A_X), (A_X, A_X),  # a shared mask splits
+@pytest.mark.parametrize("pairs", [[(A_X, B_09)],  # one pair on its own mask
+                                   [(A_X, B_09), (B_09, A_X), (A_X, A_X),  # pairs on one mask
                                     tsirelson_settings()[2:]]])
 def test_threshold_counts_match_the_default_on_the_thresholds(name, ordering, pairs):
     # every coordinate takes 1/2, each pair's two levels (0 and 1 for a.b = 1), and

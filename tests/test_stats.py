@@ -424,17 +424,17 @@ def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
 
     monkeypatch.setattr(stats, "_count_blocks", engine)
     monkeypatch.setattr(stats, "_lattice_block", no_block)
-    sphere, side = EngineSphere(), math.isqrt(stats._ENGINE_CAP // 10)
-    assert side ** 2 * 10 == stats._ENGINE_CAP
+    sphere, side = EngineSphere(), math.isqrt(models._ENGINE_CAP // 10)
+    assert side ** 2 * 10 == models._ENGINE_CAP
     exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
-    assert engine_jobs == [stats._ENGINE_CAP]
+    assert engine_jobs == [models._ENGINE_CAP]
     deep = determinize(StochasticResponse(1, stochastic_singlet().p_first,
                                           stochastic_singlet().p_second))  # lambda_dim 3
     for m, pairs, grid in ((sphere, [(A_X, B_09)] * 11, side), (sphere, [(A_X, B_09)], 10 ** 6),
                            (deep, [(A_X, B_09)], 5000)):
         with pytest.raises(ValueError, match="cap"):
             exact_tables(m, AB, SINGLET, pairs, grid)
-    assert engine_jobs == [stats._ENGINE_CAP]
+    assert engine_jobs == [models._ENGINE_CAP]
 
 
 def test_local_sphere_hook_is_capped_before_any_allocation(monkeypatch):
@@ -443,7 +443,7 @@ def test_local_sphere_hook_is_capped_before_any_allocation(monkeypatch):
         raise AssertionError("the hook allocated its midpoints")
 
     monkeypatch.setattr(models, "lattice_midpoints", no_midpoints)  # the hook's first buffer
-    sphere, side = make_local_sphere(), math.isqrt(stats._ENGINE_CAP // 10)
+    sphere, side = make_local_sphere(), math.isqrt(models._ENGINE_CAP // 10)
     with pytest.raises(AssertionError, match="midpoints"):  # exactly the cap passes
         exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
     for pairs, grid in (([(A_X, B_09)] * 11, side), ([(A_X, B_09)], 10 ** 6)):
