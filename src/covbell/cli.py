@@ -119,7 +119,7 @@ def build_parser() -> _Parser:
 def _resolve_config(args) -> dict:
     keys = _keys(args.command)
     given = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 given = json.load(fh)
@@ -208,7 +208,7 @@ def _emit(cfg, payload: dict, table=None, notes=()):
             cols = payload[table]
             payload = {**payload, table: [dict(zip(cols, row)) for row in zip(*cols.values())]}
         text = records_to_json(payload, config)
-    if cfg["output"]:
+    if cfg["output"] is not None:
         with open(cfg["output"], "w") as fh:
             fh.write(text)
     else:
@@ -245,7 +245,7 @@ def _cmd_chsh(cfg) -> int:
         "stderr": res.stderr,
         "terms": [{"E": t.value, "stderr": t.stderr, "n": t.n} for t in res.terms],
     })
-    if cfg["output"]:
+    if cfg["output"] is not None:
         print(f"S = {res.value:.17g} +/- {res.stderr:.17g}")
     return 0
 
@@ -272,8 +272,7 @@ def _cmd_reduce(cfg) -> int:
     model = make_model(cfg["model"])
     pairs, lams = _probe_lambdas(model, cfg)
     try:
-        # a failed reduction reports only the first witness
-        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams, witness_cap=1)
+        view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams)
     except NotCovariantError as err:
         print(str(err), file=sys.stderr)  # first: an --output that cannot open raises in _emit
         _emit(cfg, {
@@ -296,7 +295,7 @@ def _cmd_enumerate(cfg) -> int:
     summary = enumerate_finite()
     print(f"total={summary.total} covariant={summary.covariant} "
           f"max_S={summary.max_abs_s} max_S_covariant={summary.max_abs_s_covariant}")
-    if cfg["output"]:
+    if cfg["output"] is not None:
         columns = {"id": list(range(summary.total)), "covariant": summary.covariant_mask.tolist(),
                    "S_AB": summary.s_ab.tolist(), "S_BA": summary.s_ba.tolist()}
         _emit(cfg, {**summary.to_dict(), "strategies": columns}, table="strategies")

@@ -91,9 +91,6 @@ class HiddenPoint:
         _unit_interval(np.array(coords), "hidden point coordinate")
         object.__setattr__(self, "coords", coords)
 
-    def __len__(self):
-        return len(self.coords)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.coords)
 

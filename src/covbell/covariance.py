@@ -166,18 +166,17 @@ class LocalModelView(OrderedModel):
         return count_local_pairs(self, state, pairs, lams)
 
 
-def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
-                    witness_cap: int = 32) -> LocalModelView:
+def reduce_to_local(m: OrderedModel, state, setting_pairs, lams) -> LocalModelView:
     """Reduce a covariant model to its Bell-local view, or fail with a witness.
 
     On success the view's joint statistics equal the original model's on the
-    probe set by construction. The check keeps at least one witness, whatever
-    the cap, for the error to name. The view wraps the model bound to the
+    probe set by construction. On failure the error names the check's first
+    witness, the only one it keeps. The view wraps the model bound to the
     probe array, so it keeps that array's derived data while it lives.
     """
     arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
-    report = check_covariance(bound, state, setting_pairs, arr, witness_cap=max(1, witness_cap))
+    report = check_covariance(bound, state, setting_pairs, arr, witness_cap=1)
     if report.violations:
         raise NotCovariantError(report.witnesses[0], report)
     return LocalModelView(bound, state)
@@ -185,14 +184,6 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams,
 
 # ---------------------------------------------------------------------------
 # Finite scenario: two settings per side, one deterministic lambda atom.
-
-@dataclass(frozen=True)
-class StrategyRow:
-    index: int
-    covariant: bool
-    s_ab: int
-    s_ba: int
-
 
 CONVEXITY_NOTE = (
     "mixtures over lambda atoms are convex combinations of deterministic "
@@ -211,13 +202,6 @@ class EnumerationSummary:
     covariant_mask: np.ndarray = field(repr=False, compare=False)
     s_ab: np.ndarray = field(repr=False, compare=False)
     s_ba: np.ndarray = field(repr=False, compare=False)
-    convexity_note: str = CONVEXITY_NOTE
-
-    @property
-    def rows(self) -> tuple:
-        """The columns as one StrategyRow of Python scalars per strategy, built on each read."""
-        return tuple(map(StrategyRow, range(self.total), self.covariant_mask.tolist(),
-                         self.s_ab.tolist(), self.s_ba.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +209,7 @@ class EnumerationSummary:
             "covariant": self.covariant,
             "max_abs_s": self.max_abs_s,
             "max_abs_s_covariant": self.max_abs_s_covariant,
-            "convexity_note": self.convexity_note,
+            "convexity_note": CONVEXITY_NOTE,
         }
 
 

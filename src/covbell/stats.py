@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Outcome
 from .models import OrderedModel, check_engine_cap
 
 # Fixed evaluation block size; partitioning is independent of worker count so
@@ -25,8 +24,6 @@ from .models import OrderedModel, check_engine_cap
 _BLOCK = 1 << 18
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
-
-_IDX = {1: 0, -1: 1}  # outcome +1 -> row/col 0, -1 -> row/col 1
 
 
 @dataclass(frozen=True)
@@ -57,9 +54,6 @@ class JointStats:
     probs: np.ndarray
     stderr: np.ndarray
     exact: bool = False
-
-    def prob(self, alpha: Outcome, beta: Outcome) -> float:
-        return float(self.probs[_IDX[int(alpha)], _IDX[int(beta)]])
 
 
 @dataclass(frozen=True)
@@ -276,9 +270,7 @@ def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -
     """One output record, its cells in CSV_COLUMNS order: setting pair, cell
     probabilities, correlator."""
     est = correlator(table)
-    return (ordering.value, a.x, a.y, a.z, b.x, b.y, b.z,
-            table.prob(Outcome.PLUS, Outcome.PLUS), table.prob(Outcome.PLUS, Outcome.MINUS),
-            table.prob(Outcome.MINUS, Outcome.PLUS), table.prob(Outcome.MINUS, Outcome.MINUS),
+    return (ordering.value, a.x, a.y, a.z, b.x, b.y, b.z, *table.probs.ravel().tolist(),
             est.value, est.stderr, n_or_grid, seed)
 
 

@@ -144,9 +144,10 @@ def frame_order_rows(ea, eb, velocities) -> list:
 
 
 def enumeration_rows(summary) -> list:
-    """enumerate's strategy table, one dict per StrategyRow."""
-    return [{"id": r.index, "covariant": r.covariant, "S_AB": r.s_ab, "S_BA": r.s_ba}
-            for r in summary.rows]
+    """enumerate's strategy table, one dict per strategy, from the scan's columns."""
+    columns = zip(summary.covariant_mask.tolist(), summary.s_ab.tolist(), summary.s_ba.tolist())
+    return [{"id": i, "covariant": covariant, "S_AB": s_ab, "S_BA": s_ba}
+            for i, (covariant, s_ab, s_ba) in enumerate(columns)]
 
 
 def row_dict_document(fmt: str, config: dict, payload: dict, table: str, notes=()) -> str:

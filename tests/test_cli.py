@@ -348,21 +348,27 @@ def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     assert "JSON object" in err
 
 
-@pytest.mark.parametrize("config", ["missing.json", "."])
+@pytest.mark.parametrize("config", ["missing.json", ".", ""])
 def test_config_file_that_cannot_be_read_is_domain_error(config, tmp_path, capsys):
-    code, out, err = run(["chsh", "--config", str(tmp_path / config)], capsys)
+    # an empty path is opened like any other, not read as "no config file"
+    code, out, err = run(["chsh", "--config", str(tmp_path / config) if config else ""], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: [Errno ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path", ["missing/doc", ""], ids=["missing-directory", "empty"])
 @pytest.mark.parametrize("args, stdout, reason", [
     (["tomography", "--settings", "tsirelson", "--n", "100"], "", None),
+    (["chsh", "--n", "100"], "", None),
     (["enumerate"], "total=4096 covariant=16 max_S=4 max_S_covariant=2\n", None),
     (["reduce", "--probes", "4", "--settings", "tsirelson"], "", "not covariant"),
+    (["frame-order"], "", None),
 ])
-def test_output_into_a_missing_directory_is_domain_error(args, stdout, reason, tmp_path, capsys):
+def test_output_that_cannot_be_opened_is_domain_error(path, args, stdout, reason, tmp_path,
+                                                      capsys):
+    # an empty path is opened like any other, not read as "write to stdout"
     missing = tmp_path / "missing"
-    code, out, err = run(args + ["--output", str(missing / "doc")], capsys)
+    code, out, err = run(args + ["--output", str(tmp_path / path) if path else ""], capsys)
     assert (code, out) == (2, stdout)
     *lines, last = err.splitlines()
     assert last.startswith("covbell: [Errno ") and "Traceback" not in err
@@ -382,6 +388,8 @@ def test_output_into_a_missing_directory_is_domain_error(args, stdout, reason, t
     ["check-covariance", "--witness-cap", "-1"],
     ["tomography", "--settings", "[[1,0"],
     ["chsh", "--settings", "[[1,0"],
+    ["tomography", "--settings", "tsirelsen"],
+    ["chsh", "--settings", "grid:5"],
     ["tomography", "--settings", "[[1,0,0]]"],
     ["check-covariance", "--settings", "[]"],
     ["chsh", "--settings", "[[1,0,0],[0,0,1]]"],

@@ -84,6 +84,12 @@ def test_setting_rejects_far_from_unit():
         MeasurementSetting(math.nan, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("v", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], 1.0])
+def test_setting_from_array_needs_three_components(v):
+    with pytest.raises(ValueError, match="exactly 3 components"):
+        MeasurementSetting.from_array(v)
+
+
 def test_outcome_only_plus_minus_one():
     assert Outcome(1) is Outcome.PLUS
     assert Outcome(-1) is Outcome.MINUS

@@ -166,11 +166,11 @@ def test_reduce_gisin_fails_with_witness():
     assert err.value.report.violations > 0
 
 
-def test_reduce_at_witness_cap_zero_names_the_checks_first_witness():
+def test_reduce_names_the_checks_first_witness():
     m, pairs = make_gisin_singlet(), _grid_pairs(2)
     lams = sample_lambda(2, 100, SeedSpec(46))
     with pytest.raises(NotCovariantError) as err:
-        reduce_to_local(m, SINGLET, pairs, lams, witness_cap=0)
+        reduce_to_local(m, SINGLET, pairs, lams)
     assert err.value.witness == check_covariance(m, SINGLET, pairs, lams).witnesses[0]
 
 
@@ -209,19 +209,18 @@ def test_enumeration_counts_and_bounds():
 
 def test_enumeration_rows_match_the_strategy_oracle():
     summary = enumerate_finite()
-    assert len(summary.rows) == 4096
-    for i, row in enumerate(summary.rows):
+    columns = summary.covariant_mask, summary.s_ab, summary.s_ba
+    assert [(col.shape, col.dtype.kind) for col in columns] == [((4096,), "b"), ((4096,), "i"),
+                                                                ((4096,), "i")]
+    for i, row in enumerate(zip(*(col.tolist() for col in columns))):
         strat = FiniteStrategy.from_index(i)
-        assert (row.index, row.covariant, row.s_ab, row.s_ba) == (
-            i, strat.covariant, strat.chsh(AB), strat.chsh(BA))
-        assert (type(row.index), type(row.covariant), type(row.s_ab), type(row.s_ba)) == (
-            int, bool, int, int)
+        assert row == (strat.covariant, strat.chsh(AB), strat.chsh(BA))
     assert {type(v) for v in summary.to_dict().values()} == {int, str}
 
 
 def test_enumeration_covariant_set_equals_forced_extensions():
     summary = enumerate_finite()
-    scanned = {row.index for row in summary.rows if row.covariant}
+    scanned = set(np.flatnonzero(summary.covariant_mask).tolist())
     forced = set()
     for bits in range(16):
         f_ab = tuple(1 - 2 * ((bits >> i) & 1) for i in range(2))
@@ -231,11 +230,11 @@ def test_enumeration_covariant_set_equals_forced_extensions():
 
 
 def test_covariant_strategies_frame_invariant_tables():
-    for row in enumerate_finite().rows:
-        strat = FiniteStrategy.from_index(row.index)
-        if row.covariant:
-            assert strat.correlation_table(AB) == strat.correlation_table(BA)
-            assert row.s_ab == row.s_ba
+    summary = enumerate_finite()
+    for i in np.flatnonzero(summary.covariant_mask).tolist():
+        strat = FiniteStrategy.from_index(i)
+        assert strat.correlation_table(AB) == strat.correlation_table(BA)
+        assert summary.s_ab[i] == summary.s_ba[i]
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["local-sphere", "local-view"])

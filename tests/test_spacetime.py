@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ def test_timelike_not_spacelike():
 
 def test_lightlike_not_spacelike():
     assert not is_spacelike(Event(0, 0), Event(1, 1))
+
+
+@pytest.mark.parametrize("t,x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_event_rejected(t, x):
+    with pytest.raises(ValueError, match="finite"):
+        Event(t, x)
 
 
 def test_boost_standard_values():

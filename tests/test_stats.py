@@ -52,6 +52,16 @@ def test_sample_lambda_mean():
     assert np.allclose(lams.mean(axis=0), 0.5, atol=0.005)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: sample_lambda(-1, 10, SeedSpec(1)),
+    lambda: sample_lambda(2, 0, SeedSpec(1)),
+    lambda: estimate_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, 0, SeedSpec(1)),
+], ids=["sample_lambda d < 0", "sample_lambda n < 1", "estimate_joint n < 1"])
+def test_impossible_sample_sizes_rejected(draw):
+    with pytest.raises(ValueError, match="nonnegative|at least one sample"):
+        draw()
+
+
 def test_estimate_joint_orthogonal_settings_uniform_cells():
     m = make_gisin_singlet()
     table = estimate_joint(m, AB, SINGLET, A_X, B_PERP, 1_000_000, SeedSpec(3))
@@ -77,7 +87,7 @@ def test_estimate_joint_sphere_equal_settings_anticorrelated():
 def test_exact_joint_gisin_cell_value():
     m = make_gisin_singlet()
     table = exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000)
-    assert table.prob(Outcome.PLUS, Outcome.PLUS) == pytest.approx(0.025, abs=5e-4)
+    assert table.probs[0, 0] == pytest.approx(0.025, abs=5e-4)  # (+1, +1)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -497,6 +507,31 @@ def test_exact_joint_threshold_models_match_integer_oracle(make, grid):
                 table = exact_joint(m, ordering, SINGLET, sa, sb, grid, workers=workers)
                 assert table.counts.dtype.kind == "i"
                 assert np.array_equal(table.counts, expected)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 7, 20])
+def test_exact_tables_of_a_rule_that_reads_its_base_coordinate(grid):
+    """A rule with base coordinate t, p_first = t and p_second = (1 - first * a.b)/2
+    has no lattice hook, so the block engine scores its grid^3 lattice. The first
+    outcome is +1 on the P = g(g+1)/2 of the g^2 (t, u) cells with u <= t and -1 on
+    the other M = g(g-1)/2; the second is +1 iff its own coordinate is <= the level."""
+    m = determinize(StochasticResponse(
+        1, lambda o, s, sf, lams: lams[:, 0],
+        lambda o, s, a, b, f, lams: (1.0 - f * dot(a, b)) / 2.0, "base-threshold"))
+    a, _, b, _ = tsirelson_settings()
+    pairs = [(A_X, A_X), (A_X, B_PERP), (A_X, B_09), (a, b)]
+    assert m.lattice_counts(AB, SINGLET, pairs, grid) is None
+    plus, minus = grid * (grid + 1) // 2, grid * (grid - 1) // 2
+    expected = []
+    for sa, sb in pairs:
+        c = dot(sa, sb)
+        lo, hi = _n_at_or_below(grid, (1.0 - c) / 2.0), _n_at_or_below(grid, (1.0 + c) / 2.0)
+        expected.append([[plus * lo, plus * (grid - lo)], [minus * hi, minus * (grid - hi)]])
+    expected = np.array(expected)
+    for ordering, want in ((AB, expected), (BA, expected.swapaxes(1, 2))):
+        for workers in (1, 2):
+            tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
+            assert np.array_equal([t.counts for t in tables], want)
 
 
 @pytest.mark.parametrize("ordering", [AB, BA])
