@@ -6,8 +6,7 @@ from .covariance import (CovarianceReport, LocalModelView, NotCovariantError,
                          Witness, check_covariance, enumerate_finite,
                          frame_consistency, reduce_to_local)
 from .models import (GisinSingletModel, LocalSphereModel, OrderedModel,
-                     StochasticResponse, determinize, eval_pairs,
-                     make_gisin_singlet, make_local_sphere, make_model,
+                     StochasticResponse, determinize, eval_pairs, make_model,
                      stochastic_singlet)
 from .spacetime import (Boost, Event, SimultaneousEventsError, boost_event,
                         is_spacelike, time_order)

@@ -45,48 +45,27 @@ class _Parser(argparse.ArgumentParser):
 # The estimator keys of the commands with a mode, by the mode that reads them.
 _MODE_KEYS = {"mc": ("n", "stream"), "exact": ("grid",)}
 
-# Every option's default, type, allowed values (None: any) and minimum (None:
-# none). Flags and config-file values are checked against the same entry.
+# Every option's default, type, allowed values (None: any), minimum (None:
+# none) and help (None: list the allowed values). Flags and config-file values
+# are checked against the same entry.
 _OPTIONS = {
-    "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY)), None),
-    "ordering": ("AB", str, ("AB", "BA"), None),
-    "settings": ("grid:5", str, None, None),
-    "mode": ("mc", str, tuple(_MODE_KEYS), None),
-    "n": (1_000_000, int, None, 1),
-    "grid": (2000, int, None, 2),
-    "seed": (0, int, None, None),
-    "stream": (0, int, None, None),
-    "workers": (os.cpu_count() or 1, int, None, 1),
-    "probes": (10_000, int, None, 1),
-    "witness_cap": (32, int, None, 0),
-    "output": (None, str, None, None),
-    "format": ("csv", str, ("csv", "json"), None),
-    "event_a": ("0,-1", str, None, None),
-    "event_b": ("0,1", str, None, None),
-    "velocities": ("-0.5,0,0.5", str, None, None),
-}
-
-_HELP = {
-    "settings": "'tsirelson', 'grid:N', or inline JSON vectors",
-    "n": "samples per setting pair (mode mc only)",
-    "grid": "midpoint lattice points per axis (mode exact only)",
-    "stream": "Philox stream of the sampled points (tomography and chsh: mode mc only)",
-    "event_a": "'t,x'",
-    "event_b": "'t,x'",
-    "velocities": "comma-separated boost velocities",
-}
-
-# The keys each subcommand reads, besides seed, workers and output, which every
-# subcommand takes: every output names its seed, and the other two never enter
-# an output. A command accepts and embeds only its own keys; tomography and
-# chsh also take their mode's keys in _MODE_KEYS.
-_KEYS = {
-    "tomography": ("model", "ordering", "settings", "mode", "format"),
-    "chsh": ("model", "ordering", "settings", "mode"),
-    "check-covariance": ("model", "settings", "stream", "probes", "witness_cap"),
-    "reduce": ("model", "settings", "stream", "probes"),
-    "enumerate": ("format",),
-    "frame-order": ("event_a", "event_b", "velocities", "format"),
+    "model": ("gisin-singlet", str, tuple(sorted(MODEL_REGISTRY)), None, None),
+    "ordering": ("AB", str, ("AB", "BA"), None, None),
+    "settings": ("grid:5", str, None, None, "'tsirelson', 'grid:N', or inline JSON vectors"),
+    "mode": ("mc", str, tuple(_MODE_KEYS), None, None),
+    "n": (1_000_000, int, None, 1, "samples per setting pair (mode mc only)"),
+    "grid": (2000, int, None, 2, "midpoint lattice points per axis (mode exact only)"),
+    "seed": (0, int, None, None, None),
+    "stream": (0, int, None, None,
+               "Philox stream of the sampled points (tomography and chsh: mode mc only)"),
+    "workers": (os.cpu_count() or 1, int, None, 1, None),
+    "probes": (10_000, int, None, 1, None),
+    "witness_cap": (32, int, None, 0, None),
+    "output": (None, str, None, None, None),
+    "format": ("csv", str, ("csv", "json"), None, None),
+    "event_a": ("0,-1", str, None, None, "'t,x'"),
+    "event_b": ("0,1", str, None, None, "'t,x'"),
+    "velocities": ("-0.5,0,0.5", str, None, None, "comma-separated boost velocities"),
 }
 
 # Defaults that differ by subcommand: chsh takes a quadruple, not a grid.
@@ -95,7 +74,7 @@ _COMMAND_DEFAULTS = {"chsh": {"settings": "tsirelson"}}
 
 def _keys(command: str, mode=None) -> tuple:
     """The keys a command takes: in a mode, only that mode's estimator keys."""
-    keys = _KEYS[command] + ("seed", "workers", "output")
+    keys = _COMMANDS[command][1] + ("seed", "workers", "output")
     if "mode" in keys:
         keys += _MODE_KEYS[mode] if mode else sum(_MODE_KEYS.values(), ())
     return keys
@@ -105,14 +84,14 @@ def _keys(command: str, mode=None) -> tuple:
 def build_parser() -> _Parser:
     parser = _Parser(prog="covbell", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in _KEYS:
+    for name in _COMMANDS:
         # no prefix matching: check-covariance must refuse --mode, not read it as --model
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in _keys(name):
-            _, typ, choices, _ = _OPTIONS[key]
+            _, typ, choices, _, text = _OPTIONS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
-                           help=_HELP.get(key) or (choices and "one of: " + ", ".join(choices)))
+                           help=text or (choices and "one of: " + ", ".join(choices)))
     return parser
 
 
@@ -139,7 +118,7 @@ def _resolve_config(args) -> dict:
         if stray:
             raise UsageError(f"mode {cfg['mode']} does not read {', '.join(stray)}")
     for key in keys:
-        default, typ, choices, low = _OPTIONS[key]
+        default, typ, choices, low, _ = _OPTIONS[key]
         val = cfg[key]
         if val is None and default is None:
             continue
@@ -333,13 +312,18 @@ def _cmd_frame_order(cfg) -> int:
     return 0
 
 
+# Each subcommand's function and the keys it reads, besides seed, workers and
+# output, which every subcommand takes: every output names its seed, and the
+# other two never enter an output. A command accepts and embeds only its own
+# keys; tomography and chsh also take their mode's keys in _MODE_KEYS.
 _COMMANDS = {
-    "tomography": _cmd_tomography,
-    "chsh": _cmd_chsh,
-    "check-covariance": _cmd_check_covariance,
-    "reduce": _cmd_reduce,
-    "enumerate": _cmd_enumerate,
-    "frame-order": _cmd_frame_order,
+    "tomography": (_cmd_tomography, ("model", "ordering", "settings", "mode", "format")),
+    "chsh": (_cmd_chsh, ("model", "ordering", "settings", "mode")),
+    "check-covariance": (_cmd_check_covariance,
+                         ("model", "settings", "stream", "probes", "witness_cap")),
+    "reduce": (_cmd_reduce, ("model", "settings", "stream", "probes")),
+    "enumerate": (_cmd_enumerate, ("format",)),
+    "frame-order": (_cmd_frame_order, ("event_a", "event_b", "velocities", "format")),
 }
 
 
@@ -350,7 +334,7 @@ def main(argv=None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except UsageError as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 1

@@ -562,17 +562,9 @@ def stochastic_singlet() -> StochasticResponse:
     return StochasticResponse(lambda_dim=0, p_first=p_first, p_second=p_second, name="singlet")
 
 
-def make_gisin_singlet() -> OrderedModel:
-    return GisinSingletModel()
-
-
-def make_local_sphere() -> OrderedModel:
-    return LocalSphereModel()
-
-
 MODEL_REGISTRY = {
-    "gisin-singlet": make_gisin_singlet,
-    "local-sphere": make_local_sphere,
+    "gisin-singlet": GisinSingletModel,
+    "local-sphere": LocalSphereModel,
     "determinized-singlet": lambda: determinize(stochastic_singlet()),
 }
 

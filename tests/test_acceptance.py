@@ -14,8 +14,8 @@ from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           tsirelson_settings)
 from covbell.covariance import (NotCovariantError, Side, check_covariance,
                                 enumerate_finite, frame_consistency, reduce_to_local)
-from covbell.models import (determinize, eval_pairs, make_gisin_singlet,
-                            make_local_sphere, stochastic_singlet)
+from covbell.models import (GisinSingletModel, LocalSphereModel, determinize, eval_pairs,
+                            stochastic_singlet)
 from covbell.spacetime import (Boost, Event, SimultaneousEventsError,
                                boost_event, time_order)
 from covbell.stats import (SeedSpec, chsh, chsh_pairs, correlator, estimate_joint, exact_joint,
@@ -34,7 +34,7 @@ def _report(num, name, ok):
 
 def test_criterion_1_quantum_statistics_reproduction():
     start = time.perf_counter()
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     g = setting_grid(5)
     ok = True
     for a in g:
@@ -49,7 +49,7 @@ def test_criterion_1_quantum_statistics_reproduction():
 
 def test_criterion_2_tsirelson_value():
     start = time.perf_counter()
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     pairs = chsh_pairs(tsirelson_settings())
     exact = chsh(exact_tables(m, AB, SINGLET, pairs, 2000))
     mc = chsh(sample_tables(m, AB, SINGLET, pairs, 1_000_000, SeedSpec(2024)))
@@ -61,7 +61,7 @@ def test_criterion_2_tsirelson_value():
 
 def test_criterion_3_covariance_failure():
     start = time.perf_counter()
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     g = setting_grid(5)
     pairs = [(a, b) for a in g for b in g]
     from covbell.stats import sample_lambda
@@ -83,7 +83,7 @@ def test_criterion_3_covariance_failure():
 
 
 def test_criterion_4_statistical_frame_independence():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     g = setting_grid(10)
     pairs = [(g[i], g[(i + 3) % 10]) for i in range(10)]
     ok = all(frame_consistency(m, SINGLET, a, b, grid=2000) <= 2e-3
@@ -109,7 +109,7 @@ def test_criterion_5_finite_no_go():
 
 
 def test_criterion_6_reduction_soundness(capsys):
-    sphere = make_local_sphere()
+    sphere = LocalSphereModel()
     g = setting_grid(4)
     pairs = [(a, b) for a in g for b in g]
     from covbell.stats import sample_lambda
@@ -124,7 +124,7 @@ def test_criterion_6_reduction_soundness(capsys):
             ok &= bool(np.array_equal(va, alphas) and np.array_equal(vb, betas))
             ok &= float(np.mean(va * vb)) == float(np.mean(alphas * betas))
     try:
-        reduce_to_local(make_gisin_singlet(), SINGLET, pairs, lams)
+        reduce_to_local(GisinSingletModel(), SINGLET, pairs, lams)
         ok = False
     except NotCovariantError:
         pass
@@ -137,7 +137,7 @@ def test_criterion_6_reduction_soundness(capsys):
 
 def test_criterion_7_determinization():
     det = determinize(stochastic_singlet())
-    gisin = make_gisin_singlet()
+    gisin = GisinSingletModel()
     a = MeasurementSetting(1, 0, 0)
     ok = True
     for b in (MeasurementSetting(0.9, math.sqrt(1 - 0.81), 0),

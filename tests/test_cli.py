@@ -222,7 +222,7 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(cfg):
         raise KeyError("internal")
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", broken)
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", (broken, cli._COMMANDS["enumerate"][1]))
     with pytest.raises(KeyError, match="internal"):
         main(["enumerate"])
 
@@ -484,14 +484,14 @@ def test_local_sphere_counts_a_9e8_cell_lattice_in_a_fresh_process():
     script = ("import sys, time, tracemalloc\n"
               "from covbell.cli import main\n"
               "from covbell.core import QuantumState, TimeOrdering, setting_grid\n"
-              "from covbell.models import make_local_sphere\n"
+              "from covbell.models import LocalSphereModel\n"
               "start = time.perf_counter()\n"
               "code = main(['tomography', '--model', 'local-sphere', '--settings', 'grid:3',"
               " '--mode', 'exact', '--grid', '30000'])\n"
               "seconds = time.perf_counter() - start\n"
               "pairs = [(a, b) for a in setting_grid(3) for b in setting_grid(3)]\n"
               "tracemalloc.start()\n"
-              "make_local_sphere().lattice_counts(TimeOrdering.AB, QuantumState.SINGLET, pairs,"
+              "LocalSphereModel().lattice_counts(TimeOrdering.AB, QuantumState.SINGLET, pairs,"
               " 30000)\n"
               "print(code, seconds, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -601,8 +601,8 @@ def test_help_names_the_mode_that_reads_each_estimator_key(capsys):
 
 def test_readme_key_table_matches_the_cli():
     want = {(command, mode): set(cli._keys(command, mode)) - {"seed", "workers", "output"}
-            for command in cli._KEYS
-            for mode in (cli._MODE_KEYS if "mode" in cli._KEYS[command] else [None])}
+            for command in cli._COMMANDS
+            for mode in (cli._MODE_KEYS if "mode" in cli._COMMANDS[command][1] else [None])}
     assert _readme_key_table() == want
 
 

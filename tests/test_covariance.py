@@ -10,9 +10,8 @@ from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
 from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness,
                                 check_covariance, enumerate_finite, frame_consistency,
                                 reduce_to_local)
-from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel,
-                            StochasticResponse, determinize, eval_pairs,
-                            make_gisin_singlet, make_local_sphere, make_model)
+from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
+                            StochasticResponse, determinize, eval_pairs, make_model)
 from covbell.stats import SeedSpec, exact_tables, sample_lambda
 from oracles import FiniteStrategy, forced_covariant_extension
 from property_inputs import SETTING, draw_hidden_points
@@ -30,7 +29,7 @@ def _grid_pairs(n):
 
 
 def test_covariance_witness_example():
-    report = check_covariance(make_gisin_singlet(), SINGLET, [(A_X, B_09)],
+    report = check_covariance(GisinSingletModel(), SINGLET, [(A_X, B_09)],
                               [HiddenPoint((0.3, 0.4))])
     assert report.checked == 1
     assert report.violations == 1
@@ -47,16 +46,16 @@ def test_bad_lambda_rows_rejected(check, bad):
     # rejected up front rather than counted
     lams = np.array([[0.5, 0.5], [bad, 0.3]])
     with pytest.raises(ValueError, match="outside"):
-        check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
+        check(LocalSphereModel(), SINGLET, [(A_X, B_09)], lams)
     with pytest.raises(ValueError, match="outside"):
-        check(make_local_sphere(), SINGLET, [(A_X, B_09)], [[0.3, bad]])
+        check(LocalSphereModel(), SINGLET, [(A_X, B_09)], [[0.3, bad]])
 
 
 @pytest.mark.parametrize("check", [check_covariance, reduce_to_local])
 def test_wrongly_shaped_lambda_rows_rejected(check):
     for lams in (np.array([[0.5, 0.5, 0.5]]), [[0.5]], np.array([0.5, 0.5])):
         with pytest.raises(ValueError, match="lambda dimension"):
-            check(make_local_sphere(), SINGLET, [(A_X, B_09)], lams)
+            check(LocalSphereModel(), SINGLET, [(A_X, B_09)], lams)
 
 
 def _reference_report(m, pairs, lams, cap):
@@ -86,7 +85,7 @@ _MODELS = [*sorted(MODEL_REGISTRY), "local-view of local-sphere"]
 @given(name=st.sampled_from(_MODELS), cap=st.integers(0, 40),
        pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=6), data=st.data())
 def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
-    m = (LocalModelView(make_local_sphere(), SINGLET) if name.startswith("local-view")
+    m = (LocalModelView(LocalSphereModel(), SINGLET) if name.startswith("local-view")
          else make_model(name))
     lams = draw_hidden_points(data, m.lambda_dim, 3000)
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
@@ -96,7 +95,7 @@ def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
 
 def test_local_sphere_is_covariant():
     lams = sample_lambda(2, 500, SeedSpec(41))
-    report = check_covariance(make_local_sphere(), SINGLET, _grid_pairs(4), lams)
+    report = check_covariance(LocalSphereModel(), SINGLET, _grid_pairs(4), lams)
     assert report.violations == 0
     assert report.violation_fraction == 0.0
 
@@ -117,7 +116,7 @@ def _gisin_disagreement_fraction(a, b, grid=500):
 def test_gisin_violation_fraction_matches_quadrature_oracle():
     pairs = _grid_pairs(5)
     lams = sample_lambda(2, 400, SeedSpec(7))
-    report = check_covariance(make_gisin_singlet(), SINGLET, pairs, lams,
+    report = check_covariance(GisinSingletModel(), SINGLET, pairs, lams,
                               witness_cap=8)
     assert report.checked == 10_000
     assert report.violation_fraction > 0.05
@@ -138,14 +137,14 @@ def test_gisin_alice_side_disagreement_measure_closed_form():
 
 def test_witness_cap_respected():
     lams = sample_lambda(2, 2000, SeedSpec(42))
-    report = check_covariance(make_gisin_singlet(), SINGLET, [(A_X, B_09)],
+    report = check_covariance(GisinSingletModel(), SINGLET, [(A_X, B_09)],
                               lams, witness_cap=5)
     assert len(report.witnesses) == 5
     assert report.violations > 5
 
 
 def test_reduce_local_sphere_succeeds_and_is_sound():
-    m = make_local_sphere()
+    m = LocalSphereModel()
     pairs = _grid_pairs(3)
     lams = sample_lambda(2, 300, SeedSpec(43))
     view = reduce_to_local(m, SINGLET, pairs, lams)
@@ -161,13 +160,13 @@ def test_reduce_local_sphere_succeeds_and_is_sound():
 def test_reduce_gisin_fails_with_witness():
     lams = sample_lambda(2, 200, SeedSpec(44))
     with pytest.raises(NotCovariantError) as err:
-        reduce_to_local(make_gisin_singlet(), SINGLET, _grid_pairs(3), lams)
+        reduce_to_local(GisinSingletModel(), SINGLET, _grid_pairs(3), lams)
     assert err.value.witness.side in (Side.ALICE, Side.BOB)
     assert err.value.report.violations > 0
 
 
 def test_reduce_names_the_checks_first_witness():
-    m, pairs = make_gisin_singlet(), _grid_pairs(2)
+    m, pairs = GisinSingletModel(), _grid_pairs(2)
     lams = sample_lambda(2, 100, SeedSpec(46))
     with pytest.raises(NotCovariantError) as err:
         reduce_to_local(m, SINGLET, pairs, lams)
@@ -191,7 +190,7 @@ def test_reduce_fully_random_determinized_model():
 
 
 def test_local_view_model_is_covariant():
-    view = reduce_to_local(make_local_sphere(), SINGLET, _grid_pairs(3),
+    view = reduce_to_local(LocalSphereModel(), SINGLET, _grid_pairs(3),
                            sample_lambda(2, 100, SeedSpec(46)))
     assert isinstance(view, OrderedModel)
     lams = sample_lambda(2, 500, SeedSpec(47))
@@ -242,7 +241,7 @@ def test_covariant_models_count_identical_exact_frame_tables(view):
     # a covariant model answers alike in both orderings, so the two frames'
     # lattice counts agree integer for integer
     pairs = _grid_pairs(4)
-    m = make_local_sphere()
+    m = LocalSphereModel()
     if view:
         m = reduce_to_local(m, SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     for grid in (7, 1001):
@@ -253,7 +252,7 @@ def test_covariant_models_count_identical_exact_frame_tables(view):
 
 def test_reduced_sphere_view_computes_directions_once_per_block(direction_computations):
     pairs = _grid_pairs(4)
-    view = reduce_to_local(make_local_sphere(), SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
+    view = reduce_to_local(LocalSphereModel(), SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     del direction_computations[:]
     exact_tables(view, AB, SINGLET, pairs, 1001)
     # 1001^2 points make 4 blocks of 2^18; each block binds once for all 16 pairs
@@ -294,12 +293,12 @@ class _FrameAsymmetricModel(OrderedModel):
 
 
 def test_frame_consistency_gisin_small():
-    assert frame_consistency(make_gisin_singlet(), SINGLET, A_X, B_09,
+    assert frame_consistency(GisinSingletModel(), SINGLET, A_X, B_09,
                              grid=2000) <= 2e-3
 
 
 def test_frame_consistency_sphere_zero():
-    assert frame_consistency(make_local_sphere(), SINGLET, A_X, B_09,
+    assert frame_consistency(LocalSphereModel(), SINGLET, A_X, B_09,
                              grid=500) <= 1e-12
 
 

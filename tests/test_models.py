@@ -10,8 +10,7 @@ from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
 from covbell.covariance import reduce_to_local
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
-                            StochasticResponse, _pm, determinize, eval_pairs,
-                            make_gisin_singlet, make_local_sphere, make_model,
+                            StochasticResponse, _pm, determinize, eval_pairs, make_model,
                             stochastic_singlet)
 from covbell.stats import (SeedSpec, _count_blocks, _lattice_block, correlator, estimate_joint,
                            exact_joint, sample_lambda)
@@ -25,7 +24,7 @@ B_09 = MeasurementSetting(0.9, math.sqrt(1 - 0.81), 0)  # a.b = 0.9
 
 
 def test_gisin_eval_ab_examples():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     lams = np.array([[0.3, 0.6], [0.7, 0.9]])
     alphas, betas = eval_pairs(m, AB, SINGLET, A_X, B_09, lams)
     assert alphas.dtype == betas.dtype == np.int8
@@ -34,7 +33,7 @@ def test_gisin_eval_ab_examples():
 
 
 def test_gisin_perfect_anticorrelation_equal_settings():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     rng = np.random.default_rng(5)
     for ordering in (AB, BA):
         alphas, betas = eval_pairs(m, ordering, SINGLET, A_X, A_X, rng.random((200, 2)))
@@ -42,7 +41,7 @@ def test_gisin_perfect_anticorrelation_equal_settings():
 
 
 def test_gisin_first_ab_threshold():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     vals = m.first_values(AB, SINGLET, A_X, np.array([[0.3, 0.6], [0.6, 0.6]]))
     assert vals.tolist() == [Outcome.PLUS, Outcome.MINUS]
 
@@ -52,7 +51,7 @@ def test_gisin_second_outcome_is_plus_on_its_thresholds():
     # a first coordinate of exactly 1/2 counts as a first +1
     b = MeasurementSetting(0.5, math.sqrt(0.75), 0)
     assert dot(A_X, b) == 0.5
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     points = [(0.3, 0.25), (0.5, 0.25), (0.7, 0.75), (0.3, 0.2500001), (0.5, 0.75),
               (0.7, 0.7500001)]
     expected = [1, 1, 1, -1, -1, -1]
@@ -62,7 +61,7 @@ def test_gisin_second_outcome_is_plus_on_its_thresholds():
 
 def test_gisin_ba_role_swap_witness_pair():
     # this lambda is a covariance-violation witness: S_BA != F_AB
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     lam = np.array([[0.3, 0.4]])
     assert m.second_values(BA, SINGLET, A_X, B_09, lam).tolist() == [Outcome.MINUS]
     assert m.first_values(BA, SINGLET, B_09, lam).tolist() == [Outcome.PLUS]
@@ -70,7 +69,7 @@ def test_gisin_ba_role_swap_witness_pair():
 
 
 def test_gisin_marginals_are_half():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     for ordering in (AB, BA):
         table = exact_joint(m, ordering, SINGLET, A_X, B_09, grid=1000)
         p_alpha_plus = table.probs[0, 0] + table.probs[0, 1]
@@ -90,6 +89,14 @@ def test_purity_identical_inputs_identical_outputs():
             assert np.array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_registry_builds_a_fresh_model_under_its_own_name(name):
+    # the CLI embeds the key and trace metrics read the model's name, so they must agree
+    first, second = make_model(name), make_model(name)
+    assert first.name == second.name == name
+    assert first is not second
+
+
 def test_lambda_dimension_mismatch_rejected():
     for name in sorted(MODEL_REGISTRY):
         m = make_model(name)
@@ -101,7 +108,7 @@ def test_lambda_dimension_mismatch_rejected():
 
 def _reduced_sphere_view():
     """A reduced view of local-sphere, bound to an array other than the one it counts."""
-    return reduce_to_local(make_local_sphere(), SINGLET, [(A_X, B_09)],
+    return reduce_to_local(LocalSphereModel(), SINGLET, [(A_X, B_09)],
                            sample_lambda(2, 50, SeedSpec(9)))
 
 
@@ -170,7 +177,7 @@ _SPHERE_PAIRS = [(a, b) for a in _SPHERE_SETTINGS for b in _SPHERE_SETTINGS]
 
 
 def _sphere_engine_counts(ordering, grid, pairs=_SPHERE_PAIRS):
-    return _count_blocks(make_local_sphere(), ordering, SINGLET, pairs, grid ** 2,
+    return _count_blocks(LocalSphereModel(), ordering, SINGLET, pairs, grid ** 2,
                          lambda start, rows: _lattice_block(2, grid, start, rows), 1)
 
 
@@ -180,7 +187,7 @@ def test_local_sphere_lattice_counts_equal_the_engine_counts(ordering, grid):
     # on an odd grid the midpoints with u = 1/2 have cos(theta) = 0 exactly: they lie on
     # the measurement plane of +z and -z, where sign(0) counts as +1
     assert (grid % 2 == 1) == np.any(models.lattice_midpoints(grid) == 0.5)
-    counts = make_local_sphere().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
+    counts = LocalSphereModel().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
 
@@ -190,7 +197,7 @@ def test_local_sphere_lattice_counts_equal_the_engine_counts(ordering, grid):
        setts=st.lists(SETTING, min_size=1, max_size=3))
 def test_local_sphere_lattice_counts_equal_the_engine_on_random_settings(ordering, grid, setts):
     pairs = [(a, b) for a in setts for b in setts]
-    counts = make_local_sphere().lattice_counts(ordering, SINGLET, pairs, grid)
+    counts = LocalSphereModel().lattice_counts(ordering, SINGLET, pairs, grid)
     assert np.array_equal(counts, _sphere_engine_counts(ordering, grid, pairs))
 
 
@@ -209,7 +216,7 @@ def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monke
     monkeypatch.setattr(LocalSphereModel, "first_values", recording)
     for ordering in (AB, BA):
         calls.clear()
-        counts = make_local_sphere().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
+        counts = LocalSphereModel().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
         assert np.array_equal(counts, engine[ordering])
         # each distinct setting is scored through first_values, which a tracer wraps
         assert {s for s, _ in calls} == set(_SPHERE_SETTINGS)
@@ -223,7 +230,7 @@ def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monke
 
 def test_local_sphere_lattice_counts_require_the_singlet():
     with pytest.raises(ValueError, match="singlet"):
-        make_local_sphere().lattice_counts(AB, "not a state", [(A_X, B_09)], 4)
+        LocalSphereModel().lattice_counts(AB, "not a state", [(A_X, B_09)], 4)
 
 
 def test_lattice_at_or_below_equals_a_search_of_the_midpoints():
@@ -267,12 +274,12 @@ def test_gisin_count_pairs_takes_its_first_outcome_once_per_call(monkeypatch):
     for ordering in (AB, BA):
         for k in (1, 3):
             calls.clear()
-            make_gisin_singlet().count_pairs(ordering, SINGLET, pairs[:k], lams)
+            GisinSingletModel().count_pairs(ordering, SINGLET, pairs[:k], lams)
             assert len(calls) == 1
 
 
 def test_sphere_positive_projection():
-    m = make_local_sphere()
+    m = LocalSphereModel()
     # (u, v) = (1, 0) maps to the +z direction
     lam = np.array([[1.0, 0.0]])
     z = MeasurementSetting(0, 0, 1)
@@ -280,7 +287,7 @@ def test_sphere_positive_projection():
 
 
 def test_sphere_anticorrelated_at_equal_settings():
-    m = make_local_sphere()
+    m = LocalSphereModel()
     lams = sample_lambda(2, 2000, SeedSpec(21))
     for ordering in (AB, BA):
         alphas = (m.first_values(ordering, SINGLET, A_X, lams)
@@ -293,7 +300,7 @@ def test_sphere_anticorrelated_at_equal_settings():
 
 
 def test_sphere_second_ignores_other_setting():
-    m = make_local_sphere()
+    m = LocalSphereModel()
     lams = sample_lambda(2, 50, SeedSpec(22))
     b = B_09
     vals = [m.second_values(AB, SINGLET, a, b, lams) for a in setting_grid(20)]
@@ -324,7 +331,7 @@ def test_sphere_correlator_matches_classical_value(b):
     theta = math.acos(dot(A_X, b))
     analytic = -1.0 + 2.0 * theta / math.pi
     assert _sphere_quadrature_correlator(A_X, b) == pytest.approx(analytic, abs=5e-3)
-    m = make_local_sphere()
+    m = LocalSphereModel()
     table = estimate_joint(m, AB, SINGLET, A_X, b, 1_000_000, SeedSpec(23))
     assert correlator(table).value == pytest.approx(analytic, abs=5e-3)
 
@@ -349,7 +356,7 @@ def _assert_bound_gives_unbound_outcomes(m, bound, lams, moved):
 
 
 def test_sphere_bound_model_gives_the_unbound_outcomes(direction_computations):
-    m = make_local_sphere()
+    m = LocalSphereModel()
     lams = sample_lambda(2, 1000, SeedSpec(1))
     bound = m.bind(lams)
     moved = lams.copy()
@@ -361,7 +368,7 @@ def test_sphere_bound_model_gives_the_unbound_outcomes(direction_computations):
     assert bound.bind(lams) is bound  # a bound model is its own binding to its array
     bound.bind(lams).second_values(AB, SINGLET, A_X, B_09, lams)
     assert direction_computations == []  # binding again to its array reuses them
-    gisin = make_gisin_singlet()
+    gisin = GisinSingletModel()
     moved = lams.copy()
     moved[:, 0] = (moved[:, 0] + 0.5) % 1.0  # flips the first AB outcome of almost every row
     _assert_bound_gives_unbound_outcomes(gisin, gisin.bind(lams), lams, moved)
@@ -369,7 +376,7 @@ def test_sphere_bound_model_gives_the_unbound_outcomes(direction_computations):
 
 def test_kept_outcomes_are_read_only():
     lams = sample_lambda(2, 100, SeedSpec(2))
-    bound = make_local_sphere().bind(lams)
+    bound = LocalSphereModel().bind(lams)
     alphas = bound.first_values(AB, SINGLET, A_X, lams)
     with pytest.raises(ValueError):
         alphas[0] = -alphas[0]  # a caller cannot change what later calls read
@@ -393,7 +400,7 @@ def test_determinize_first_mean_matches_probability():
 
 def test_determinized_singlet_matches_gisin_joint():
     det = determinize(stochastic_singlet())
-    gisin = make_gisin_singlet()
+    gisin = GisinSingletModel()
     for ordering in (AB, BA):
         t_det = estimate_joint(det, ordering, SINGLET, A_X, B_09, 1_000_000, SeedSpec(33))
         t_gis = exact_joint(gisin, ordering, SINGLET, A_X, B_09, grid=1000)
@@ -406,7 +413,7 @@ def test_determinized_singlet_is_pointwise_gisin_singlet():
     lams = np.concatenate([sample_lambda(2, 30_000, SeedSpec(12)),
                            _lattice_block(2, 201, 0, 201 ** 2),
                            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]]])
-    det, gisin = make_model("determinized-singlet"), make_gisin_singlet()
+    det, gisin = make_model("determinized-singlet"), GisinSingletModel()
     probe_settings = [*setting_grid(6), *tsirelson_settings()]
     for ordering in (AB, BA):
         for a in probe_settings:
@@ -465,6 +472,6 @@ def test_unknown_model_name():
 
 
 def test_models_require_singlet_state():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     with pytest.raises(ValueError, match="singlet"):
         m.first_values(AB, "not-a-state", A_X, np.array([[0.1, 0.1]]))

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from covbell import models, stats
 from covbell.core import (MeasurementSetting, Outcome, QuantumState,
                           TimeOrdering, dot, setting_grid, tsirelson_settings)
-from covbell.models import (MODEL_REGISTRY, StochasticResponse, determinize, eval_pairs,
-                            make_gisin_singlet, make_local_sphere, make_model,
+from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel,
+                            StochasticResponse, determinize, eval_pairs, make_model,
                             stochastic_singlet)
-from covbell.stats import (_BLOCK, CSV_COLUMNS, JointStats, SeedSpec, _fmt, _lattice_block,
-                           _sample_block, chsh, chsh_pairs, correlator, estimate_joint,
-                           exact_joint, exact_tables, joint_record, records_to_csv,
-                           sample_lambda, sample_tables)
+from covbell.stats import (_BLOCK, CSV_COLUMNS, JointStats, SeedSpec, _counts_to_stats, _fmt,
+                           _lattice_block, _sample_block, chsh, chsh_pairs, correlator,
+                           estimate_joint, exact_joint, exact_tables, joint_record,
+                           records_to_csv, sample_lambda, sample_tables)
 from oracles import (EngineSphere, fmt_cell, per_cell_csv, singlet_joint_oracle,
                      singlet_oracle_table)
 
@@ -55,7 +55,7 @@ def test_sample_lambda_mean():
 @pytest.mark.parametrize("draw", [
     lambda: sample_lambda(-1, 10, SeedSpec(1)),
     lambda: sample_lambda(2, 0, SeedSpec(1)),
-    lambda: estimate_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, 0, SeedSpec(1)),
+    lambda: estimate_joint(GisinSingletModel(), AB, SINGLET, A_X, B_09, 0, SeedSpec(1)),
 ], ids=["sample_lambda d < 0", "sample_lambda n < 1", "estimate_joint n < 1"])
 def test_impossible_sample_sizes_rejected(draw):
     with pytest.raises(ValueError, match="nonnegative|at least one sample"):
@@ -63,7 +63,7 @@ def test_impossible_sample_sizes_rejected(draw):
 
 
 def test_estimate_joint_orthogonal_settings_uniform_cells():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     table = estimate_joint(m, AB, SINGLET, A_X, B_PERP, 1_000_000, SeedSpec(3))
     assert np.allclose(table.probs, 0.25, atol=0.002)
     assert table.counts.sum() == table.n
@@ -71,21 +71,21 @@ def test_estimate_joint_orthogonal_settings_uniform_cells():
 
 
 def test_estimate_joint_frames_agree_statistically():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     t_ab = estimate_joint(m, AB, SINGLET, A_X, B_PERP, 1_000_000, SeedSpec(3))
     t_ba = estimate_joint(m, BA, SINGLET, A_X, B_PERP, 1_000_000, SeedSpec(4))
     assert np.allclose(t_ab.probs, t_ba.probs, atol=0.002)
 
 
 def test_estimate_joint_sphere_equal_settings_anticorrelated():
-    m = make_local_sphere()
+    m = LocalSphereModel()
     table = estimate_joint(m, AB, SINGLET, A_X, A_X, 100_000, SeedSpec(5))
     p_equal = table.probs[0, 0] + table.probs[1, 1]
     assert p_equal <= 0.001
 
 
 def test_exact_joint_gisin_cell_value():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     table = exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000)
     assert table.probs[0, 0] == pytest.approx(0.025, abs=5e-4)  # (+1, +1)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_exact_joint_role_swap_symmetry():
     # gisin's BA frame is its AB frame with the parties and the two coordinates
     # swapped, and the lattice is symmetric under that swap, so every BA count
     # is the AB count with alpha and beta swapped
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     pairs = [(a, b) for a in setting_grid(4) for b in setting_grid(4)]
     for grid in (7, 1001):
         ab, ba = (np.array([t.counts for t in exact_tables(m, ordering, SINGLET, pairs, grid)])
@@ -104,7 +104,7 @@ def test_exact_joint_role_swap_symmetry():
 
 
 def test_exact_joint_matches_oracle_within_grid_error():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     grid = 400
     g = setting_grid(4)
     for a in g:
@@ -127,14 +127,14 @@ def test_exact_joint_high_dimension_rejected():
 
 def test_exact_joint_small_grid_rejected():
     with pytest.raises(ValueError, match="grid"):
-        exact_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, grid=1)
+        exact_joint(GisinSingletModel(), AB, SINGLET, A_X, B_09, grid=1)
 
 
 def test_exact_joint_rejects_a_lattice_beyond_int64_indices():
     # grids past int64 itself: without the check the first block fails at once
     for grid in (10 ** 22, 2 ** 63):
         with pytest.raises(ValueError, match="64-bit"):
-            exact_joint(make_gisin_singlet(), AB, SINGLET, A_X, B_09, grid=grid)
+            exact_joint(GisinSingletModel(), AB, SINGLET, A_X, B_09, grid=grid)
 
 
 def test_correlator_oracle_tables():
@@ -152,7 +152,7 @@ def test_correlator_matches_negative_dot_on_grid():
 
 
 def test_correlator_gisin_mc():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     table = estimate_joint(m, AB, SINGLET, A_X, B_09, 1_000_000, SeedSpec(6))
     assert correlator(table).value == pytest.approx(-0.9, abs=0.005)
 
@@ -164,8 +164,20 @@ def test_correlator_rejects_empty():
         correlator(empty)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_correlator_clamps_rounding_past_the_bound(sign):
+    # past 2**53 samples the cells round so that their signed sum reads 1 + 2**-52
+    n, k = 9959434288467221, 6227583321205817
+    counts = [[k, 0], [0, n - k]] if sign == 1 else [[0, k], [n - k, 0]]
+    table = _counts_to_stats(np.array(counts, dtype=np.int64), n)
+    p = table.probs
+    assert sign * float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]) == 1.0 + 2.0 ** -52
+    est = correlator(table)
+    assert (est.value, est.stderr) == (float(sign), 0.0)
+
+
 def test_mc_converges_to_exact_within_four_sigma():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     mc = estimate_joint(m, AB, SINGLET, A_X, B_09, 1_000_000, SeedSpec(7))
     ex = exact_joint(m, AB, SINGLET, A_X, B_09, grid=2000)
     sigma = np.maximum(mc.stderr, 1e-12)
@@ -173,28 +185,28 @@ def test_mc_converges_to_exact_within_four_sigma():
 
 
 def test_chsh_exact_tsirelson():
-    tables = exact_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs(tsirelson_settings()), 2000)
+    tables = exact_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()), 2000)
     res = chsh(tables)
     assert res.value == pytest.approx(2.0 * math.sqrt(2.0), abs=2e-3)
 
 
 def test_chsh_sphere_respects_bell_bound():
-    tables = sample_tables(make_local_sphere(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
+    tables = sample_tables(LocalSphereModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
                            1_000_000, SeedSpec(8))
     assert abs(chsh(tables).value) <= 2.0 + 0.01
 
 
 def test_chsh_degenerate_quadruple_identity():
     a, ap, b, _ = tsirelson_settings()
-    res = chsh(exact_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs((a, ap, b, b)), 500))
-    e_ab = correlator(exact_joint(make_gisin_singlet(), AB, SINGLET, a, b, grid=500))
+    res = chsh(exact_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs((a, ap, b, b)), 500))
+    e_ab = correlator(exact_joint(GisinSingletModel(), AB, SINGLET, a, b, grid=500))
     assert res.value == 2.0 * e_ab.value
 
 
 @pytest.mark.parametrize("grid", [7, 500])
 def test_chsh_sums_the_exact_terms_discretization_bounds(grid):
     # each term's correlator bound is its four cells' 1/grid
-    tables = exact_tables(make_gisin_singlet(), BA, SINGLET, chsh_pairs(tsirelson_settings()),
+    tables = exact_tables(GisinSingletModel(), BA, SINGLET, chsh_pairs(tsirelson_settings()),
                           grid)
     res = chsh(tables)
     assert res.stderr == pytest.approx(16.0 / grid, rel=1e-12)
@@ -203,7 +215,7 @@ def test_chsh_sums_the_exact_terms_discretization_bounds(grid):
 
 def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
     n = 10_000
-    tables = sample_tables(make_gisin_singlet(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
+    tables = sample_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
                            n, SeedSpec(5, 3))
     res = chsh(tables)
     term_errs = [math.sqrt(1.0 - correlator(t).value ** 2) / math.sqrt(n) for t in tables]
@@ -212,12 +224,12 @@ def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
     assert res.stderr < sum(term_errs)
     # pair i draws from stream seed.stream + i
     for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings())):
-        alone = estimate_joint(make_gisin_singlet(), AB, SINGLET, a, b, n, SeedSpec(5, 3 + i))
+        alone = estimate_joint(GisinSingletModel(), AB, SINGLET, a, b, n, SeedSpec(5, 3 + i))
         assert np.array_equal(tables[i].counts, alone.counts)
 
 
 def test_estimate_joint_reproducible_across_workers():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     kwargs = dict(n=600_000, seed=SeedSpec(9))
     t1 = estimate_joint(m, AB, SINGLET, A_X, B_09, workers=1, **kwargs)
     t4 = estimate_joint(m, AB, SINGLET, A_X, B_09, workers=4, **kwargs)
@@ -227,7 +239,7 @@ def test_estimate_joint_reproducible_across_workers():
 
 
 def test_exact_joint_reproducible_across_workers():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     t1 = exact_joint(m, AB, SINGLET, A_X, B_09, grid=3000, workers=1)
     t4 = exact_joint(m, AB, SINGLET, A_X, B_09, grid=3000, workers=4)
     assert np.array_equal(t1.counts, t4.counts)
@@ -327,7 +339,7 @@ def test_sphere_directions_once_per_lattice_block(direction_computations):
 
 
 def test_sphere_directions_once_per_sample_block(direction_computations):
-    estimate_joint(make_local_sphere(), BA, SINGLET, A_X, B_09, 2 * _BLOCK + 5, SeedSpec(6),
+    estimate_joint(LocalSphereModel(), BA, SINGLET, A_X, B_09, 2 * _BLOCK + 5, SeedSpec(6),
                    workers=2)
     assert sorted(direction_computations) == [5, _BLOCK, _BLOCK]
 
@@ -395,7 +407,7 @@ def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs,
 ], ids=["estimate_joint", "exact_joint"])
 def test_table_memory_is_bounded_by_blocks_not_points(run):
     """4e6 two-dimensional points take 61 MiB; two live blocks take a few."""
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     tracemalloc.start()
     try:
         run(m)
@@ -453,7 +465,7 @@ def test_local_sphere_hook_is_capped_before_any_allocation(monkeypatch):
         raise AssertionError("the hook allocated its midpoints")
 
     monkeypatch.setattr(models, "lattice_midpoints", no_midpoints)  # the hook's first buffer
-    sphere, side = make_local_sphere(), math.isqrt(models._ENGINE_CAP // 10)
+    sphere, side = LocalSphereModel(), math.isqrt(models._ENGINE_CAP // 10)
     with pytest.raises(AssertionError, match="midpoints"):  # exactly the cap passes
         exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
     for pairs, grid in (([(A_X, B_09)] * 11, side), ([(A_X, B_09)], 10 ** 6)):
@@ -489,7 +501,7 @@ def _n_at_or_below(grid, t) -> int:
 
 
 @pytest.mark.parametrize("grid", [2, 3, 517, 1001])
-@pytest.mark.parametrize("make", [make_gisin_singlet, lambda: determinize(stochastic_singlet())],
+@pytest.mark.parametrize("make", [GisinSingletModel, lambda: determinize(stochastic_singlet())],
                          ids=["gisin-singlet", "determinized-singlet"])
 def test_exact_joint_threshold_models_match_integer_oracle(make, grid):
     """The first outcome is +1 iff its own coordinate is <= 1/2 and the second
@@ -536,7 +548,7 @@ def test_exact_tables_of_a_rule_that_reads_its_base_coordinate(grid):
 
 @pytest.mark.parametrize("ordering", [AB, BA])
 def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
-    m = make_local_sphere()
+    m = LocalSphereModel()
     a, z, b, _ = tsirelson_settings()
     minus_z = MeasurementSetting(0, 0, -1)
     pairs = [(a, b), (A_X, B_09), (A_X, A_X), (z, z), (z, minus_z), (minus_z, A_X), (a, z)]
@@ -558,7 +570,7 @@ def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
 
 
 def test_records_csv_layout():
-    m = make_gisin_singlet()
+    m = GisinSingletModel()
     table = estimate_joint(m, AB, SINGLET, A_X, B_09, 10_000, SeedSpec(10))
     rec = joint_record(AB, A_X, B_09, table, 10_000, 10)
     text = records_to_csv({col: [cell] for col, cell in zip(CSV_COLUMNS, rec)}, {"seed": 10})
