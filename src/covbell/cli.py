@@ -254,13 +254,8 @@ def _cmd_reduce(cfg) -> int:
         view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams)
     except NotCovariantError as err:
         print(str(err), file=sys.stderr)  # first: an --output that cannot open raises in _emit
-        _emit(cfg, {
-            "reduced": False,
-            "witness": err.witness.to_dict(),
-            "checked": err.report.checked,
-            "violations": err.report.violations,
-            "violation_fraction": err.report.violation_fraction,
-        })
+        doc = err.report.to_dict()
+        _emit(cfg, {"reduced": False, "witness": doc.pop("witnesses")[0], **doc})
         return 2
     counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs, lams)
     correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],

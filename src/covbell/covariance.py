@@ -72,11 +72,12 @@ class CovarianceReport:
 
 
 class NotCovariantError(ValueError):
-    """Raised when reduction is attempted on a non-covariant model."""
+    """Raised when reduction is attempted on a non-covariant model; it keeps the
+    check's report, and its message names the report's first witness."""
 
-    def __init__(self, witness: Witness, report: CovarianceReport):
-        self.witness = witness
+    def __init__(self, report: CovarianceReport):
         self.report = report
+        witness = report.witnesses[0]
         super().__init__(
             "model is not covariant on probe set: "
             f"{witness.side.value} side, lambda={witness.lam.coords}, "
@@ -135,32 +136,26 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
 
 class LocalModelView(OrderedModel):
     """Bell-local view of a covariant model: each party answers from its own
-    setting and lambda alone (Alice via the AB-first function, Bob via BA-first),
-    identically in both orderings, so it is covariant and counts like local-sphere."""
+    setting and lambda alone (Alice via the AB-first function, Bob via BA-first)
+    at the state each call passes, identically in both orderings, so it is
+    covariant and counts like local-sphere."""
 
     name = "local-view"
 
-    def __init__(self, m: OrderedModel, state):
+    def __init__(self, m: OrderedModel):
         self._m = m
-        self._state = state
         self.lambda_dim = m.lambda_dim
 
-    def responds_alice_values(self, a, lams) -> np.ndarray:
-        return self._m.first_values(TimeOrdering.AB, self._state, a, lams)
-
-    def responds_bob_values(self, b, lams) -> np.ndarray:
-        return self._m.first_values(TimeOrdering.BA, self._state, b, lams)
-
     def first_values(self, ordering, state, setting_first, lams):
-        return self._m.first_values(ordering, self._state, setting_first, lams)
+        return self._m.first_values(ordering, state, setting_first, lams)
 
     def second_values(self, ordering, state, a, b, lams):
         if ordering is TimeOrdering.AB:
-            return self.responds_bob_values(b, lams)
-        return self.responds_alice_values(a, lams)
+            return self._m.first_values(TimeOrdering.BA, state, b, lams)
+        return self._m.first_values(TimeOrdering.AB, state, a, lams)
 
     def bind(self, lams):
-        return LocalModelView(self._m.bind(lams), self._state)
+        return LocalModelView(self._m.bind(lams))
 
     def count_pairs(self, ordering, state, pairs, lams):
         return count_local_pairs(self, state, pairs, lams)
@@ -170,16 +165,16 @@ def reduce_to_local(m: OrderedModel, state, setting_pairs, lams) -> LocalModelVi
     """Reduce a covariant model to its Bell-local view, or fail with a witness.
 
     On success the view's joint statistics equal the original model's on the
-    probe set by construction. On failure the error names the check's first
-    witness, the only one it keeps. The view wraps the model bound to the
+    probe set by construction. On failure the error keeps the check's report,
+    capped at its first witness. The view wraps the model bound to the
     probe array, so it keeps that array's derived data while it lives.
     """
     arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
     report = check_covariance(bound, state, setting_pairs, arr, witness_cap=1)
     if report.violations:
-        raise NotCovariantError(report.witnesses[0], report)
-    return LocalModelView(bound, state)
+        raise NotCovariantError(report)
+    return LocalModelView(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,6 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
     counted by the model's ``lattice_counts`` hook if it has one, else scored on
     one pass of the block engine, which takes at most _ENGINE_CAP pair-points."""
     d = m.lambda_dim
-    if d > 3:
-        raise ValueError("use Monte Carlo: quadrature supports lambda_dim <= 3")
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if grid ** d >= 2**63:

@@ -117,8 +117,8 @@ def test_criterion_6_reduction_soundness(capsys):
     view = reduce_to_local(sphere, SINGLET, pairs, lams)
     ok = True
     for a, b in pairs:
-        va = view.responds_alice_values(a, lams)
-        vb = view.responds_bob_values(b, lams)
+        va = view.first_values(AB, SINGLET, a, lams)
+        vb = view.first_values(BA, SINGLET, b, lams)
         for ordering in (AB, BA):
             alphas, betas = eval_pairs(sphere, ordering, SINGLET, a, b, lams)
             ok &= bool(np.array_equal(va, alphas) and np.array_equal(vb, betas))

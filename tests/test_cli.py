@@ -177,6 +177,8 @@ def test_failed_reduce_names_the_first_witness_check_covariance_reports(model, c
     code, out, _ = run(["check-covariance", *args], capsys)
     assert code == 0
     report = json.loads(out)
+    assert set(doc) == {"config", "reduced", "witness", "checked", "violations",
+                        "violation_fraction"}
     assert doc["reduced"] is False
     assert doc["witness"] == report["witnesses"][0]
     for key in ("checked", "violations", "violation_fraction"):

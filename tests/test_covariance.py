@@ -85,7 +85,7 @@ _MODELS = [*sorted(MODEL_REGISTRY), "local-view of local-sphere"]
 @given(name=st.sampled_from(_MODELS), cap=st.integers(0, 40),
        pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=6), data=st.data())
 def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
-    m = (LocalModelView(LocalSphereModel(), SINGLET) if name.startswith("local-view")
+    m = (LocalModelView(LocalSphereModel()) if name.startswith("local-view")
          else make_model(name))
     lams = draw_hidden_points(data, m.lambda_dim, 3000)
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
@@ -149,8 +149,8 @@ def test_reduce_local_sphere_succeeds_and_is_sound():
     lams = sample_lambda(2, 300, SeedSpec(43))
     view = reduce_to_local(m, SINGLET, pairs, lams)
     for a, b in pairs:
-        va = view.responds_alice_values(a, lams)
-        vb = view.responds_bob_values(b, lams)
+        va = view.first_values(AB, SINGLET, a, lams)
+        vb = view.first_values(BA, SINGLET, b, lams)
         for ordering in (AB, BA):
             alphas, betas = eval_pairs(m, ordering, SINGLET, a, b, lams)
             assert np.array_equal(va, alphas)
@@ -161,7 +161,7 @@ def test_reduce_gisin_fails_with_witness():
     lams = sample_lambda(2, 200, SeedSpec(44))
     with pytest.raises(NotCovariantError) as err:
         reduce_to_local(GisinSingletModel(), SINGLET, _grid_pairs(3), lams)
-    assert err.value.witness.side in (Side.ALICE, Side.BOB)
+    assert err.value.report.witnesses[0].side in (Side.ALICE, Side.BOB)
     assert err.value.report.violations > 0
 
 
@@ -170,7 +170,10 @@ def test_reduce_names_the_checks_first_witness():
     lams = sample_lambda(2, 100, SeedSpec(46))
     with pytest.raises(NotCovariantError) as err:
         reduce_to_local(m, SINGLET, pairs, lams)
-    assert err.value.witness == check_covariance(m, SINGLET, pairs, lams).witnesses[0]
+    witness = check_covariance(m, SINGLET, pairs, lams).witnesses[0]
+    assert err.value.report.witnesses[0] == witness
+    assert (f"{witness.side.value} side, lambda={witness.lam.coords}, "
+            f"first={int(witness.first_value)}, second={int(witness.second_value)}") in str(err.value)
 
 
 def test_reduce_fully_random_determinized_model():
@@ -185,7 +188,7 @@ def test_reduce_fully_random_determinized_model():
     lams = sample_lambda(m.lambda_dim, 20_000, SeedSpec(45))
     view = reduce_to_local(m, SINGLET, pairs, lams)
     for a, b in pairs:
-        prod = view.responds_alice_values(a, lams) * view.responds_bob_values(b, lams)
+        prod = view.first_values(AB, SINGLET, a, lams) * view.first_values(BA, SINGLET, b, lams)
         assert abs(np.mean(prod)) < 0.02
 
 
@@ -196,6 +199,37 @@ def test_local_view_model_is_covariant():
     lams = sample_lambda(2, 500, SeedSpec(47))
     report = check_covariance(view, SINGLET, _grid_pairs(4), lams)
     assert report.violations == 0
+
+
+class _StateRecorder(OrderedModel):
+    """Covariant: Alice answers by lambda's first coordinate and Bob by its
+    second in both orderings; records the state each call receives."""
+
+    lambda_dim = 2
+
+    def __init__(self):
+        self.states = []
+
+    def first_values(self, ordering, state, setting_first, lams):
+        self.states.append(state)
+        column = lams[:, 0] if ordering is AB else lams[:, 1]
+        return np.where(column <= 0.5, 1, -1)
+
+    def second_values(self, ordering, state, a, b, lams):
+        return self.first_values(BA if ordering is AB else AB, state, None, lams)
+
+
+def test_local_view_answers_at_the_callers_state():
+    m, sentinel = _StateRecorder(), object()
+    view = LocalModelView(m)
+    lams = sample_lambda(2, 50, SeedSpec(48))
+    for ordering in (AB, BA):
+        for call in (lambda: view.first_values(ordering, sentinel, A_X, lams),
+                     lambda: view.second_values(ordering, sentinel, A_X, B_09, lams),
+                     lambda: view.count_pairs(ordering, sentinel, [(A_X, B_09)], lams)):
+            m.states.clear()
+            call()
+            assert m.states and all(s is sentinel for s in m.states)
 
 
 def test_enumeration_counts_and_bounds():

@@ -114,15 +114,20 @@ def test_exact_joint_matches_oracle_within_grid_error():
             assert np.max(np.abs(table.probs - oracle.probs)) <= 1.0 / grid
 
 
-def test_exact_joint_high_dimension_rejected():
+def test_exact_joint_high_dimension_is_bounded_by_the_engine_cap():
     sr = StochasticResponse(
         lambda_dim=2,
-        p_first=lambda o, s, sf, lams: np.full(lams.shape[0], 0.5),
-        p_second=lambda o, s, a, b, f, lams: np.full(lams.shape[0], 0.5),
+        p_first=lambda o, s, sf, lams: lams[:, 0],
+        p_second=lambda o, s, a, b, f, lams: np.where(f > 0, lams[:, 1], 1.0 - lams[:, 1]),
     )
-    m = determinize(sr)  # lambda_dim = 4
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        exact_joint(m, AB, SINGLET, A_X, B_09, grid=10)
+    m = determinize(sr)  # lambda_dim = 4; it reads base coordinates, so the engine scores it
+    table = exact_joint(m, AB, SINGLET, A_X, B_09, grid=10)
+    alphas, betas = eval_pairs(m, AB, SINGLET, A_X, B_09, _lattice_block(4, 10, 0, 10 ** 4))
+    expected = [[np.count_nonzero((alphas == x) & (betas == y)) for y in (1, -1)]
+                for x in (1, -1)]
+    assert table.n == 10 ** 4 and np.array_equal(table.counts, expected)
+    with pytest.raises(ValueError, match="exact engine's cap.*use Monte Carlo"):
+        exact_joint(m, AB, SINGLET, A_X, B_09, grid=600)
 
 
 def test_exact_joint_small_grid_rejected():
