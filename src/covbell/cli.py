@@ -68,10 +68,6 @@ _OPTIONS = {
     "velocities": ("-0.5,0,0.5", str, None, None, "comma-separated boost velocities"),
 }
 
-# Defaults that differ by subcommand: chsh takes a quadruple, not a grid.
-_COMMAND_DEFAULTS = {"chsh": {"settings": "tsirelson"}}
-
-
 def _keys(command: str, mode=None) -> tuple:
     """The keys a command takes: in a mode, only that mode's estimator keys."""
     keys = _COMMANDS[command][1] + ("seed", "workers", "output")
@@ -95,25 +91,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args) -> dict:
-    keys = _keys(args.command)
-    given = {}
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                given = json.load(fh)
-            except ValueError as err:  # not JSON, or not UTF-8 (RFC 8259)
-                raise UsageError(f"config file must hold a JSON object: {err}") from None
-        if not isinstance(given, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(given) - set(keys)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    given.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+def _resolve_config(command: str, given: dict) -> dict:
+    """The command's defaults under the given keys, one check for every source."""
+    keys = _keys(command)
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     cfg = {key: _OPTIONS[key][0] for key in keys}
-    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}), **given)
+    cfg.update(_COMMANDS[command][2], **given)
     if cfg.get("mode") in _OPTIONS["mode"][2]:  # an invalid mode fails its check below
-        keys = _keys(args.command, cfg["mode"])
+        keys = _keys(command, cfg["mode"])
         stray = sorted(set(given) - set(keys))
         if stray:
             raise UsageError(f"mode {cfg['mode']} does not read {', '.join(stray)}")
@@ -129,7 +116,7 @@ def _resolve_config(args) -> dict:
         if low is not None and val < low:
             raise UsageError(f"{key} must be at least {low}")
     SeedSpec(cfg["seed"])  # every command embeds its seed: out of range is a domain error
-    return {"command": args.command, **{key: cfg[key] for key in keys}}
+    return {"command": command, **{key: cfg[key] for key in keys}}
 
 
 def _inline_vectors(spec: str, shape: tuple, what: str) -> np.ndarray:
@@ -307,18 +294,19 @@ def _cmd_frame_order(cfg) -> int:
     return 0
 
 
-# Each subcommand's function and the keys it reads, besides seed, workers and
-# output, which every subcommand takes: every output names its seed, and the
-# other two never enter an output. A command accepts and embeds only its own
-# keys; tomography and chsh also take their mode's keys in _MODE_KEYS.
+# Each subcommand's function, the keys it reads besides seed, workers and
+# output, which every subcommand takes (every output names its seed, and the
+# other two never enter an output), and the defaults it sets over _OPTIONS'
+# (chsh takes a quadruple, not a grid). A command accepts and embeds only its
+# own keys; tomography and chsh also take their mode's keys in _MODE_KEYS.
 _COMMANDS = {
-    "tomography": (_cmd_tomography, ("model", "ordering", "settings", "mode", "format")),
-    "chsh": (_cmd_chsh, ("model", "ordering", "settings", "mode")),
+    "tomography": (_cmd_tomography, ("model", "ordering", "settings", "mode", "format"), {}),
+    "chsh": (_cmd_chsh, ("model", "ordering", "settings", "mode"), {"settings": "tsirelson"}),
     "check-covariance": (_cmd_check_covariance,
-                         ("model", "settings", "stream", "probes", "witness_cap")),
-    "reduce": (_cmd_reduce, ("model", "settings", "stream", "probes")),
-    "enumerate": (_cmd_enumerate, ("format",)),
-    "frame-order": (_cmd_frame_order, ("event_a", "event_b", "velocities", "format")),
+                         ("model", "settings", "stream", "probes", "witness_cap"), {}),
+    "reduce": (_cmd_reduce, ("model", "settings", "stream", "probes"), {}),
+    "enumerate": (_cmd_enumerate, ("format",), {}),
+    "frame-order": (_cmd_frame_order, ("event_a", "event_b", "velocities", "format"), {}),
 }
 
 
@@ -328,8 +316,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
-        cfg = _resolve_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        given = {}
+        if args.config is not None:
+            with open(args.config, encoding="utf-8") as fh:
+                try:
+                    given = json.load(fh)
+                except ValueError as err:  # not JSON, or not UTF-8 (RFC 8259)
+                    raise UsageError(f"config file must hold a JSON object: {err}") from None
+            if not isinstance(given, dict):
+                raise UsageError("config file must hold a JSON object")
+        given.update({key: getattr(args, key) for key in _keys(args.command)
+                      if getattr(args, key) is not None})
+        return _COMMANDS[args.command][0](_resolve_config(args.command, given))
     except UsageError as err:
         print(f"covbell: {err}", file=sys.stderr)
         return 1

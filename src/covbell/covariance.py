@@ -118,20 +118,18 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
         bad = alice_bad | bob_bad
         violations += int(np.count_nonzero(bad))
         if len(witnesses) < witness_cap:
-            for i in np.nonzero(bad)[0]:
+            for i in np.flatnonzero(bad)[:witness_cap - len(witnesses)]:  # 1 or 2 witnesses each
                 lam = HiddenPoint(tuple(arr[i]))
-                if alice_bad[i] and len(witnesses) < witness_cap:
+                if alice_bad[i]:
                     witnesses.append(Witness(lam, a, b, Side.ALICE,
                                              Outcome(int(alpha_ab[i])), Outcome(int(alpha_ba[i]))))
-                if bob_bad[i] and len(witnesses) < witness_cap:
+                if bob_bad[i]:
                     witnesses.append(Witness(lam, a, b, Side.BOB,
                                              Outcome(int(beta_ba[i])), Outcome(int(beta_ab[i]))))
-                if len(witnesses) >= witness_cap:
-                    break
     checked = arr.shape[0] * len(pairs)
     fraction = violations / checked if checked else 0.0
     return CovarianceReport(checked=checked, violations=violations,
-                            witnesses=tuple(witnesses), violation_fraction=fraction)
+                            witnesses=tuple(witnesses[:witness_cap]), violation_fraction=fraction)
 
 
 class LocalModelView(OrderedModel):

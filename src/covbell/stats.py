@@ -225,7 +225,8 @@ def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpe
                   workers: int = 1) -> list:
     """Monte Carlo joint tables of every setting pair over n hidden points each:
     pair i draws from stream ``seed.stream + i``, so the tables' errors are
-    independent."""
+    independent. The last pair's stream is checked before any pair draws."""
+    SeedSpec(seed.seed, seed.stream + max(len(pairs) - 1, 0))
     return [estimate_joint(m, ordering, state, a, b, n,
                            SeedSpec(seed.seed, seed.stream + i), workers=workers)
             for i, (a, b) in enumerate(pairs)]

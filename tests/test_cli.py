@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covbell import cli
+from covbell import cli, stats
 from covbell.cli import main
 from covbell.core import (MeasurementSetting, QuantumState, TimeOrdering, setting_grid,
                           tsirelson_settings)
@@ -224,7 +224,7 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(cfg):
         raise KeyError("internal")
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", (broken, cli._COMMANDS["enumerate"][1]))
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", (broken, *cli._COMMANDS["enumerate"][1:]))
     with pytest.raises(KeyError, match="internal"):
         main(["enumerate"])
 
@@ -575,6 +575,48 @@ def test_out_of_range_seed_is_domain_error_in_every_command(command, mode, seed,
     assert not out_path.exists()
 
 
+def _flag_dict(flags) -> dict:
+    """The keys of a run's ``--key value`` flags, typed as a config file holds them."""
+    return {flag[2:].replace("-", "_"): int(val) if val.isdecimal() else val
+            for flag, val in zip(flags[::2], flags[1::2])}
+
+
+@pytest.mark.parametrize("command,mode", sorted(SMALL_JSON_RUN, key=str))
+def test_a_dict_the_flags_and_a_config_file_resolve_alike(command, mode, tmp_path, capsys):
+    flags = [*SMALL_JSON_RUN[command, mode], "--seed", "3"]
+    given = _flag_dict(flags)
+    resolved = cli._resolve_config(command, given)
+    assert given == _flag_dict(flags)  # the resolver leaves its input as it was
+    want = {key: val for key, val in resolved.items() if key not in ("workers", "output")}
+    out_path, cfg_path = tmp_path / "out.json", tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(given))
+    for source in (flags, ["--config", str(cfg_path)]):
+        code, _, err = run([command, *source, "--output", str(out_path)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out_path.read_text())["config"] == want
+
+
+@pytest.mark.parametrize("command,bad,flags", [
+    ("chsh", {"workers": 0}, ["--workers", "0"]),
+    ("check-covariance", {"witness_cap": -1}, ["--witness-cap", "-1"]),
+    ("tomography", {"mode": "exakt"}, ["--mode", "exakt"]),
+    ("chsh", {"mode": "exact", "n": 5}, ["--mode", "exact", "--n", "5"]),
+    # argparse refuses a flag of the wrong type, and no flag names an unknown key
+    ("tomography", {"n": "100"}, None),
+    ("chsh", {"modle": "gisin-singlet"}, None),
+])
+def test_a_bad_value_is_the_same_usage_error_from_every_source(command, bad, flags, tmp_path,
+                                                               capsys):
+    with pytest.raises(cli.UsageError) as raised:
+        cli._resolve_config(command, bad)
+    message = f"covbell: {raised.value}\n"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    assert run([command, "--config", str(cfg_path)], capsys) == (1, "", message)
+    if flags:
+        assert run([command, *flags], capsys) == (1, "", message)
+
+
 @pytest.mark.parametrize("args,file_cfg,message", [
     (["chsh", "--mode", "exact", "--grid", "2", "--n", "0"], None, "mode exact does not read n"),
     (["tomography", "--mode", "exact", "--grid", "50", "--stream", "5"], None,
@@ -745,3 +787,19 @@ def test_mc_pair_i_draws_from_stream_plus_i(capsys):
     assert code == 0
     assert json.loads(out)["terms"] == [
         {"E": t.value, "stderr": t.stderr, "n": t.n} for t in map(correlator, tables)]
+
+
+def test_mc_stream_overflow_fails_before_any_pair_draws(monkeypatch, capsys):
+    # pair 24 of grid:5 would draw from stream 2^64: found before pair 0 draws
+    calls = []
+    sample_block = stats._sample_block
+
+    def counting(*args):
+        calls.append(args)
+        return sample_block(*args)
+
+    monkeypatch.setattr(stats, "_sample_block", counting)
+    code, out, err = run(["tomography", "--settings", "grid:5", "--n", "1000",
+                          "--stream", str(2 ** 64 - 24), "--workers", "2"], capsys)
+    assert (code, out, err) == (2, "", "covbell: stream must fit in 64 unsigned bits\n")
+    assert calls == []
