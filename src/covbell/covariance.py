@@ -93,6 +93,18 @@ def _as_lam_array(m: OrderedModel, lams) -> np.ndarray:
     return _unit_interval(_lambdas(m, lams), "hidden point coordinate")
 
 
+def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
+    """The indices of mask's first k True entries, ``np.flatnonzero(mask)[:k]``,
+    found by scanning a prefix that grows 16-fold from 1024 until it holds k of
+    them, so a mask with many early Trues is not indexed whole."""
+    end = 1024
+    while True:
+        found = np.flatnonzero(mask[:end])
+        if found.size >= k or end >= mask.size:
+            return found[:k]
+        end *= 16
+
+
 def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                      witness_cap: int = 32) -> CovarianceReport:
     """Count pointwise covariance failures over all (lambda, a, b) probes.
@@ -118,7 +130,7 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
         bad = alice_bad | bob_bad
         violations += int(np.count_nonzero(bad))
         if len(witnesses) < witness_cap:
-            for i in np.flatnonzero(bad)[:witness_cap - len(witnesses)]:  # 1 or 2 witnesses each
+            for i in _first_true(bad, witness_cap - len(witnesses)):  # 1 or 2 witnesses each
                 lam = HiddenPoint(tuple(arr[i]))
                 if alice_bad[i]:
                     witnesses.append(Witness(lam, a, b, Side.ALICE,

@@ -275,7 +275,8 @@ class GisinSingletModel(OrderedModel):
 
     def first_values(self, ordering, state, setting_first, lams):
         _require_singlet(state)
-        return _pm(self._first_plus(ordering, lams))
+        # the setting is ignored: one sign array per ordering serves every setting
+        return self._kept(lams, (ordering, "signs"), lambda: _pm(self._first_plus(ordering, lams)))
 
     @staticmethod
     def _levels(a, b):

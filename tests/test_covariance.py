@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           QuantumState, TimeOrdering, dot, setting_grid)
-from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness,
+from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness, _first_true,
                                 check_covariance, enumerate_finite, frame_consistency,
                                 reduce_to_local)
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
                             StochasticResponse, determinize, eval_pairs, make_model)
-from covbell.stats import SeedSpec, exact_tables, sample_lambda
+from covbell.stats import _BLOCK, SeedSpec, exact_tables, sample_lambda
 from oracles import FiniteStrategy, forced_covariant_extension
 from property_inputs import SETTING, draw_hidden_points
 
@@ -91,6 +91,14 @@ def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
     assert (report.checked, report.violations, report.violation_fraction,
             report.witnesses) == _reference_report(m, pairs, lams, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(0, 40_000), density=st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.5, 1.0]),
+       k=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_true_is_the_head_of_flatnonzero(size, density, k, seed):
+    mask = np.random.default_rng(seed).random(size) < density
+    assert np.array_equal(_first_true(mask, k), np.flatnonzero(mask)[:k])
 
 
 def test_local_sphere_is_covariant():
@@ -289,8 +297,9 @@ def test_reduced_sphere_view_computes_directions_once_per_block(direction_comput
     view = reduce_to_local(LocalSphereModel(), SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     del direction_computations[:]
     exact_tables(view, AB, SINGLET, pairs, 1001)
-    # 1001^2 points make 4 blocks of 2^18; each block binds once for all 16 pairs
-    assert len(direction_computations) == 4 and sum(direction_computations) == 1001 ** 2
+    # each block of the 1001^2 points binds once for all 16 pairs
+    blocks = -(-1001 ** 2 // _BLOCK)
+    assert len(direction_computations) == blocks and sum(direction_computations) == 1001 ** 2
 
 
 def test_pr_box_strategy_reaches_four():

@@ -288,6 +288,11 @@ def test_lattice_block_deep_in_a_huge_lattice():
 THREE_PAIRS = [(A_X, B_09), (A_X, B_PERP), (B_09, A_X)]
 
 
+def _blocks(n):
+    """The engine's (start, rows) blocks of n points."""
+    return [(start, min(_BLOCK, n - start)) for start in range(0, n, _BLOCK)]
+
+
 def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
     made = []
 
@@ -297,7 +302,7 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
 
     monkeypatch.setattr(stats, "_lattice_block", record)
     exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 600, workers=2)
-    assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
+    assert sorted(made) == _blocks(600 ** 2)
 
 
 def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
@@ -318,7 +323,9 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
     m = EngineSphere()  # a model without a lattice_counts hook: exact tables use the engine
     serial = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers=1)
     assert submitted == []
-    for workers, tasks in ((2, 2), (3, 3), (10, 7)):
+    # tasks are capped by workers, then blocks, then CPUs
+    for cpus, workers, tasks in ((16, 2, 2), (16, 3, 3), (16, 10, 7), (3, 10, 3)):
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
         submitted.clear()
         made.clear()
         tables = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers)
@@ -338,7 +345,7 @@ def test_sphere_directions_once_per_lattice_block(direction_computations):
         tables = exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert len(direction_computations) == 6  # once per block, for all three pairs
+    assert len(direction_computations) == len(_blocks(1200 ** 2))  # once per block, for all three pairs
     serial = exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=1)
     assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
 
@@ -420,6 +427,7 @@ def test_table_memory_is_bounded_by_blocks_not_points(run):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+    assert peak < 8 * 2 ** 20  # two live blocks of 2^17 rows; blocks of 2^18 peak at 9-12 MiB
 
 
 def test_exact_tables_of_a_hook_model_make_no_lattice_block(monkeypatch):
@@ -434,7 +442,7 @@ def test_exact_tables_of_a_hook_model_make_no_lattice_block(monkeypatch):
         exact_tables(make_model(name), BA, SINGLET, THREE_PAIRS, 600, workers=2)
     assert made == []
     exact_tables(EngineSphere(), BA, SINGLET, THREE_PAIRS, 600, workers=2)
-    assert sorted(made) == [(0, _BLOCK), (_BLOCK, 600 ** 2 - _BLOCK)]
+    assert sorted(made) == _blocks(600 ** 2)
     assert EngineSphere().lattice_counts(AB, SINGLET, THREE_PAIRS, 600) is None
 
 
