@@ -23,6 +23,8 @@ import pytest
 from covbell.cli import main
 
 TSIRELSON_EXACT = ["--settings", "tsirelson", "--mode", "exact"]
+# the nogo-scan benchmark's 1000 velocities, evenly spaced over [-0.999, 0.999]
+BENCH_VELOCITIES = "--velocities=" + ",".join(repr(-0.999 + 1.998 * k / 999) for k in range(1000))
 
 # name: (arguments, stdout hash, --output hash or None, payload hash)
 GOLDEN = {
@@ -64,6 +66,14 @@ GOLDEN = {
         ["frame-order", "--velocities=-0.5,0,0.5", "--format", "json"],
         "88dfac220009173b588d85efe8899ebd04b50f1615761556f2aaf6461182caf0", None,
         "8c2f2796330d7ce258e052beccacd9d78edc696146227751a51f09e3c8e899e2"),
+    "frame-order-1000": (
+        ["frame-order", BENCH_VELOCITIES],
+        "7a993d9462dcc332543ddca716c0ba16866c063dbba611961dfa50d6ad35cc60", None,
+        "9c62d458bf9a0905f9e7cf32d44f71d344ffbb3215f40d1928d95f29ecf26caf"),
+    "frame-order-1000-json": (
+        ["frame-order", BENCH_VELOCITIES, "--format", "json"],
+        "82e615d8d48b4aa46895fc978f983e454013d03d20f4ba4541aff97b81d174c6", None,
+        "297d95ee25e043fb728d94c6a11174cd5450b73e196ad12400542d7a4507f430"),
 }
 
 
