@@ -278,16 +278,22 @@ def _cmd_frame_order(cfg) -> int:
     ea = Event(*_numbers(cfg, "event_a", 2))
     eb = Event(*_numbers(cfg, "event_b", 2))
     velocities = _numbers(cfg, "velocities")
-    rows = {"v": velocities, "tA": [], "tB": [], "ordering": []}
-    for v in velocities:
+    vs = np.array(velocities)
+    # boost_event's t' and x' of both events for every velocity, by the same IEEE
+    # operations, so the same bits; a bad velocity or an overflow fails in the loop
+    with np.errstate(all="ignore"):
+        g = 1.0 / np.sqrt(1.0 - vs * vs)
+        ta, xa, tb, xb = [g * (p - vs * q) for e in (ea, eb) for p, q in ((e.t, e.x), (e.x, e.t))]
+    orderings = []
+    for v, fits in zip(velocities, np.isfinite([ta, xa, tb, xb]).all(axis=0).tolist()):
         boost = Boost(v)  # NaN or |v| >= 1 raises, handled as a domain error
-        rows["tA"].append(boost_event(ea, boost).t)
-        rows["tB"].append(boost_event(eb, boost).t)
+        if not fits:
+            boost_event(ea, boost), boost_event(eb, boost)  # raises: a coordinate overflows
         try:
-            ordering = time_order(ea, eb, boost).value
+            orderings.append(time_order(ea, eb, boost).value)
         except SimultaneousEventsError:
-            ordering = "simultaneous"
-        rows["ordering"].append(ordering)
+            orderings.append("simultaneous")
+    rows = {"v": velocities, "tA": ta.tolist(), "tB": tb.tolist(), "ordering": orderings}
     spacelike = is_spacelike(ea, eb)
     _emit(cfg, {"spacelike": spacelike, "rows": rows}, table="rows",
           notes=[f"spacelike = {spacelike}"])
@@ -328,12 +334,10 @@ def main(argv=None) -> int:
         given.update({key: getattr(args, key) for key in _keys(args.command)
                       if getattr(args, key) is not None})
         return _COMMANDS[args.command][0](_resolve_config(args.command, given))
-    except UsageError as err:
-        print(f"covbell: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as err:
-        print(f"covbell: {err}", file=sys.stderr)
-        return 2
+    except (UsageError, ValueError, OSError, MemoryError) as err:
+        why = str(err) or ("out of memory" if isinstance(err, MemoryError) else type(err).__name__)
+        print(f"covbell: {why}", file=sys.stderr)
+        return 1 if isinstance(err, UsageError) else 2
 
 
 def entry():

@@ -60,10 +60,11 @@ def time_order(ea: Event, eb: Event, b: Boost) -> TimeOrdering:
     """Time ordering of the two events as seen from the boosted frame.
 
     Exact simultaneity is an error, not a tie-break: the model machinery
-    needs a definite ordering per frame.
+    needs a definite ordering per frame. The boosted times are boost_event's,
+    without building events, so a time that overflows is infinite.
     """
-    ta = boost_event(ea, b).t
-    tb = boost_event(eb, b).t
+    g, v = b.gamma, b.v
+    ta, tb = g * (ea.t - v * ea.x), g * (eb.t - v * eb.x)
     if ta == tb:
         raise SimultaneousEventsError("simultaneous in this frame; ordering undefined")
     return TimeOrdering.AB if ta < tb else TimeOrdering.BA

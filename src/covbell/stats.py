@@ -9,12 +9,12 @@ O(1/grid) and predictable.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -257,6 +257,8 @@ def chsh(tables) -> ChshEstimate:
 # ---------------------------------------------------------------------------
 # Record emission (CSV / JSON mirrors)
 
+_SPECIAL = re.compile('[,"\r\n]')  # a CSV cell with any of these is quoted
+
 CSV_COLUMNS = ["ordering", "ax", "ay", "az", "bx", "by", "bz",
                "ppp", "ppm", "pmp", "pmm", "E", "stderr", "n_or_grid", "seed"]
 
@@ -279,31 +281,38 @@ def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -
             est.value, est.stderr, n_or_grid, seed)
 
 
-def _cells(values: list):
-    """A column's CSV cells, by one formatter chosen for the whole column
-    (csv.writer writes a plain int or str as _fmt does)."""
-    kinds = set(map(type, values))
-    if kinds <= {int, str}:
-        return values
-    if kinds <= {int, bool}:
-        return map(int, values)
-    if kinds <= {float}:
-        return map("{:.17g}".format, values)
-    return map(_fmt, values)
+def _quoted(cells, alone: bool) -> list:
+    """Text cells quoted as csv's default dialect quotes them: a cell with a
+    comma, a double quote or a line break goes in double quotes, its own
+    doubled; in a one-column table an empty cell is written "" (alone), as a
+    blank line would read as no row. One scan finds whether any cell needs it."""
+    cells = list(cells)
+    if _SPECIAL.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _SPECIAL.search(c) else c for c in cells]
+    return [c or '""' for c in cells] if alone else cells
 
 
 def records_to_csv(columns: dict, config: dict, notes=()) -> str:
     """CSV text of a table given as columns, ``{name: list of cells}`` in
     column order, with the resolved config, then each note, as leading comment
-    lines. Floats are written with 17 significant digits, booleans as 0/1."""
-    buf = io.StringIO()
-    buf.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
-    for note in notes:
-        buf.write(f"# {note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*map(_cells, columns.values())))
-    return buf.getvalue()
+    lines. Each column takes one printf conversion: a column of ints and bools
+    %d (booleans as 0/1), of Python floats %.17g, and any other its cells as
+    _fmt writes them, quoted where csv would; the rows are one format call."""
+    convs, cols = [], []
+    for values in columns.values():
+        kinds = set(map(type, values))
+        if kinds <= {int, bool}:
+            convs.append("%d")
+        elif kinds <= {float}:
+            convs.append("%.17g")
+        else:
+            convs.append("%s")
+            values = _quoted(values if kinds <= {str} else map(_fmt, values), len(columns) == 1)
+        cols.append(values)
+    cells = tuple(chain.from_iterable(zip(*cols)))
+    head = ["# config = " + json.dumps(config, sort_keys=True), *(f"# {note}" for note in notes),
+            ",".join(_quoted(map(str, columns), len(columns) == 1)), ""]
+    return "\n".join(head) + (",".join(convs) + "\n") * (len(cells) // max(len(cols), 1)) % cells
 
 
 def records_to_json(payload: dict, config: dict) -> str:

@@ -116,15 +116,22 @@ def fmt_cell(x) -> str:
 
 
 def per_cell_csv(records, config: dict, columns, notes=()) -> str:
-    """records_to_csv's document written row by row, every cell through fmt_cell."""
+    """records_to_csv's document written row by row, every cell through fmt_cell
+    and csv.writer. The writer ends its rows as csv's default dialect does, with
+    "\\r\\n", so that every Python version quotes a cell with a line break (some
+    quote only the line breaks their terminator holds); each row's "\\r\\n" is
+    then written "\\n"."""
     buf = io.StringIO()
     buf.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
     for note in notes:
         buf.write(f"# {note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in records:
-        writer.writerow([fmt_cell(rec[col]) for col in columns])
+    row = io.StringIO()
+    writer = csv.writer(row)
+    for cells in [columns, *([fmt_cell(rec[col]) for col in columns] for rec in records)]:
+        row.seek(0)
+        row.truncate()
+        writer.writerow(cells)
+        buf.write(row.getvalue()[:-2] + "\n")
     return buf.getvalue()
 
 

@@ -1,4 +1,5 @@
-"""Hypothesis inputs shared by the model and covariance property tests."""
+"""Hypothesis inputs shared by the property tests: settings and hidden points
+for the models and the covariance check, events and boosts for frame-order."""
 
 import math
 
@@ -29,3 +30,13 @@ def draw_hidden_points(data, d, max_rows):
     spec = SeedSpec(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
     rows = data.draw(st.integers(1, max_rows), label="rows")
     return np.asarray(_sample_block(d, spec, 0, rows), order=order)
+
+
+# A finite event coordinate: signed zeros, subnormals and magnitudes whose boosts overflow.
+COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308,
+                                        1.7976931348623157e308]),
+                       st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+EVENT = st.tuples(COORDINATE, COORDINATE)
+# A boost velocity in (-1, 1): 0 and -0 are the default events' simultaneous frame.
+VELOCITY = st.one_of(st.sampled_from([0.0, -0.0, 0.999, -0.999, 0.999999, -0.999999]),
+                     st.floats(-1, 1, exclude_min=True, exclude_max=True, allow_subnormal=True))

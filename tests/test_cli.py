@@ -24,6 +24,7 @@ from covbell.spacetime import Event, is_spacelike
 from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, estimate_joint,
                            joint_record)
 from oracles import enumeration_rows, frame_order_rows, row_dict_document
+from property_inputs import EVENT, VELOCITY
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -100,34 +101,56 @@ def _assert_same_document(got: str, want: str):
                       f"{len(got)} != {len(want)} characters")
 
 
-def _frame_order_matches_the_row_dict_oracle(velocities, fmt):
+def _frame_order_matches_the_row_dict_oracle(velocities, fmt, event_a=(0, -1), event_b=(0, 1)):
+    """frame-order's document, or its exit 2 and message where the oracle raises
+    (a bad velocity, or a boosted coordinate that overflows, which Event rejects)."""
     spec = ",".join(map(repr, velocities))
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(["frame-order", "--velocities=" + spec, "--format", fmt]) == 0
-    ea, eb = Event(0, -1), Event(0, 1)
+    events = {"event_a": ",".join(map(repr, event_a)), "event_b": ",".join(map(repr, event_b))}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["frame-order", "--event-a=" + events["event_a"],
+                     "--event-b=" + events["event_b"], "--velocities=" + spec, "--format", fmt])
+    ea, eb = Event(*event_a), Event(*event_b)
+    try:
+        rows = frame_order_rows(ea, eb, velocities)
+    except ValueError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"covbell: {exc}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
     spacelike = is_spacelike(ea, eb)
-    config = {"command": "frame-order", "event_a": "0,-1", "event_b": "0,1", "format": fmt,
-              "seed": 0, "velocities": spec}
-    payload = {"spacelike": spacelike, "rows": frame_order_rows(ea, eb, velocities)}
-    _assert_same_document(buf.getvalue(), row_dict_document(fmt, config, payload, "rows",
-                                                            [f"spacelike = {spacelike}"]))
-
-
-# 0 and -0 are the default events' simultaneous frame; +-0.999 the extreme boosts.
-_VELOCITY = st.one_of(st.sampled_from([0.0, -0.0, 0.999, -0.999]),
-                      st.floats(-0.999, 0.999, allow_subnormal=True))
+    config = {"command": "frame-order", **events, "format": fmt, "seed": 0, "velocities": spec}
+    _assert_same_document(out.getvalue(), row_dict_document(
+        fmt, config, {"spacelike": spacelike, "rows": rows}, "rows", [f"spacelike = {spacelike}"]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_frame_order_documents_match_the_row_dict_oracle(data):
-    pool = data.draw(st.lists(_VELOCITY, min_size=1, max_size=5), label="distinct velocities")
+    # numpy warns of an overflow as an error (pytest.ini), so every one must be silenced
+    event_a = data.draw(st.one_of(st.just((0, -1)), EVENT), label="event a")
+    event_b = data.draw(st.one_of(st.just((0, 1)), EVENT), label="event b")
+    pool = data.draw(st.lists(VELOCITY, min_size=1, max_size=5), label="distinct velocities")
     # drawn from a small pool, so velocities repeat
     velocities = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12),
                            label="velocities")
     for fmt in ("csv", "json"):
-        _frame_order_matches_the_row_dict_oracle(velocities, fmt)
+        _frame_order_matches_the_row_dict_oracle(velocities, fmt, event_a, event_b)
+
+
+# Each is the oracle's exit 2: x' overflows while t' does not; both t' overflow to
+# the same -inf; the first bad velocity names the error, an overflow or a NaN.
+@pytest.mark.parametrize("event_a,event_b,velocities", [
+    ((0.0, 1.7e308), (0.0, 1.0), [0.5]),
+    ((0.0, 1e308), (0.0, 1.5e308), [0.999999]),
+    ((0.0, 1e308), (0.0, 1.0), [0.999999, math.nan]),
+    ((0.0, 1e308), (0.0, 1.0), [math.nan, 0.999999]),
+    ((0.0, 1e308), (0.0, 1.0), [0.1, 2.0, 0.999999]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_frame_order_fails_where_the_oracle_does(event_a, event_b, velocities, fmt):
+    with pytest.raises(ValueError):
+        frame_order_rows(Event(*event_a), Event(*event_b), velocities)
+    _frame_order_matches_the_row_dict_oracle(velocities, fmt, event_a, event_b)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -733,6 +756,22 @@ def test_impossible_probe_count_is_domain_error(monkeypatch, capsys):
                           "--probes", str(10 ** 12)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: Unable to allocate")
+
+
+def test_error_without_text_is_named(monkeypatch, capsys):
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate",
+                        (out_of_memory, *cli._COMMANDS["enumerate"][1:]))
+    assert run(["enumerate"], capsys) == (2, "", "covbell: out of memory\n")
+
+    def bare_os_error(cfg):
+        raise OSError()
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate",
+                        (bare_os_error, *cli._COMMANDS["enumerate"][1:]))
+    assert run(["enumerate"], capsys) == (2, "", "covbell: OSError\n")
 
 
 def test_probes_must_divide_among_the_setting_pairs(capsys):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from covbell.core import TimeOrdering
 from covbell.spacetime import (Boost, Event, SimultaneousEventsError,
                                boost_event, is_spacelike, time_order)
+from property_inputs import EVENT, VELOCITY
 
 
 def test_spacelike_simultaneous_separated():
@@ -63,6 +65,30 @@ def test_time_order_flips_with_velocity_sign():
 def test_time_order_simultaneous_errors():
     with pytest.raises(SimultaneousEventsError, match="simultaneous"):
         time_order(Event(0, -1), Event(0, 1), Boost(0.0))
+
+
+def _boosted_time(e: Event, b: Boost) -> float:
+    """boost_event(e, b).t; where a boosted coordinate overflows and Event rejects
+    it, boost_event's expression in Python floats."""
+    try:
+        return boost_event(e, b).t
+    except ValueError:
+        return b.gamma * (e.t - b.v * e.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVENT, EVENT, VELOCITY)
+@example((0.0, 1e308), (0.0, 1.5e308), 0.999999)  # both times overflow to -inf
+@example((0.0, 1.7e308), (0.0, 1.0), 0.5)  # x' overflows, t' does not
+@example((0.0, -0.0), (-0.0, 0.0), -0.0)
+def test_time_order_is_the_order_of_the_boosted_times(event_a, event_b, v):
+    ea, eb, b = Event(*event_a), Event(*event_b), Boost(v)
+    ta, tb = _boosted_time(ea, b), _boosted_time(eb, b)
+    if ta == tb:  # inf == inf too
+        with pytest.raises(SimultaneousEventsError):
+            time_order(ea, eb, b)
+    else:
+        assert time_order(ea, eb, b) is (TimeOrdering.AB if ta < tb else TimeOrdering.BA)
 
 
 def test_spacelike_pairs_orderable_both_ways():

@@ -610,10 +610,11 @@ def test_numpy_scalars_format_as_their_python_counterparts():
     assert _fmt(np.True_) == "1" and _fmt(np.float32(0.1)) == "0.10000000149011612"
 
 
-# The cells of one column, by kind. The writer picks one formatter per column:
-# plain ints and strs as they are, bools and ints through int, Python floats
-# through one format, anything else through _fmt. A kind "x+y" is a column of x
-# with one cell of y, which must move the column off x's formatter.
+# The cells of one column, by kind. The writer picks one printf conversion per
+# column: %d for ints and bools, %.17g for Python floats, and %s for anything
+# else, through _fmt and csv's quoting. A kind "x+y" is a column of x with one
+# cell of y, which must move the column off x's conversion. Text holds printf
+# directives and csv's specials, as cells and as column names.
 _CSV_CELLS = {
     "int": st.integers(-2 ** 70, 2 ** 70),
     "bool": st.booleans(),
@@ -622,7 +623,8 @@ _CSV_CELLS = {
     "numpy": st.one_of(st.booleans().map(np.bool_),
                        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
                        st.floats(width=32).map(np.float32), st.floats().map(np.float64)),
-    "str": st.text(st.sampled_from('ab,"\' 1.-e\n')),
+    "str": st.one_of(st.text(st.sampled_from('ab,"\' 1.-e\n\r%d')),
+                     st.sampled_from(["%d", "%s", "%.17g", "%%", "%(k)s", "100%"])),
 }
 
 
@@ -642,7 +644,8 @@ def test_column_wise_csv_matches_the_per_cell_oracle(data):
             col[data.draw(st.integers(0, n - 1), label="odd row")] = data.draw(
                 _CSV_CELLS[extra[0]], label="odd cell")
         cols.append(col)
-    columns = [f"c{i}" for i in range(len(cols))]
+    columns = data.draw(st.lists(st.text(st.sampled_from('c%d,"s '), max_size=4), unique=True,
+                                 min_size=len(cols), max_size=len(cols)), label="names")
     records = [dict(zip(columns, row)) for row in zip(*cols)]
     notes = data.draw(st.lists(st.text(st.sampled_from("ab =,"), max_size=5), max_size=2))
     assert (records_to_csv(dict(zip(columns, cols)), {"k": 1}, notes)
