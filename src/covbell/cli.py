@@ -1,16 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: tomography, chsh, check-covariance, reduce, enumerate,
-frame-order. Each subcommand takes only the config keys it reads, as flags
-and as a JSON file (``--config``); flags override file values, and any other
-key is a usage error. tomography and chsh read ``grid`` in mode exact and
-``n`` and ``stream`` in mode mc, so they take only their mode's (``tomography
---grid 300`` in the default mode mc is a usage error). One writer writes
-every document, to ``--output`` or stdout: CSV or JSON by the command's
-``format`` (JSON if it has none), with the command's resolved config and
-seed embedded. Exit codes: 0 success, 1 usage error, 2 domain error (e.g. a
-non-covariant model passed to ``reduce``, a size that does not fit in memory,
-or a config or output file that cannot be opened).
+frame-order. Each takes only the config keys it reads, as flags and as a JSON
+file (``--config``); flags override file values, and any other key is a usage
+error. Every subcommand takes ``seed`` and ``output``; tomography and chsh
+also take ``workers``, for their worker pool, and of the estimator keys only
+their mode's: ``grid`` in mode exact, ``n`` in mode mc (``tomography --grid
+300`` in the default mode mc is a usage error). One writer writes every
+document, to ``--output`` or stdout: CSV or JSON by the command's ``format``
+(JSON if none), with its resolved config embedded. Exit codes: 0 success, 1
+usage error, 2 domain error (e.g. a non-covariant model passed to ``reduce``,
+a size that does not fit in memory, or a file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The estimator keys of the commands with a mode, by the mode that reads them.
-_MODE_KEYS = {"mc": ("n", "stream"), "exact": ("grid",)}
+_MODE_KEYS = {"mc": ("n",), "exact": ("grid",)}
 
 # Every option's default, type, allowed values (None: any), minimum (None:
 # none) and help (None: list the allowed values). Flags and config-file values
@@ -56,8 +56,6 @@ _OPTIONS = {
     "n": (1_000_000, int, None, 1, "samples per setting pair (mode mc only)"),
     "grid": (2000, int, None, 2, "midpoint lattice points per axis (mode exact only)"),
     "seed": (0, int, None, None, None),
-    "stream": (0, int, None, None,
-               "Philox stream of the sampled points (tomography and chsh: mode mc only)"),
     "workers": (os.cpu_count() or 1, int, None, 1, None),
     "probes": (10_000, int, None, 1, None),
     "witness_cap": (32, int, None, 0, None),
@@ -70,7 +68,7 @@ _OPTIONS = {
 
 def _keys(command: str, mode=None) -> tuple:
     """The keys a command takes: in a mode, only that mode's estimator keys."""
-    keys = _COMMANDS[command][1] + ("seed", "workers", "output")
+    keys = _COMMANDS[command][1] + ("seed", "output")
     if "mode" in keys:
         keys += _MODE_KEYS[mode] if mode else sum(_MODE_KEYS.values(), ())
     return keys
@@ -189,7 +187,7 @@ def _tables(cfg, ordering, pairs) -> list:
         return exact_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["grid"],
                             cfg["workers"])
     return sample_tables(model, ordering, QuantumState.SINGLET, pairs, cfg["n"],
-                         SeedSpec(cfg["seed"], cfg["stream"]), cfg["workers"])
+                         SeedSpec(cfg["seed"]), cfg["workers"])
 
 
 def _cmd_tomography(cfg) -> int:
@@ -221,7 +219,7 @@ def _probe_lambdas(model, cfg):
     if cfg["probes"] % len(pairs):
         raise UsageError(f"probes must be a multiple of the {len(pairs)} setting pairs")
     n_lams = cfg["probes"] // len(pairs)
-    lams = sample_lambda(model.lambda_dim, n_lams, SeedSpec(cfg["seed"], cfg["stream"]))
+    lams = sample_lambda(model.lambda_dim, n_lams, SeedSpec(cfg["seed"]))
     return pairs, lams
 
 
@@ -300,17 +298,17 @@ def _cmd_frame_order(cfg) -> int:
     return 0
 
 
-# Each subcommand's function, the keys it reads besides seed, workers and
-# output, which every subcommand takes (every output names its seed, and the
-# other two never enter an output), and the defaults it sets over _OPTIONS'
-# (chsh takes a quadruple, not a grid). A command accepts and embeds only its
-# own keys; tomography and chsh also take their mode's keys in _MODE_KEYS.
+# Each subcommand's function, the keys it reads besides seed and output, which
+# all take (every output names its seed, none its path), and the defaults it
+# sets over _OPTIONS' (chsh takes a quadruple, not a grid). A command takes only
+# its own keys; tomography and chsh also take their mode's keys in _MODE_KEYS.
 _COMMANDS = {
-    "tomography": (_cmd_tomography, ("model", "ordering", "settings", "mode", "format"), {}),
-    "chsh": (_cmd_chsh, ("model", "ordering", "settings", "mode"), {"settings": "tsirelson"}),
-    "check-covariance": (_cmd_check_covariance,
-                         ("model", "settings", "stream", "probes", "witness_cap"), {}),
-    "reduce": (_cmd_reduce, ("model", "settings", "stream", "probes"), {}),
+    "tomography": (_cmd_tomography,
+                   ("model", "ordering", "settings", "mode", "workers", "format"), {}),
+    "chsh": (_cmd_chsh, ("model", "ordering", "settings", "mode", "workers"),
+             {"settings": "tsirelson"}),
+    "check-covariance": (_cmd_check_covariance, ("model", "settings", "probes", "witness_cap"), {}),
+    "reduce": (_cmd_reduce, ("model", "settings", "probes"), {}),
     "enumerate": (_cmd_enumerate, ("format",), {}),
     "frame-order": (_cmd_frame_order, ("event_a", "event_b", "velocities", "format"), {}),
 }

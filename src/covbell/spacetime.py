@@ -61,10 +61,12 @@ def time_order(ea: Event, eb: Event, b: Boost) -> TimeOrdering:
 
     Exact simultaneity is an error, not a tie-break: the model machinery
     needs a definite ordering per frame. The boosted times are boost_event's,
-    without building events, so a time that overflows is infinite.
+    without building events; one that overflows cannot be ordered, an error.
     """
     g, v = b.gamma, b.v
     ta, tb = g * (ea.t - v * ea.x), g * (eb.t - v * eb.x)
+    if not (math.isfinite(ta) and math.isfinite(tb)):
+        raise ValueError("a boosted time overflows; ordering undefined")
     if ta == tb:
         raise SimultaneousEventsError("simultaneous in this frame; ordering undefined")
     return TimeOrdering.AB if ta < tb else TimeOrdering.BA

@@ -141,12 +141,13 @@ def frame_order_rows(ea, eb, velocities) -> list:
     rows = []
     for v in velocities:
         boost = Boost(v)
+        # boosted first, as frame-order does: a coordinate that overflows fails here
+        ta, tb = boost_event(ea, boost).t, boost_event(eb, boost).t
         try:
             ordering = time_order(ea, eb, boost).value
         except SimultaneousEventsError:
             ordering = "simultaneous"
-        rows.append({"v": v, "tA": boost_event(ea, boost).t, "tB": boost_event(eb, boost).t,
-                     "ordering": ordering})
+        rows.append({"v": v, "tA": ta, "tB": tb, "ordering": ordering})
     return rows
 
 

@@ -464,15 +464,9 @@ def test_sphere_directions_once_per_probe_array(command, direction_computations,
     assert direction_computations == [400]
 
 
-@pytest.mark.parametrize("args", [
-    ["tomography", "--settings", "grid:2", "--mode", "mc", "--n", "1",
-     "--stream", str(2 ** 64 - 1)],  # pair 1 would draw from stream 2^64
-    ["tomography", "--settings", "grid:2", "--mode", "mc", "--n", "1", "--stream", str(2 ** 64)],
-    ["tomography", "--settings", "grid:1", "--mode", "exact", "--grid", str(10 ** 22),
-     "--workers", "1"],
-])
-def test_out_of_range_stream_or_lattice_is_domain_error(args, capsys):
-    code, out, err = run(args, capsys)
+def test_out_of_range_lattice_is_domain_error(capsys):
+    code, out, err = run(["tomography", "--settings", "grid:1", "--mode", "exact",
+                          "--grid", str(10 ** 22), "--workers", "1"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: ")
 
@@ -531,17 +525,18 @@ def test_local_sphere_counts_a_9e8_cell_lattice_in_a_fresh_process():
 
 
 # The config keys each subcommand reads. Every subcommand also takes seed, which
-# it embeds, and workers and output, which it does not. tomography and chsh also
-# take the estimator keys of their mode, and those only.
+# it embeds, and output, which it does not; only tomography and chsh take
+# workers, which no document embeds. They also take the estimator keys of their
+# mode, and those only.
 COMMAND_KEYS = {
-    "tomography": {"model", "ordering", "settings", "mode", "format"},
-    "chsh": {"model", "ordering", "settings", "mode"},
-    "check-covariance": {"model", "settings", "stream", "probes", "witness_cap"},
-    "reduce": {"model", "settings", "stream", "probes"},
+    "tomography": {"model", "ordering", "settings", "mode", "workers", "format"},
+    "chsh": {"model", "ordering", "settings", "mode", "workers"},
+    "check-covariance": {"model", "settings", "probes", "witness_cap"},
+    "reduce": {"model", "settings", "probes"},
     "enumerate": {"format"},
     "frame-order": {"event_a", "event_b", "velocities", "format"},
 }
-MODE_KEYS = {"exact": {"grid"}, "mc": {"n", "stream"}}
+MODE_KEYS = {"exact": {"grid"}, "mc": {"n"}}
 
 # Flags that make each run small and its document JSON, by subcommand and mode.
 SMALL_JSON_RUN = {
@@ -559,7 +554,7 @@ SMALL_JSON_RUN = {
 
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
 def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
-    every = {"seed", "workers", "output"}
+    every = {"seed", "output"}
     modes = MODE_KEYS if "mode" in COMMAND_KEYS[command] else {None: set()}
     # the parser takes every mode's keys; the resolved mode refuses the others'
     parsed = {"command", "config", *every, *COMMAND_KEYS[command], *set().union(*modes.values())}
@@ -567,11 +562,12 @@ def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
     out_path, cfg_path = tmp_path / "out.json", tmp_path / "cfg.json"
     for mode, mode_keys in modes.items():
         keys = COMMAND_KEYS[command] | mode_keys
-        code, _, err = run([command, *SMALL_JSON_RUN[command, mode], "--seed", "3",
-                            "--workers", "1", "--output", str(out_path)], capsys)
+        pool = ["--workers", "1"] if "workers" in keys else []
+        code, _, err = run([command, *SMALL_JSON_RUN[command, mode], "--seed", "3", *pool,
+                            "--output", str(out_path)], capsys)
         assert (code, err) == (0, "")
         embedded = json.loads(out_path.read_text())["config"]
-        assert embedded.keys() == {"command", "seed", *keys}
+        assert embedded.keys() == {"command", "seed", *keys} - {"workers"}
         for key in sorted(set(cli._OPTIONS) - every - keys):
             flag = "--" + key.replace("_", "-")
             code, out, err = run([command, *(["--mode", mode] if mode else []), flag, "1"], capsys)
@@ -583,6 +579,21 @@ def test_each_command_takes_and_embeds_only_its_keys(command, tmp_path, capsys):
             code, out, err = run([command, "--config", str(cfg_path)], capsys)
             assert (code, out) == (1, "")
             assert (refused or f"unknown config keys: [{key!r}]") in err
+
+
+def test_only_the_commands_that_count_on_the_pool_take_workers(monkeypatch, capsys):
+    pooled = set()
+    count_blocks = stats._count_blocks
+
+    def counting(*args):
+        pooled.add(command)  # the command of the run under way
+        return count_blocks(*args)
+
+    monkeypatch.setattr(stats, "_count_blocks", counting)
+    for command, mode in SMALL_JSON_RUN:
+        code, _, err = run([command, *SMALL_JSON_RUN[command, mode]], capsys)
+        assert (code, err) == (0, "")
+    assert pooled == {command for command in cli._COMMANDS if "workers" in cli._keys(command)}
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -643,7 +654,7 @@ def test_a_bad_value_is_the_same_usage_error_from_every_source(command, bad, fla
 @pytest.mark.parametrize("args,file_cfg,message", [
     (["chsh", "--mode", "exact", "--grid", "2", "--n", "0"], None, "mode exact does not read n"),
     (["tomography", "--mode", "exact", "--grid", "50", "--stream", "5"], None,
-     "mode exact does not read stream"),
+     "unrecognized arguments: --stream 5"),
     (["tomography", "--grid", "300"], None, "mode mc does not read grid"),
     (["chsh", "--mode", "mc", "--grid", "10"], None, "mode mc does not read grid"),
     (["chsh"], {"mode": "exact", "n": 5}, "mode exact does not read n"),
@@ -663,11 +674,10 @@ def test_help_names_the_mode_that_reads_each_estimator_key(capsys):
         text = " ".join(capsys.readouterr().out.split())
         assert "--grid GRID midpoint lattice points per axis (mode exact only)" in text
         assert "--n N samples per setting pair (mode mc only)" in text
-        assert "(tomography and chsh: mode mc only)" in text
 
 
 def test_readme_key_table_matches_the_cli():
-    want = {(command, mode): set(cli._keys(command, mode)) - {"seed", "workers", "output"}
+    want = {(command, mode): set(cli._keys(command, mode)) - {"seed", "output"}
             for command in cli._COMMANDS
             for mode in (cli._MODE_KEYS if "mode" in cli._COMMANDS[command][1] else [None])}
     assert _readme_key_table() == want
@@ -809,13 +819,13 @@ def test_nan_velocity_is_domain_error_named_as_nan(capsys):
     assert (code, out, err) == (2, "", "covbell: boost velocity is NaN\n")
 
 
-def test_mc_pair_i_draws_from_stream_plus_i(capsys):
-    # tomography record i and chsh term i both come from SeedSpec(seed, stream + i)
+def test_mc_pair_i_draws_from_stream_i(capsys):
+    # tomography record i and chsh term i both come from SeedSpec(seed, i)
     common = ["--model", "local-sphere", "--settings", "tsirelson", "--mode", "mc",
-              "--n", "3000", "--seed", "8", "--stream", "4", "--ordering", "BA"]
+              "--n", "3000", "--seed", "8", "--ordering", "BA"]
     model, ordering = make_model("local-sphere"), TimeOrdering.BA
     tables = [estimate_joint(model, ordering, QuantumState.SINGLET, a, b, 3000,
-                             SeedSpec(8, 4 + i))
+                             SeedSpec(8, i))
               for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings()))]
     code, out, _ = run(["tomography", *common, "--format", "json"], capsys)
     assert code == 0
@@ -826,19 +836,3 @@ def test_mc_pair_i_draws_from_stream_plus_i(capsys):
     assert code == 0
     assert json.loads(out)["terms"] == [
         {"E": t.value, "stderr": t.stderr, "n": t.n} for t in map(correlator, tables)]
-
-
-def test_mc_stream_overflow_fails_before_any_pair_draws(monkeypatch, capsys):
-    # pair 24 of grid:5 would draw from stream 2^64: found before pair 0 draws
-    calls = []
-    sample_block = stats._sample_block
-
-    def counting(*args):
-        calls.append(args)
-        return sample_block(*args)
-
-    monkeypatch.setattr(stats, "_sample_block", counting)
-    code, out, err = run(["tomography", "--settings", "grid:5", "--n", "1000",
-                          "--stream", str(2 ** 64 - 24), "--workers", "2"], capsys)
-    assert (code, out, err) == (2, "", "covbell: stream must fit in 64 unsigned bits\n")
-    assert calls == []

@@ -78,13 +78,17 @@ def _boosted_time(e: Event, b: Boost) -> float:
 
 @settings(max_examples=300, deadline=None)
 @given(EVENT, EVENT, VELOCITY)
-@example((0.0, 1e308), (0.0, 1.5e308), 0.999999)  # both times overflow to -inf
+@example((0.0, 1e308), (0.0, 1.5e308), 0.999999)  # both times overflow to -inf: not equal
 @example((0.0, 1.7e308), (0.0, 1.0), 0.5)  # x' overflows, t' does not
 @example((0.0, -0.0), (-0.0, 0.0), -0.0)
 def test_time_order_is_the_order_of_the_boosted_times(event_a, event_b, v):
     ea, eb, b = Event(*event_a), Event(*event_b), Boost(v)
     ta, tb = _boosted_time(ea, b), _boosted_time(eb, b)
-    if ta == tb:  # inf == inf too
+    if not (math.isfinite(ta) and math.isfinite(tb)):  # not simultaneous: unorderable
+        with pytest.raises(ValueError, match="overflows") as err:
+            time_order(ea, eb, b)
+        assert not isinstance(err.value, SimultaneousEventsError)
+    elif ta == tb:
         with pytest.raises(SimultaneousEventsError):
             time_order(ea, eb, b)
     else:

@@ -233,6 +233,22 @@ def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
         assert np.array_equal(tables[i].counts, alone.counts)
 
 
+# the last pair draws from stream 2^64: pair 24 of grid:5's 25, pair 1 of two
+@pytest.mark.parametrize("count,stream", [(25, 2 ** 64 - 24), (2, 2 ** 64 - 1)],
+                         ids=["25-pairs", "2-pairs"])
+def test_sample_tables_checks_the_last_pairs_stream_before_any_pair_draws(count, stream,
+                                                                          monkeypatch):
+    calls = []
+    sample_block = stats._sample_block
+    monkeypatch.setattr(stats, "_sample_block",
+                        lambda *args: calls.append(args) or sample_block(*args))
+    pairs = [(a, b) for a in setting_grid(5) for b in setting_grid(5)][:count]
+    with pytest.raises(ValueError, match="stream must fit in 64 unsigned bits"):
+        sample_tables(GisinSingletModel(), AB, SINGLET, pairs, 1000, SeedSpec(0, stream),
+                      workers=2)
+    assert calls == []
+
+
 def test_estimate_joint_reproducible_across_workers():
     m = GisinSingletModel()
     kwargs = dict(n=600_000, seed=SeedSpec(9))
