@@ -16,7 +16,9 @@ a size that does not fit in memory, or a file that cannot be opened).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import gc
 import json
 import os
 import sys
@@ -155,6 +157,17 @@ def _setting_quad(spec: str):
         vecs = _inline_vectors(spec, (4, 3), "exactly 4 setting vectors (a, a', b, b')")
         return tuple(MeasurementSetting.from_array(v) for v in vecs)
     raise UsageError(f"cannot parse settings spec {spec!r} for chsh")
+
+
+def _check_output(path):
+    """Raise, before any work, the error that opening the output path would raise
+    if it is empty, names a directory or lies in one that cannot be reached."""
+    try:  # "dir/" resolves only if dir is a directory, as open resolves it
+        os.stat(os.path.join(os.path.dirname(path.rstrip(os.sep)) or ".", "") if path else path)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    if path.endswith(os.sep) or os.path.isdir(path):  # open makes no directory
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _emit(cfg, payload: dict, table=None, notes=()):
@@ -331,7 +344,10 @@ def main(argv=None) -> int:
                 raise UsageError("config file must hold a JSON object")
         given.update({key: getattr(args, key) for key in _keys(args.command)
                       if getattr(args, key) is not None})
-        return _COMMANDS[args.command][0](_resolve_config(args.command, given))
+        cfg = _resolve_config(args.command, given)
+        if cfg["output"] is not None:
+            _check_output(cfg["output"])
+        return _COMMANDS[args.command][0](cfg)
     except (UsageError, ValueError, OSError, MemoryError) as err:
         why = str(err) or ("out of memory" if isinstance(err, MemoryError) else type(err).__name__)
         print(f"covbell: {why}", file=sys.stderr)
@@ -339,7 +355,9 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the exit's collections skip the objects alive now, the imports' above all
+    sys.exit(code)
 
 
 if __name__ == "__main__":

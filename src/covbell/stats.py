@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -145,6 +144,7 @@ def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarr
 
     if tasks == 1:
         return count(0)
+    from concurrent.futures import ThreadPoolExecutor  # only a run with a pool pays its import
     with ThreadPoolExecutor(max_workers=tasks) as pool:
         return np.sum(list(pool.map(count, range(tasks))), axis=0)
 

@@ -1,13 +1,18 @@
 """Reference implementations the tests compare covbell against: the singlet's
 closed-form joint table, the per-strategy view of the finite no-go scan, a
 local-sphere whose exact tables take the block engine, a CSV writer that
-formats one cell at a time, and the tables of frame-order and enumerate as one
-dict per row."""
+formats one cell at a time, the tables of frame-order and enumerate as one
+dict per row, and a command line run as the console script runs it, in a fresh
+process."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -166,3 +171,12 @@ def row_dict_document(fmt: str, config: dict, payload: dict, table: str, notes=(
         rows = payload[table]
         return per_cell_csv(rows, config, list(rows[0]), notes)
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
+
+
+def standalone(argv):
+    """(exit code, stdout, stderr) of the command in a fresh process, through
+    ``python -m covbell.cli``, which exits as the console script does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "covbell.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return done.returncode, done.stdout, done.stderr

@@ -23,7 +23,7 @@ from covbell.models import LocalSphereModel, make_model
 from covbell.spacetime import Event, is_spacelike
 from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, estimate_joint,
                            joint_record)
-from oracles import enumeration_rows, frame_order_rows, row_dict_document
+from oracles import enumeration_rows, frame_order_rows, row_dict_document, standalone
 from property_inputs import EVENT, VELOCITY
 
 
@@ -313,11 +313,11 @@ def test_output_file_holds_the_document_stdout_would(args, tmp_path, capsys):
     (["frame-order", "--frobnicate"], 1),
     (["frame-order", "--velocities=2"], 2),
 ])
-def test_console_script_exits_with_mains_code(argv, code, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["covbell", *argv])
-    with pytest.raises(SystemExit) as exit_:
-        cli.entry()
-    assert exit_.value.code == code
+def test_console_script_exits_with_mains_code(argv, code):
+    # a fresh process: entry() freezes the collector, which pytest's own must not be
+    exit_code, _, err = standalone(argv)
+    assert exit_code == code
+    assert (err == "") == (code == 0)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -381,25 +381,34 @@ def test_config_file_that_cannot_be_read_is_domain_error(config, tmp_path, capsy
     assert err.startswith("covbell: [Errno ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("path", ["missing/doc", ""], ids=["missing-directory", "empty"])
-@pytest.mark.parametrize("args, stdout, reason", [
-    (["tomography", "--settings", "tsirelson", "--n", "100"], "", None),
-    (["chsh", "--n", "100"], "", None),
-    (["enumerate"], "total=4096 covariant=16 max_S=4 max_S_covariant=2\n", None),
-    (["reduce", "--probes", "4", "--settings", "tsirelson"], "", "not covariant"),
-    (["frame-order"], "", None),
+@pytest.mark.parametrize("path", ["missing/doc", "", "."],
+                         ids=["missing-directory", "empty", "directory"])
+@pytest.mark.parametrize("args", [
+    ["tomography", "--settings", "tsirelson", "--n", "100"],
+    ["chsh", "--n", "100"],
+    ["enumerate"],
+    ["reduce", "--probes", "4", "--settings", "tsirelson"],
+    ["frame-order"],
 ])
-def test_output_that_cannot_be_opened_is_domain_error(path, args, stdout, reason, tmp_path,
-                                                      capsys):
-    # an empty path is opened like any other, not read as "write to stdout"
+def test_output_that_cannot_be_opened_is_domain_error(path, args, tmp_path, capsys):
+    # an empty path is opened like any other, not read as "write to stdout"; the
+    # path is checked before any work, so enumerate prints no summary and a
+    # reduce that would fail names no reason
     missing = tmp_path / "missing"
     code, out, err = run(args + ["--output", str(tmp_path / path) if path else ""], capsys)
-    assert (code, out) == (2, stdout)
-    *lines, last = err.splitlines()
-    assert last.startswith("covbell: [Errno ") and "Traceback" not in err
-    # a failed reduce still names its reason, before the error that lost its document
-    assert [reason in line for line in lines] == ([True] if reason else [])
+    assert (code, out) == (2, "")
+    assert err.startswith("covbell: [Errno ") and err.count("\n") == 1
     assert not missing.exists()
+
+
+def test_output_is_checked_before_any_work(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "sample_tables", lambda *args: calls.append("sample_tables"))
+    monkeypatch.setattr(stats, "_count_blocks", lambda *args: calls.append("_count_blocks"))
+    code, out, err = run(["tomography", "--settings", "grid:5", "--n", "1000000",
+                          "--output", str(tmp_path / "missing" / "x.csv")], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("covbell: [Errno 2] No such file or directory: ")
 
 
 @pytest.mark.parametrize("args", [
@@ -522,6 +531,20 @@ def test_local_sphere_counts_a_9e8_cell_lattice_in_a_fresh_process():
     assert int(peak) < 8 << 20  # a grid^2 mask alone would take 900 MB
     rows = done.stdout.splitlines()[2:]
     assert len(rows) == 9 and all(row.endswith(",30000,0") for row in rows)
+
+
+@pytest.mark.parametrize("n, pool", [(1, False), (300_000, True)])
+def test_only_a_run_that_starts_a_pool_imports_one(n, pool):
+    """One block is counted on the calling thread; 3 blocks on 2 workers take a pool."""
+    script = ("import os, sys\n"
+              "import covbell.cli\n"
+              "os.cpu_count = lambda: 2  # two pool tasks on any host\n"
+              f"code = covbell.cli.main(['chsh', '--n', '{n}', '--workers', '2'])\n"
+              "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, f"0 {pool}\n")
 
 
 # The config keys each subcommand reads. Every subcommand also takes seed, which
@@ -739,14 +762,6 @@ def test_sphere_projects_each_setting_once_per_probe_array(command, monkeypatch,
     assert projections == Counter(setting_grid(5))
 
 
-def _standalone(argv):
-    """(exit code, stdout, stderr) of the command in a fresh process."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run([sys.executable, "-m", "covbell.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    return done.returncode, done.stdout, done.stderr
-
-
 def test_one_parser_serves_every_job_of_a_process(capsys):
     assert cli.build_parser() is cli.build_parser()
     jobs = [["tomography", "--grid", "300"],  # mode mc does not read grid: usage error
@@ -754,7 +769,7 @@ def test_one_parser_serves_every_job_of_a_process(capsys):
             ["frame-order", "--velocities=0.25,-0.5"]]
     results = [run(argv, capsys) for argv in jobs]
     assert [code for code, _, _ in results] == [1, 0, 0]
-    assert results == [_standalone(argv) for argv in jobs]
+    assert results == [standalone(argv) for argv in jobs]
 
 
 def test_impossible_probe_count_is_domain_error(monkeypatch, capsys):

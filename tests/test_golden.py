@@ -21,6 +21,7 @@ import json
 import pytest
 
 from covbell.cli import main
+from oracles import standalone
 
 TSIRELSON_EXACT = ["--settings", "tsirelson", "--mode", "exact"]
 # the nogo-scan benchmark's 1000 velocities, evenly spaced over [-0.999, 0.999]
@@ -92,18 +93,34 @@ def _payload(doc: str) -> str:
     return "".join(lines[1:])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output_bytes(name, tmp_path, capsys):
-    args, stdout_hash, output_hash, payload_hash = GOLDEN[name]
-    out_path = tmp_path / "out"
-    code = main([str(out_path) if a == "F" else a for a in args])
-    captured = capsys.readouterr()
+def _check(name, code, out, err, out_path):
+    """The job's exit, stdout and --output file against its golden hashes."""
+    _, stdout_hash, output_hash, payload_hash = GOLDEN[name]
     assert code == 0
-    assert captured.err == ""
-    doc = out_path.read_text() if output_hash else captured.out
+    assert err == ""
+    doc = out_path.read_text() if output_hash else out
     assert _sha256(_payload(doc).encode()) == payload_hash
-    assert _sha256(captured.out.encode()) == stdout_hash
+    assert _sha256(out.encode()) == stdout_hash
     if output_hash is None:
         assert not out_path.exists()
     else:
         assert _sha256(out_path.read_bytes()) == output_hash
+
+
+def _argv(name, out_path):
+    return [str(out_path) if a == "F" else a for a in GOLDEN[name][0]]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(name, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    code = main(_argv(name, out_path))
+    captured = capsys.readouterr()
+    _check(name, code, captured.out, captured.err, out_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes_of_a_fresh_process(name, tmp_path):
+    # the console script's exit path: nothing it does after main() may print
+    out_path = tmp_path / "out"
+    _check(name, *standalone(_argv(name, out_path)), out_path)

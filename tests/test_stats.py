@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 import tracemalloc
@@ -324,7 +325,7 @@ def test_multi_pair_exact_call_makes_each_lattice_block_once(monkeypatch):
 def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
     submitted, made = [], []
 
-    class RecordingPool(stats.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args)
             return super().submit(fn, *args, **kwargs)
@@ -333,7 +334,7 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
         made.append((start, rows))
         return _lattice_block(d, grid, start, rows)
 
-    monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(stats, "_lattice_block", record)
     monkeypatch.setattr(stats, "_BLOCK", 64)  # a 20 x 20 lattice is 7 blocks
     m = EngineSphere()  # a model without a lattice_counts hook: exact tables use the engine
