@@ -8,8 +8,10 @@ A model is covariant when each party's outcome is the same function of
 
 for every probe. Covariance forces the second-party functions to ignore the
 other setting, so a covariant model reduces to a Bell-local one. The check
-takes first-frame outcomes through ``models.first_outcomes`` and only the
-second-frame outcomes per pair. The finite scan verifies the consequence
+counts failures through the model's ``count_violations`` hook and scores
+outcomes only for witnesses, on a growing prefix of the probes; without the
+hook it takes first-frame outcomes through ``models.first_outcomes`` and only
+the second-frame outcomes per pair. The finite scan verifies the consequence
 exhaustively at two settings per side: a bit-matrix scan of all 4096
 deterministic strategies, exact integer CHSH, local bound 2 vs unconstrained 4.
 """
@@ -105,6 +107,26 @@ def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
         end *= 16
 
 
+def _failing(alpha_ab, alpha_ba, beta_ba, beta_ab) -> np.ndarray:
+    return (alpha_ab != alpha_ba) | (beta_ba != beta_ab)
+
+
+def _witnesses(arr, a, b, outcomes, rows) -> list:
+    """The witnesses of pair (a, b) at the failing rows of arr, from its outcomes
+    (alpha_AB, alpha_BA, beta_BA, beta_AB) on arr or a prefix holding the rows."""
+    alpha_ab, alpha_ba, beta_ba, beta_ab = outcomes
+    found = []
+    for i in rows:  # 1 or 2 witnesses each
+        lam = HiddenPoint(tuple(arr[i]))
+        if alpha_ab[i] != alpha_ba[i]:
+            found.append(Witness(lam, a, b, Side.ALICE,
+                                 Outcome(int(alpha_ab[i])), Outcome(int(alpha_ba[i]))))
+        if beta_ba[i] != beta_ab[i]:
+            found.append(Witness(lam, a, b, Side.BOB,
+                                 Outcome(int(beta_ba[i])), Outcome(int(beta_ab[i]))))
+    return found
+
+
 def check_covariance(m: OrderedModel, state, setting_pairs, lams,
                      witness_cap: int = 32) -> CovarianceReport:
     """Count pointwise covariance failures over all (lambda, a, b) probes.
@@ -112,33 +134,43 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
     A probe violates if either party's outcome in the frame where it measures
     first differs from its outcome in the frame where it measures second;
     witnesses record each failing side, lowest probe index first, up to the
-    cap.
+    cap. Where the model's ``count_violations`` hook counts the failures, a pair
+    is scored only to find witnesses, on the shortest prefix of the probes,
+    grown 16-fold from 1024 rows, that holds those still needed.
     """
     arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
     pairs = list(setting_pairs)
-    alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), arr)
-    betas_ba = first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), arr)
-    violations = 0
+    counts = bound.count_violations(state, pairs, arr)
     witnesses = []
-    for a, b in pairs:
-        alpha_ab, beta_ba = alphas_ab[a], betas_ba[b]
-        beta_ab = bound.second_values(TimeOrdering.AB, state, a, b, arr)
-        alpha_ba = bound.second_values(TimeOrdering.BA, state, a, b, arr)
-        alice_bad = alpha_ab != alpha_ba
-        bob_bad = beta_ba != beta_ab
-        bad = alice_bad | bob_bad
-        violations += int(np.count_nonzero(bad))
-        if len(witnesses) < witness_cap:
-            for i in _first_true(bad, witness_cap - len(witnesses)):  # 1 or 2 witnesses each
-                lam = HiddenPoint(tuple(arr[i]))
-                if alice_bad[i]:
-                    witnesses.append(Witness(lam, a, b, Side.ALICE,
-                                             Outcome(int(alpha_ab[i])), Outcome(int(alpha_ba[i]))))
-                if bob_bad[i]:
-                    witnesses.append(Witness(lam, a, b, Side.BOB,
-                                             Outcome(int(beta_ba[i])), Outcome(int(beta_ab[i]))))
+    if counts is None:  # every pair scored on every probe
+        alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), arr)
+        betas_ba = first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), arr)
+        counts = []
+        for a, b in pairs:
+            outcomes = (alphas_ab[a], bound.second_values(TimeOrdering.BA, state, a, b, arr),
+                        betas_ba[b], bound.second_values(TimeOrdering.AB, state, a, b, arr))
+            bad = _failing(*outcomes)
+            counts.append(np.count_nonzero(bad))
+            if len(witnesses) < witness_cap:
+                rows = _first_true(bad, witness_cap - len(witnesses))
+                witnesses += _witnesses(arr, a, b, outcomes, rows)
+    else:
+        for (a, b), count in zip(pairs, counts):
+            need, end = min(witness_cap - len(witnesses), count), 1024
+            while need > 0:
+                prefix = arr[:end]
+                outcomes = (bound.first_values(TimeOrdering.AB, state, a, prefix),
+                            bound.second_values(TimeOrdering.BA, state, a, b, prefix),
+                            bound.first_values(TimeOrdering.BA, state, b, prefix),
+                            bound.second_values(TimeOrdering.AB, state, a, b, prefix))
+                rows = np.flatnonzero(_failing(*outcomes))
+                if rows.size >= need or end >= arr.shape[0]:
+                    witnesses += _witnesses(arr, a, b, outcomes, rows[:need])
+                    break
+                end *= 16
     checked = arr.shape[0] * len(pairs)
+    violations = int(sum(counts))
     fraction = violations / checked if checked else 0.0
     return CovarianceReport(checked=checked, violations=violations,
                             witnesses=tuple(witnesses[:witness_cap]), violation_fraction=fraction)
