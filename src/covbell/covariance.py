@@ -8,12 +8,12 @@ A model is covariant when each party's outcome is the same function of
 
 for every probe. Covariance forces the second-party functions to ignore the
 other setting, so a covariant model reduces to a Bell-local one. The check
-counts failures through the model's ``count_violations`` hook and scores
-outcomes only for witnesses, on a growing prefix of the probes; without the
-hook it takes first-frame outcomes through ``models.first_outcomes`` and only
-the second-frame outcomes per pair. The finite scan verifies the consequence
-exhaustively at two settings per side: a bit-matrix scan of all 4096
-deterministic strategies, exact integer CHSH, local bound 2 vs unconstrained 4.
+counts failures through the model's ``count_violations`` (a histogram of
+threshold ranks for threshold models, scoring for every other model) and scores
+outcomes only for witnesses, on a growing prefix of the probes. The finite scan
+verifies the consequence exhaustively at two settings per side: a bit-matrix
+scan of all 4096 deterministic strategies, exact integer CHSH, local bound 2 vs
+unconstrained 4.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HiddenPoint, Outcome, TimeOrdering, _unit_interval
-from .models import OrderedModel, _lambdas, count_local_pairs, first_outcomes
+from .models import OrderedModel, _lambdas, count_local_pairs
 from .stats import exact_joint
 
 
@@ -95,22 +95,6 @@ def _as_lam_array(m: OrderedModel, lams) -> np.ndarray:
     return _unit_interval(_lambdas(m, lams), "hidden point coordinate")
 
 
-def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
-    """The indices of mask's first k True entries, ``np.flatnonzero(mask)[:k]``,
-    found by scanning a prefix that grows 16-fold from 1024 until it holds k of
-    them, so a mask with many early Trues is not indexed whole."""
-    end = 1024
-    while True:
-        found = np.flatnonzero(mask[:end])
-        if found.size >= k or end >= mask.size:
-            return found[:k]
-        end *= 16
-
-
-def _failing(alpha_ab, alpha_ba, beta_ba, beta_ab) -> np.ndarray:
-    return (alpha_ab != alpha_ba) | (beta_ba != beta_ab)
-
-
 def _witnesses(arr, a, b, outcomes, rows) -> list:
     """The witnesses of pair (a, b) at the failing rows of arr, from its outcomes
     (alpha_AB, alpha_BA, beta_BA, beta_AB) on arr or a prefix holding the rows."""
@@ -134,43 +118,30 @@ def check_covariance(m: OrderedModel, state, setting_pairs, lams,
     A probe violates if either party's outcome in the frame where it measures
     first differs from its outcome in the frame where it measures second;
     witnesses record each failing side, lowest probe index first, up to the
-    cap. Where the model's ``count_violations`` hook counts the failures, a pair
-    is scored only to find witnesses, on the shortest prefix of the probes,
-    grown 16-fold from 1024 rows, that holds those still needed.
+    cap. The model's ``count_violations`` counts the failures, and a pair is
+    scored only to find witnesses, on the shortest prefix of the probes, grown
+    16-fold from 1024 rows, that holds those still needed.
     """
     arr = _as_lam_array(m, lams)
     bound = m.bind(arr)
     pairs = list(setting_pairs)
     counts = bound.count_violations(state, pairs, arr)
     witnesses = []
-    if counts is None:  # every pair scored on every probe
-        alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), arr)
-        betas_ba = first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), arr)
-        counts = []
-        for a, b in pairs:
-            outcomes = (alphas_ab[a], bound.second_values(TimeOrdering.BA, state, a, b, arr),
-                        betas_ba[b], bound.second_values(TimeOrdering.AB, state, a, b, arr))
-            bad = _failing(*outcomes)
-            counts.append(np.count_nonzero(bad))
-            if len(witnesses) < witness_cap:
-                rows = _first_true(bad, witness_cap - len(witnesses))
-                witnesses += _witnesses(arr, a, b, outcomes, rows)
-    else:
-        for (a, b), count in zip(pairs, counts):
-            need, end = min(witness_cap - len(witnesses), count), 1024
-            while need > 0:
-                prefix = arr[:end]
-                outcomes = (bound.first_values(TimeOrdering.AB, state, a, prefix),
-                            bound.second_values(TimeOrdering.BA, state, a, b, prefix),
-                            bound.first_values(TimeOrdering.BA, state, b, prefix),
-                            bound.second_values(TimeOrdering.AB, state, a, b, prefix))
-                rows = np.flatnonzero(_failing(*outcomes))
-                if rows.size >= need or end >= arr.shape[0]:
-                    witnesses += _witnesses(arr, a, b, outcomes, rows[:need])
-                    break
-                end *= 16
+    for (a, b), count in zip(pairs, counts):
+        need, end = min(witness_cap - len(witnesses), count), 1024
+        while need > 0:
+            prefix = arr[:end]
+            outcomes = (bound.first_values(TimeOrdering.AB, state, a, prefix),
+                        bound.second_values(TimeOrdering.BA, state, a, b, prefix),
+                        bound.first_values(TimeOrdering.BA, state, b, prefix),
+                        bound.second_values(TimeOrdering.AB, state, a, b, prefix))
+            rows = np.flatnonzero((outcomes[0] != outcomes[1]) | (outcomes[2] != outcomes[3]))
+            if rows.size >= need or end >= arr.shape[0]:
+                witnesses += _witnesses(arr, a, b, outcomes, rows[:need])
+                break
+            end *= 16
     checked = arr.shape[0] * len(pairs)
-    violations = int(sum(counts))
+    violations = int(counts.sum())
     fraction = violations / checked if checked else 0.0
     return CovarianceReport(checked=checked, violations=violations,
                             witnesses=tuple(witnesses[:witness_cap]), violation_fraction=fraction)

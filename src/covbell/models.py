@@ -34,11 +34,12 @@ setting are one cyclic run, whose ends it re-scores in float, so it counts in
 O(grid * (settings + pairs)) rather than O(grid^2 * settings); every other
 model keeps the engine.
 
-``count_violations(state, pairs, lams)``, the covariance check's optional hook,
-is each pair's count of rows whose outcomes differ between the AB and BA frames,
-or None (the default), which leaves them to scoring. Threshold models count
-through ``threshold_violations``: one histogram of each row's ranks among the
-parties' thresholds, on whose cells every pair's outcomes are fixed.
+``count_violations(state, pairs, lams)``, the covariance check's count, is each
+pair's count of rows whose outcomes differ between the AB and BA frames; the
+default scores every row. Threshold models count through ``threshold_violations``,
+one histogram of each row's ranks among the parties' thresholds, on whose cells
+every pair's outcomes are fixed; past its cell bound, and for determinized rules
+with base coordinates, they take the default.
 """
 
 from __future__ import annotations
@@ -121,11 +122,18 @@ class OrderedModel(abc.ABC):
         block engine."""
         return None
 
-    def count_violations(self, state, pairs, lams):
+    def count_violations(self, state, pairs, lams) -> np.ndarray:
         """The (k,) int64 count of rows of lams on which either party's outcome of
-        each of the k setting pairs differs between the AB and BA frames, found
-        without scoring the rows; None leaves them to scoring."""
-        return None
+        each of the k setting pairs differs between the AB and BA frames. The
+        default scores every row, each first-frame outcome once per distinct setting."""
+        lams = _lambdas(self, lams)
+        bound = self.bind(lams)
+        alphas_ab = first_outcomes(bound, TimeOrdering.AB, state, (a for a, _ in pairs), lams)
+        betas_ba = first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), lams)
+        return np.array([np.count_nonzero(
+            (alphas_ab[a] != bound.second_values(TimeOrdering.BA, state, a, b, lams))
+            | (betas_ba[b] != bound.second_values(TimeOrdering.AB, state, a, b, lams)))
+            for a, b in pairs], dtype=np.int64)
 
 
 def _lambdas(m: OrderedModel, lams) -> np.ndarray:
@@ -362,7 +370,8 @@ class GisinSingletModel(OrderedModel):
         lams = _lambdas(self, lams)
         # the BA rule is the AB one with the roles swapped, and a.b = b.a
         rule = ([0.5] * len(pairs), [self._levels(a, b) for a, b in pairs])
-        return threshold_violations(lams[:, 0], lams[:, 1], rule, rule)
+        counts = threshold_violations(lams[:, 0], lams[:, 1], rule, rule)
+        return super().count_violations(state, pairs, lams) if counts is None else counts
 
 
 class LocalSphereModel(OrderedModel):
@@ -596,11 +605,12 @@ class DeterminizedModel(OrderedModel):
         return lattice_threshold_counts(ordering, lattice_at_or_below(grid, p_first), levels, grid)
 
     def count_violations(self, state, pairs, lams):
-        if self._sr.lambda_dim:
-            return None
-        _, u_alice, u_bob = self._split(_lambdas(self, lams))
-        return threshold_violations(u_alice, u_bob, self._thresholds(TimeOrdering.AB, state, pairs),
-                                    self._thresholds(TimeOrdering.BA, state, pairs))
+        lams = _lambdas(self, lams)
+        _, u_alice, u_bob = self._split(lams)
+        counts = None if self._sr.lambda_dim else threshold_violations(
+            u_alice, u_bob, self._thresholds(TimeOrdering.AB, state, pairs),
+            self._thresholds(TimeOrdering.BA, state, pairs))
+        return super().count_violations(state, pairs, lams) if counts is None else counts
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covbell.core import (HiddenPoint, MeasurementSetting, Outcome,
                           QuantumState, TimeOrdering, dot, setting_grid)
-from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness, _first_true,
+from covbell.covariance import (LocalModelView, NotCovariantError, Side, Witness,
                                 check_covariance, enumerate_finite, frame_consistency,
                                 reduce_to_local)
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
@@ -91,14 +91,6 @@ def test_check_covariance_matches_a_per_pair_reference(name, cap, pairs, data):
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
     assert (report.checked, report.violations, report.violation_fraction,
             report.witnesses) == _reference_report(m, pairs, lams, cap)
-
-
-@settings(max_examples=100, deadline=None)
-@given(size=st.integers(0, 40_000), density=st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.5, 1.0]),
-       k=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_first_true_is_the_head_of_flatnonzero(size, density, k, seed):
-    mask = np.random.default_rng(seed).random(size) < density
-    assert np.array_equal(_first_true(mask, k), np.flatnonzero(mask)[:k])
 
 
 def test_local_sphere_is_covariant():

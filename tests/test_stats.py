@@ -14,8 +14,8 @@ from covbell.core import (MeasurementSetting, Outcome, QuantumState,
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel,
                             StochasticResponse, determinize, eval_pairs, make_model,
                             stochastic_singlet)
-from covbell.stats import (_BLOCK, CSV_COLUMNS, JointStats, SeedSpec, _counts_to_stats, _fmt,
-                           _lattice_block, _sample_block, chsh, chsh_pairs, correlator,
+from covbell.stats import (_BLOCK, _CHUNK, CSV_COLUMNS, JointStats, SeedSpec, _counts_to_stats,
+                           _fmt, _lattice_block, _sample_block, chsh, chsh_pairs, correlator,
                            estimate_joint, exact_joint, exact_tables, joint_record,
                            records_to_csv, sample_lambda, sample_tables)
 from oracles import (EngineSphere, fmt_cell, per_cell_csv, singlet_joint_oracle,
@@ -385,6 +385,22 @@ def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
     assert np.array_equal(np.concatenate(pieces), one_shot)
     bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("seed, stream", [(0, 0), (31, 7), (2 ** 64 - 1, 0), (3, 2 ** 64 - 1),
+                                          (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_sample_block_is_philox_raw_words(d, seed, stream):
+    """Every Monte Carlo byte rests on Generator.random over Philox being its raw
+    words' top 53 bits times 2^-53. numpy keeps bit-generator streams stable, but
+    may change Generator methods, so this names the cause if golden hashes move."""
+    for start in (0, 4, 8 * _CHUNK):
+        for rows in (1, _CHUNK + 1, 2 * _CHUNK + 3):
+            bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            bitgen.advance(start * d // 4)  # 4 words per counter step
+            raw = bitgen.random_raw(rows * d)
+            expected = ((raw >> 11) * 2.0 ** -53).reshape(rows, d)
+            assert np.array_equal(_sample_block(d, SeedSpec(seed, stream), start, rows), expected)
 
 
 def test_sample_block_fill_holds_about_one_block():

@@ -1,5 +1,5 @@
-"""The threshold models' ``count_violations`` hook against scoring every probe,
-and the covariance check that counts through it."""
+"""``count_violations`` against scoring every probe, the threshold models' rank
+histogram and its cell bound, and the covariance check that counts through it."""
 
 import contextlib
 import io
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from covbell import cli
 from covbell.core import MeasurementSetting, QuantumState, TimeOrdering, dot, setting_grid
-from covbell.covariance import check_covariance
-from covbell.models import (GisinSingletModel, StochasticResponse, determinize, eval_pairs,
-                            make_model)
+from covbell.covariance import LocalModelView, check_covariance
+from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel, StochasticResponse,
+                            _pm, determinize, eval_pairs, make_model, threshold_violations)
 from covbell.stats import SeedSpec, sample_lambda
 from property_inputs import SETTING, draw_hidden_points
 from test_covariance import _reference_report
@@ -43,22 +43,23 @@ def _thresholds(pairs) -> set:
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(THRESHOLD_MODELS), cap=st.integers(0, 40),
-       pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=30), data=st.data())
+@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), "local-view of gisin-singlet"]),
+       cap=st.integers(0, 40), data=st.data(),
+       pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=30))
 def test_count_violations_matches_scoring(name, cap, pairs, data):
-    m = make_model(name)
+    m = (LocalModelView(GisinSingletModel()) if name.startswith("local-view")
+         else make_model(name))
     lams = np.array(draw_hidden_points(data, m.lambda_dim, 3000))  # a writable copy
     thresholds = _thresholds(pairs)
     if data.draw(st.booleans(), label="rows on the thresholds"):
         for t in sorted(thresholds):  # each threshold lands on one row of each coordinate
             for col in (0, 1):
                 lams[data.draw(st.integers(0, len(lams) - 1), label="row"), col] = t
+    # threshold models count from the (rank_A, rank_B) cells up to 2n of them; past
+    # that, and for every other model, the rows are scored
     counts = m.count_violations(SINGLET, pairs, lams)
-    # the hook declines exactly when the (rank_A, rank_B) cells outnumber 2n
-    assert (counts is None) == ((len(thresholds) + 1) ** 2 > 2 * len(lams))
-    if counts is not None:
-        assert counts.dtype == np.int64
-        assert counts.tolist() == _scored_violations(m, pairs, lams)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == _scored_violations(m, pairs, lams)
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
     assert (report.checked, report.violations, report.violation_fraction,
             report.witnesses) == _reference_report(m, pairs, lams, cap)
@@ -66,14 +67,17 @@ def test_count_violations_matches_scoring(name, cap, pairs, data):
 
 @pytest.mark.parametrize("name", THRESHOLD_MODELS)
 def test_count_violations_declines_past_twice_the_probes(name):
-    # one pair has 3 thresholds per party, so 4 x 4 = 16 cells: 8 rows take the
-    # hook, and 7 are left to scoring
+    # one pair has 3 thresholds per party, so 4 x 4 = 16 cells: the rank histogram
+    # counts 8 rows and declines 7, and both models share its rule (1/2 and (1 -+ a.b)/2)
     m = make_model(name)
     lams = sample_lambda(2, 8, SeedSpec(5))
-    assert m.count_violations(SINGLET, [(A_X, B_09)], lams).tolist() == _scored_violations(
-        m, [(A_X, B_09)], lams)
-    assert m.count_violations(SINGLET, [(A_X, B_09)], lams[:7]) is None
-    for rows in (lams, lams[:7]):
+    rule = ([0.5], [GisinSingletModel._levels(A_X, B_09)])
+    assert threshold_violations(lams[:, 0], lams[:, 1], rule, rule).tolist() == (
+        _scored_violations(m, [(A_X, B_09)], lams))
+    assert threshold_violations(lams[:7, 0], lams[:7, 1], rule, rule) is None
+    for rows in (lams, lams[:7]):  # either side of the bound, count_violations counts
+        assert m.count_violations(SINGLET, [(A_X, B_09)], rows).tolist() == (
+            _scored_violations(m, [(A_X, B_09)], rows))
         report = check_covariance(m, SINGLET, [(A_X, B_09)], rows, witness_cap=4)
         assert (report.checked, report.violations, report.violation_fraction,
                 report.witnesses) == _reference_report(m, [(A_X, B_09)], rows, 4)
@@ -94,11 +98,49 @@ def test_rule_with_base_coordinates_takes_no_hook():
                             p_second=lambda ordering, state, a, b, firsts, lams: 1.0 - lams[:, 0])
     m = determinize(sr)
     lams = sample_lambda(3, 500, SeedSpec(9))
-    assert m.count_violations(SINGLET, [(A_X, B_09)], lams) is None
     pairs = [(A_X, B_09), (B_09, A_X)]
+    counts = m.count_violations(SINGLET, pairs, lams)  # scored: the rule reads its base
+    assert counts.dtype == np.int64
+    assert counts.tolist() == _scored_violations(m, pairs, lams)
     report = check_covariance(m, SINGLET, pairs, lams, witness_cap=5)
     assert (report.checked, report.violations, report.violation_fraction,
             report.witnesses) == _reference_report(m, pairs, lams, 5)
+
+
+class _TailModel(OrderedModel):
+    """Frames that agree on every probe lam < cut and disagree from it on: Alice's
+    second outcome flips there, and Bob's too where 20000 lam is even. No rank
+    histogram counts it, so its check takes the scoring default."""
+
+    lambda_dim = 1
+    name = "tail"
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def first_values(self, ordering, state, setting_first, lams):
+        return np.ones(len(lams), dtype=np.int8)
+
+    def second_values(self, ordering, state, a, b, lams):
+        tail = lams[:, 0] >= self.cut
+        if ordering is AB:  # Bob's
+            tail &= np.rint(lams[:, 0] * 20000) % 2 == 0
+        return _pm(~tail)
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025, 16384, 16385, 20000])
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@pytest.mark.parametrize("tail", ["last row", "rows from 16384"])
+def test_witness_prefix_grows_to_the_whole_array(n, cap, tail):
+    # the failures lie beyond every prefix shorter than the array, so the prefix
+    # loop must reach its end; row i holds lam = i / 20000
+    lams = np.arange(n, dtype=float)[:, None] / 20000
+    m = _TailModel(lams[-1, 0] if tail == "last row" else 16384 / 20000)
+    pairs = [(A_X, B_09), (B_09, A_X)]
+    report = check_covariance(m, SINGLET, pairs, lams, witness_cap=cap)
+    assert (report.checked, report.violations, report.violation_fraction,
+            report.witnesses) == _reference_report(m, pairs, lams, cap)
+    assert report.violations == (2 if tail == "last row" else 2 * max(0, n - 16384))
 
 
 def test_benchmark_sized_check_scores_only_the_witness_prefix(monkeypatch):
