@@ -30,9 +30,8 @@ from .covariance import NotCovariantError, check_covariance, enumerate_finite, r
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 # exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
-from .stats import (CSV_COLUMNS, SeedSpec, chsh, chsh_pairs, exact_joint,  # noqa: F401
-                    exact_tables, joint_record, records_to_csv, records_to_json, sample_lambda,
-                    sample_tables)
+from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, exact_tables,  # noqa: F401
+                    joint_columns, records_to_csv, records_to_json, sample_lambda, sample_tables)
 
 
 class UsageError(Exception):
@@ -46,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 # The estimator keys of the commands with a mode, by the mode that reads them.
 _MODE_KEYS = {"mc": ("n",), "exact": ("grid",)}
+# Most setting pairs of a grid:N spec, checked before any is built (at the cap the
+# pairs take about 72 MB, and a tomography document about 1 KB more per pair).
+_PAIR_CAP = 10 ** 6
 
 # Every option's default, type, allowed values (None: any), minimum (None:
 # none) and help (None: list the allowed values). Flags and config-file values
@@ -140,6 +142,9 @@ def _setting_pairs(spec: str):
         count = spec[len("grid:"):]
         if not count.isdecimal() or int(count) < 1:
             raise UsageError(f"settings {spec!r}: grid size must be a positive integer")
+        if int(count) ** 2 > _PAIR_CAP:
+            raise ValueError(f"settings {spec!r}: {int(count)}^2 setting pairs exceed "
+                             f"the cap of {_PAIR_CAP:,}")
         g = setting_grid(int(count))
         return [(ga, gb) for ga in g for gb in g]
     if spec.startswith("["):
@@ -192,8 +197,8 @@ def _emit(cfg, payload: dict, table=None, notes=()):
         sys.stdout.write(text)
 
 
-def _tables(cfg, ordering, pairs) -> list:
-    """The joint tables of the config's model on the setting pairs, by the
+def _tables(cfg, ordering, pairs):
+    """The joint table of the config's model on the setting pairs, by the
     estimator its mode names."""
     model = make_model(cfg["model"])
     if cfg["mode"] == "exact":
@@ -204,13 +209,10 @@ def _tables(cfg, ordering, pairs) -> list:
 
 
 def _cmd_tomography(cfg) -> int:
-    ordering = TimeOrdering(cfg["ordering"])
-    pairs = _setting_pairs(cfg["settings"])
-    tables = _tables(cfg, ordering, pairs)
+    ordering, pairs = TimeOrdering(cfg["ordering"]), _setting_pairs(cfg["settings"])
     n_or_grid = cfg["grid"] if cfg["mode"] == "exact" else cfg["n"]
-    records = [joint_record(ordering, a, b, table, n_or_grid, cfg["seed"])
-               for (a, b), table in zip(pairs, tables)]
-    _emit(cfg, {"records": dict(zip(CSV_COLUMNS, zip(*records)))}, table="records")
+    columns = joint_columns(ordering, pairs, _tables(cfg, ordering, pairs), n_or_grid, cfg["seed"])
+    _emit(cfg, {"records": columns}, table="records")
     return 0
 
 

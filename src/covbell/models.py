@@ -14,32 +14,32 @@ methods take an (n, d) array of hidden points and return (n,) int8 arrays of
 +/-1. A loop that scores many setting pairs on one array evaluates on
 ``model.bind(lams)``, which keeps what it derives from that array.
 
-``count_pairs(ordering, state, pairs, lams)`` returns the (k, 2, 2) int64
-outcome counts of k setting pairs on one array; the engine calls it once per
-block. The default counts each pair's ``eval_pairs`` outcomes; the built-ins
-count the same with less work. Threshold models (gisin-singlet, determinized
-rules without base coordinates) count through ``count_threshold_pairs``, which
-counts each pair on its first-outcome mask in place; local-sphere counts as a
-Bell-local model (``count_local_pairs``), and determinized rules with base
-coordinates take the default.
+Counts take the setting pair as their leading axis. ``count_pairs(ordering,
+state, pairs, lams)`` returns the (k, 2, 2) int64 outcome counts of k setting
+pairs on one array; the engine calls it once per block. The default counts
+each pair's ``eval_pairs`` outcomes; the built-ins count the same with less
+work. Threshold models (gisin-singlet, determinized rules without base
+coordinates) count through ``count_threshold_pairs``, on each pair's
+first-outcome mask in place; local-sphere counts as a Bell-local model
+(``count_local_pairs``), and determinized rules with base coordinates take the
+default.
 
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
-lattice, or None (the default), which leaves them to the block engine. On that
-lattice a threshold model's table is a product of 1-D counts, so gisin-singlet
-and base-free determinized rules count it through ``lattice_threshold_counts``
-in O(pairs), gisin-singlet in O(grid + pairs) for its one ``first_values`` call
-on the midpoints. On a u-line of that lattice local-sphere's +1 cells of a
-setting are one cyclic run, whose ends it re-scores in float, so it counts in
-O(grid * (settings + pairs)) rather than O(grid^2 * settings); every other
-model keeps the engine.
+lattice, or None (the default), which leaves them to the block engine. There a
+threshold model's cells are products of 1-D counts, so gisin-singlet and
+base-free determinized rules take all k tables from ``lattice_threshold_counts``
+as array products, with no per-pair loop. On a u-line of that lattice
+local-sphere's +1 cells of a setting are one cyclic run, whose ends it re-scores
+in float, so it counts in O(grid * (settings + pairs)) rather than
+O(grid^2 * settings); every other model keeps the engine.
 
 ``count_violations(state, pairs, lams)``, the covariance check's count, is each
 pair's count of rows whose outcomes differ between the AB and BA frames; the
 default scores every row. Threshold models count through ``threshold_violations``,
-one histogram of each row's ranks among the parties' thresholds, on whose cells
-every pair's outcomes are fixed; past its cell bound, and for determinized rules
-with base coordinates, they take the default.
+one histogram of each row's ranks among the parties' thresholds, whose failing
+cells ``failing_cell_counts`` sums for all pairs at once; past its cell bound,
+and for determinized rules with base coordinates, they take the default.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .core import QuantumState, TimeOrdering, _unit_interval, dot
 _ARC_MARGIN = 1e-12
 _ARC_HALF = 1
 _ARC_LINES = 1 << 12
+_CELL_CHUNK = 1 << 20  # most pair x cell entries failing_cell_counts evaluates at once
 
 
 class OrderedModel(abc.ABC):
@@ -111,10 +112,11 @@ class OrderedModel(abc.ABC):
         each of the k setting pairs (a, b) over the rows of lams."""
         lams = _lambdas(self, lams)
         bound = self.bind(lams)
-        counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            counts[i] = _table(*eval_pairs(bound, ordering, state, a, b, lams))
-        return counts
+        cells = []
+        for a, b in pairs:
+            alpha, beta = (x >= 0 for x in eval_pairs(bound, ordering, state, a, b, lams))
+            cells.append([np.count_nonzero(x) for x in (alpha & beta, alpha, beta)])
+        return _cells(cells, len(lams))
 
     def lattice_counts(self, ordering, state, pairs, grid):
         """The (k, 2, 2) int64 counts that ``count_pairs`` sums over the whole grid^d
@@ -145,17 +147,11 @@ def _lambdas(m: OrderedModel, lams) -> np.ndarray:
     return lams
 
 
-def _table(alphas, betas) -> np.ndarray:
-    """2x2 counts of paired +/-1 outcomes, indexed (alpha, beta) with +1 first."""
-    alpha_plus, beta_plus = alphas >= 0, betas >= 0
-    return _cells(np.count_nonzero(alpha_plus & beta_plus), np.count_nonzero(alpha_plus),
-                  np.count_nonzero(beta_plus), alphas.size)
-
-
-def _cells(plus_plus, alpha_plus, beta_plus, n) -> list:
-    """The 2x2 table of n points from its (+, +) cell and its two +1 marginals."""
-    return [[plus_plus, alpha_plus - plus_plus],
-            [beta_plus - plus_plus, n - alpha_plus - beta_plus + plus_plus]]
+def _cells(rows, n) -> np.ndarray:
+    """The (k, 2, 2) int64 tables of n points each from k rows of a pair's (+, +)
+    cell and its two +1 marginals, alpha's and beta's."""
+    pp, ap, bp = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    return np.stack([pp, ap - pp, bp - pp, n - ap - bp + pp], axis=-1).reshape(-1, 2, 2)
 
 
 def eval_pairs(m: OrderedModel, ordering, state, a, b, lams):
@@ -192,22 +188,20 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
            first_outcomes(bound, TimeOrdering.BA, state, (b for _, b in pairs), lams).items()}
     alice_plus = {a: np.count_nonzero(plus) for a, plus in alice.items()}
     bob_plus = {b: np.count_nonzero(plus) for b, plus in bob.items()}
-    counts = np.empty((len(pairs), 2, 2), dtype=np.int64)
-    for i, (a, b) in enumerate(pairs):
-        counts[i] = _cells(np.count_nonzero(alice[a] & bob[b]), alice_plus[a], bob_plus[b],
-                           len(lams))
-    return counts
+    return _cells([(np.count_nonzero(alice[a] & bob[b]), alice_plus[a], bob_plus[b])
+                   for a, b in pairs], len(lams))
 
 
 def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
     """``count_pairs`` of a threshold model: pair i's first outcome is +1 on the bool
     mask first_plus[i], its second where u_second <= levels[i][0] (first +1) or
     <= levels[i][1] (first -1). Each pair counts on its mask in place."""
-    counts = np.empty((len(first_plus), 2, 2), dtype=np.int64)
-    for i, (mask, (lo, hi)) in enumerate(zip(first_plus, levels)):
+    cells = []
+    for mask, (lo, hi) in zip(first_plus, levels):
         plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
         minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
-        counts[i] = _cells(plus_plus, np.count_nonzero(mask), plus_plus + minus_plus, mask.size)
+        cells.append((plus_plus, np.count_nonzero(mask), plus_plus + minus_plus))
+    counts = _cells(cells, u_second.size)
     return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
 
 
@@ -233,15 +227,28 @@ def threshold_violations(u_alice, u_bob, ab, ba):
     for t in bob:
         codes += np.greater(u_bob, t, out=above)
     hist = np.bincount(codes, minlength=shape[0] * shape[1]).reshape(shape)
-    rank_a, rank_b = np.arange(shape[0])[:, None], np.arange(shape[1])
-    first_a, first_b = np.searchsorted(alice, first_ab), np.searchsorted(bob, first_ba)
-    levels_a, levels_b = np.searchsorted(alice, levels_ba), np.searchsorted(bob, levels_ab)
-    counts = np.empty(len(first_a), dtype=np.int64)
-    for i, ((lo_a, hi_a), (lo_b, hi_b)) in enumerate(zip(levels_a, levels_b)):
-        alpha_ab, beta_ba = rank_a <= first_a[i], rank_b <= first_b[i]
+    return failing_cell_counts(hist, alice, bob, ab, ba)
+
+
+def failing_cell_counts(hist, alice, bob, ab, ba) -> np.ndarray:
+    """Each pair's sum of hist, the counts of the (rank_A, rank_B) cells of the
+    sorted thresholds alice and bob, over the cells where the rule of
+    ``threshold_violations`` gives either party different outcomes in AB and BA."""
+    (first_ab, levels_ab), (first_ba, levels_ba) = ab, ba
+    rank_a, rank_b = np.arange(hist.shape[0])[:, None], np.arange(hist.shape[1])
+    # each pair's threshold ranks: first outcomes, then second ones after a first +1 and -1
+    ranks = [np.searchsorted(alice, first_ab), np.searchsorted(bob, first_ba),
+             *np.searchsorted(alice, levels_ba).T, *np.searchsorted(bob, levels_ab).T]
+    counts = np.empty(len(ranks[0]), dtype=np.int64)
+    step = max(1, _CELL_CHUNK // hist.size)  # pairs evaluated at once
+    for i in range(0, counts.size, step):
+        # these pairs' ranks as (pair, 1, 1) blocks, broadcast over (pair, rank_A, rank_B)
+        first_a, first_b, lo_a, hi_a, lo_b, hi_b = (r[i:i + step, None, None] for r in ranks)
+        alpha_ab, beta_ba = rank_a <= first_a, rank_b <= first_b
         alpha_ba = rank_a <= np.where(beta_ba, lo_a, hi_a)
         beta_ab = rank_b <= np.where(alpha_ab, lo_b, hi_b)
-        counts[i] = hist[(alpha_ab != alpha_ba) | (beta_ba != beta_ab)].sum()
+        fails = ((alpha_ab != alpha_ba) | (beta_ba != beta_ab)).reshape(len(first_a), -1)
+        counts[i:i + step] = fails @ hist.ravel()
     return counts
 
 
@@ -289,10 +296,10 @@ def lattice_threshold_counts(ordering, first_plus, levels, grid) -> np.ndarray:
     of [0,1]^2, from 1-D counts: pair i's first outcome is +1 on first_plus[i]
     midpoints of its coordinate, and N(t) = ``lattice_at_or_below(grid, t)``
     midpoints of the other are <= t, so every cell is a product of two."""
-    below = lattice_at_or_below(grid, np.asarray(levels, dtype=float).reshape(-1, 2))
-    counts = np.empty((len(below), 2, 2), dtype=np.int64)
-    for i, (plus, (lo, hi)) in enumerate(zip(first_plus, below)):
-        counts[i] = _cells(plus * lo, plus * grid, plus * lo + (grid - plus) * hi, grid * grid)
+    lo, hi = lattice_at_or_below(grid, np.asarray(levels, dtype=float).reshape(-1, 2)).T
+    plus = np.asarray(first_plus, dtype=np.int64)
+    counts = _cells(np.transpose([plus * lo, plus * grid, plus * lo + (grid - plus) * hi]),
+                    grid * grid)
     return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
 
 
@@ -441,11 +448,8 @@ class LocalSphereModel(OrderedModel):
         plus = {s: length.sum() + np.count_nonzero(masks)
                 for s, (_, length, _, masks) in runs.items()}
         n = grid * grid  # Bob's +1 cells are the rest of Alice's
-        counts = []
-        for a, b in pairs:
-            both = _runs_overlap(runs[a], runs[b], grid)  # cells where a and b both project >= 0
-            counts.append(_cells(plus[a] - both, plus[a], n - plus[b], n))
-        return np.array(counts, dtype=np.int64).reshape(-1, 2, 2)
+        both = [_runs_overlap(runs[a], runs[b], grid) for a, b in pairs]  # a and b both +1
+        return _cells([(plus[a] - k, plus[a], n - plus[b]) for (a, b), k in zip(pairs, both)], n)
 
 
 def _scored_plus(state, s, rows, cols, trig) -> np.ndarray:

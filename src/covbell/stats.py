@@ -1,10 +1,10 @@
 """Joint distributions, correlators, and CHSH values for ordered models.
 
-Two estimators are provided: seeded Monte Carlo over uniform hidden points
-(counter-based Philox streams, reproducible regardless of worker count) and
-midpoint quadrature on [0,1]^d for exact low-dimensional checks. Indicator
-integrands make higher-order quadrature rules useless; the midpoint error is
-O(1/grid) and predictable.
+Both estimators return one table of k setting pairs, the pair its leading axis:
+seeded Monte Carlo over uniform hidden points (counter-based Philox streams,
+reproducible regardless of worker count) and midpoint quadrature on [0,1]^d for
+exact checks, whose O(1/grid) error indicator integrands leave no better rule to
+beat. Correlators, CHSH terms and output records are array operations on it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -47,7 +48,7 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class JointStats:
-    """2x2 outcome table indexed by (alpha, beta), +1 before -1.
+    """2x2 outcome tables of k setting pairs as (k, 2, 2) arrays, (pair, alpha, beta), +1 first.
 
     Monte Carlo tables carry integer counts and binomial standard errors;
     exact quadrature tables carry lattice-cell counts, n = grid^d, and a
@@ -59,6 +60,9 @@ class JointStats:
     probs: np.ndarray
     stderr: np.ndarray
     exact: bool = False
+
+    def __getitem__(self, i) -> "JointStats":  # pair i's (2, 2) table; iterates over pairs
+        return JointStats(self.counts[i], self.n, self.probs[i], self.stderr[i], self.exact)
 
 
 @dataclass(frozen=True)
@@ -150,48 +154,39 @@ def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarr
 
 
 def _counts_to_stats(counts: np.ndarray, n: int, grid=None) -> JointStats:
-    """The table of n points; an exact one (grid given) carries the 1/grid cell bound."""
+    """Tables of n points from (..., 2, 2) counts; exact ones (grid given) carry 1/grid."""
     probs = counts / float(n)
     if grid is None:
         stderr = np.sqrt(probs * (1.0 - probs) / n)
     else:
-        stderr = np.full((2, 2), 1.0 / grid)
+        stderr = np.full(counts.shape, 1.0 / grid)
     return JointStats(counts=counts, n=n, probs=probs, stderr=stderr, exact=grid is not None)
 
 
 def estimate_joint(m: OrderedModel, ordering, state, a, b, n: int,
                    seed: SeedSpec, workers: int = 1) -> JointStats:
-    """Monte Carlo joint table over n hidden points drawn from the seed spec."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    d = m.lambda_dim
-    counts = _count_blocks(m, ordering, state, [(a, b)], n,
-                           lambda start, rows: _sample_block(d, seed, start, rows), workers)
-    return _counts_to_stats(counts[0], n)
+    """Monte Carlo joint table over n hidden points: ``sample_tables`` of one pair."""
+    return sample_tables(m, ordering, state, [(a, b)], n, seed, workers)[0]
 
 
 def exact_joint(m: OrderedModel, ordering, state, a, b, grid: int,
                 workers: int = 1) -> JointStats:
-    """Midpoint-rule joint table on a grid^d lattice; cells sum to 1 exactly."""
+    """Midpoint-rule joint table on a grid^d lattice: ``exact_tables`` of one pair."""
     return exact_tables(m, ordering, state, [(a, b)], grid, workers)[0]
 
 
 def correlator(j: JointStats) -> CorrelationEstimate:
-    """E = P(+,+) + P(-,-) - P(+,-) - P(-,+), with propagated error."""
+    """E = P(+,+) + P(-,-) - P(+,-) - P(-,+), with propagated error (lists for k pairs)."""
     if j.n == 0 and not j.exact:
         raise ValueError("empty statistics: no samples and not an exact table")
     p = j.probs
-    value = float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+    value = ((p[..., 0, 0] + p[..., 1, 1]) - p[..., 0, 1]) - p[..., 1, 0]
     # absorb rounding just past the physical bound
-    if 1.0 < abs(value) < 1.0 + 1e-12:
-        value = float(np.sign(value))
-    if j.exact:
-        stderr = float(np.sum(j.stderr))  # conservative discretization bound
-        n = 0
-    else:
-        stderr = float(np.sqrt(max(0.0, 1.0 - value * value) / j.n))
-        n = j.n
-    return CorrelationEstimate(value=value, stderr=stderr, n=n)
+    value = np.where((1.0 < abs(value)) & (abs(value) < 1.0 + 1e-12), np.sign(value), value)
+    if j.exact:  # conservative discretization bound
+        return CorrelationEstimate(value.tolist(), j.stderr.sum(axis=(-2, -1)).tolist(), 0)
+    stderr = np.sqrt(np.maximum(0.0, 1.0 - value * value) / j.n)
+    return CorrelationEstimate(value.tolist(), stderr.tolist(), j.n)
 
 
 @dataclass(frozen=True)
@@ -210,8 +205,8 @@ def chsh_pairs(settings) -> list:
 
 
 def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
-                 workers: int = 1) -> list:
-    """Midpoint-rule joint tables of every setting pair over the grid^d lattice:
+                 workers: int = 1) -> JointStats:
+    """Midpoint-rule joint table of the k setting pairs over the grid^d lattice:
     counted by the model's ``lattice_counts`` hook if it has one, else scored on
     one pass of the block engine, which takes at most _ENGINE_CAP pair-points."""
     d = m.lambda_dim
@@ -223,35 +218,36 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
     if counts is None:
         check_engine_cap(d, grid, pairs)
         counts = _count_blocks(m, ordering, state, pairs, grid ** d,
-                               lambda start, rows: _lattice_block(d, grid, start, rows), workers)
-    return [_counts_to_stats(c, grid ** d, grid) for c in counts]
+                               partial(_lattice_block, d, grid), workers)
+    return _counts_to_stats(counts, grid ** d, grid)
 
 
 def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,
-                  workers: int = 1) -> list:
-    """Monte Carlo joint tables of every setting pair over n hidden points each:
-    pair i draws from stream ``seed.stream + i``, so the tables' errors are
+                  workers: int = 1) -> JointStats:
+    """Monte Carlo joint table of the k setting pairs over n hidden points each:
+    pair i draws from stream ``seed.stream + i``, so the pairs' errors are
     independent. The last pair's stream is checked before any pair draws."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     SeedSpec(seed.seed, seed.stream + max(len(pairs) - 1, 0))
-    return [estimate_joint(m, ordering, state, a, b, n,
-                           SeedSpec(seed.seed, seed.stream + i), workers=workers)
-            for i, (a, b) in enumerate(pairs)]
+    counts = [_count_blocks(m, ordering, state, [pair], n, partial(
+        _sample_block, m.lambda_dim, SeedSpec(seed.seed, seed.stream + i)), workers)
+        for i, pair in enumerate(pairs)]
+    return _counts_to_stats(np.array(counts, dtype=np.int64).reshape(-1, 2, 2), n)
 
 
-def chsh(tables) -> ChshEstimate:
-    """CHSH value of the four joint tables of ``chsh_pairs`` order.
+def chsh(tables: JointStats) -> ChshEstimate:
+    """CHSH value of a table of the four pairs of ``chsh_pairs``, in that order.
 
     Monte Carlo tables' correlator errors are independent and add in
     quadrature; exact tables' discretization bounds are summed.
     """
-    terms = [correlator(table) for table in tables]
+    est = correlator(tables)
+    e, errs = est.value, est.stderr
+    stderr = float(sum(errs) if tables.exact else np.sqrt(sum(err ** 2 for err in errs)))
+    terms = tuple(CorrelationEstimate(v, err, est.n) for v, err in zip(e, errs))
     # grouped so identical-term cancellations (e.g. b = b') stay exact
-    value = (terms[0].value + terms[1].value) + (terms[2].value - terms[3].value)
-    if tables[0].exact:
-        stderr = float(sum(t.stderr for t in terms))
-    else:
-        stderr = float(np.sqrt(sum(t.stderr ** 2 for t in terms)))
-    return ChshEstimate(value=value, stderr=stderr, terms=tuple(terms))
+    return ChshEstimate(value=(e[0] + e[1]) + (e[2] - e[3]), stderr=stderr, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +269,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def joint_columns(ordering, pairs, table: JointStats, n_or_grid: int, seed: int) -> dict:
+    """The output records of a table of k pairs as columns, ``{name: k cells}`` in
+    CSV_COLUMNS order: setting pair, cell probabilities, correlator. Every cell
+    is a Python scalar, so the writers format each column as one type."""
+    k, est = len(pairs), correlator(table)
+    settings = zip(*((a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs))
+    cells = table.probs.reshape(k, 4).T.tolist()
+    return dict(zip(CSV_COLUMNS, [(ordering.value,) * k, *settings, *cells, est.value, est.stderr,
+                                  (n_or_grid,) * k, (seed,) * k]))
+
+
 def joint_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -> tuple:
-    """One output record, its cells in CSV_COLUMNS order: setting pair, cell
-    probabilities, correlator."""
-    est = correlator(table)
-    return (ordering.value, a.x, a.y, a.z, b.x, b.y, b.z, *table.probs.ravel().tolist(),
-            est.value, est.stderr, n_or_grid, seed)
+    """One output record, its cells in CSV_COLUMNS order: ``joint_columns`` of one pair."""
+    return next(zip(*joint_columns(ordering, [(a, b)], table[None], n_or_grid, seed).values()))
 
 
 def _quoted(cells, alone: bool) -> list:

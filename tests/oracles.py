@@ -1,9 +1,10 @@
 """Reference implementations the tests compare covbell against: the singlet's
 closed-form joint table, the per-strategy view of the finite no-go scan, a
-local-sphere whose exact tables take the block engine, a CSV writer that
-formats one cell at a time, the tables of frame-order and enumerate as one
-dict per row, and a command line run as the console script runs it, in a fresh
-process."""
+local-sphere whose exact tables take the block engine, tables, correlators,
+CHSH values, records and violation counts built one setting pair at a time, a
+CSV writer that formats one cell at a time, the tables of frame-order and
+enumerate as one dict per row, and a command line run as the console script
+runs it, in a fresh process."""
 
 import csv
 import io
@@ -19,7 +20,7 @@ import numpy as np
 from covbell.core import Outcome, TimeOrdering, dot
 from covbell.models import LocalSphereModel, OrderedModel
 from covbell.spacetime import Boost, SimultaneousEventsError, boost_event, time_order
-from covbell.stats import JointStats
+from covbell.stats import CSV_COLUMNS, JointStats
 
 
 def singlet_joint_oracle(alpha: Outcome, beta: Outcome, a, b) -> float:
@@ -108,6 +109,73 @@ class EngineSphere(LocalSphereModel):
     lattice cell in the block engine."""
 
     lattice_counts = OrderedModel.lattice_counts
+
+
+def per_pair_stats(counts, n: int, grid=None) -> JointStats:
+    """One pair's (2, 2) table of n points from its counts; an exact one (grid
+    given) carries the 1/grid cell bound."""
+    probs = counts / float(n)
+    if grid is None:
+        stderr = np.sqrt(probs * (1.0 - probs) / n)
+    else:
+        stderr = np.full((2, 2), 1.0 / grid)
+    return JointStats(counts=counts, n=n, probs=probs, stderr=stderr, exact=grid is not None)
+
+
+def per_pair_correlator(j: JointStats) -> tuple:
+    """(E, stderr, n) of one pair's (2, 2) table, one Python float at a time:
+    E = ((p00 + p11) - p01) - p10, set to its sign just past the bound of 1."""
+    if j.n == 0 and not j.exact:
+        raise ValueError("empty statistics: no samples and not an exact table")
+    p = j.probs
+    value = float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+    if 1.0 < abs(value) < 1.0 + 1e-12:
+        value = float(np.sign(value))
+    if j.exact:
+        return value, float(np.sum(j.stderr)), 0
+    return value, float(np.sqrt(max(0.0, 1.0 - value * value) / j.n)), j.n
+
+
+def per_pair_chsh(tables) -> tuple:
+    """(S, stderr) of four one-pair tables: (E0 + E1) + (E2 - E3), and the terms'
+    errors summed (exact) or added in quadrature (Monte Carlo) in order."""
+    terms = [per_pair_correlator(t) for t in tables]
+    value = (terms[0][0] + terms[1][0]) + (terms[2][0] - terms[3][0])
+    if tables[0].exact:
+        return value, float(sum(t[1] for t in terms))
+    return value, float(np.sqrt(sum(t[1] ** 2 for t in terms)))
+
+
+def per_pair_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -> tuple:
+    """One tomography record of one pair's table, its cells in CSV_COLUMNS order."""
+    value, stderr, _ = per_pair_correlator(table)
+    return (ordering.value, a.x, a.y, a.z, b.x, b.y, b.z, *table.probs.ravel().tolist(),
+            value, stderr, n_or_grid, seed)
+
+
+def per_pair_rows(ordering, pairs, counts, n, grid, n_or_grid, seed) -> list:
+    """tomography's table as one dict per pair, each built from that pair's counts alone."""
+    return [dict(zip(CSV_COLUMNS, per_pair_record(ordering, a, b, per_pair_stats(c, n, grid),
+                                                  n_or_grid, seed)))
+            for (a, b), c in zip(pairs, counts)]
+
+
+def per_pair_failing_cells(hist, alice, bob, ab, ba) -> list:
+    """Each pair's sum of the (rank_A, rank_B) cell counts hist over the cells where
+    the threshold rule (ab and ba, each frame's (firsts, levels)) gives either party
+    different outcomes in AB and BA, one pair's cell grid at a time."""
+    (first_ab, levels_ab), (first_ba, levels_ba) = ab, ba
+    rank_a, rank_b = np.arange(hist.shape[0])[:, None], np.arange(hist.shape[1])
+    counts = []
+    for i in range(len(first_ab)):
+        first_a, first_b = np.searchsorted(alice, first_ab[i]), np.searchsorted(bob, first_ba[i])
+        lo_a, hi_a = np.searchsorted(alice, levels_ba[i])
+        lo_b, hi_b = np.searchsorted(bob, levels_ab[i])
+        alpha_ab, beta_ba = rank_a <= first_a, rank_b <= first_b
+        alpha_ba = rank_a <= np.where(beta_ba, lo_a, hi_a)
+        beta_ab = rank_b <= np.where(alpha_ab, lo_b, hi_b)
+        counts.append(int(hist[(alpha_ab != alpha_ba) | (beta_ba != beta_ab)].sum()))
+    return counts
 
 
 def fmt_cell(x) -> str:

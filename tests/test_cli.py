@@ -22,8 +22,9 @@ from covbell.covariance import enumerate_finite
 from covbell.models import LocalSphereModel, make_model
 from covbell.spacetime import Event, is_spacelike
 from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, estimate_joint,
-                           joint_record)
-from oracles import enumeration_rows, frame_order_rows, row_dict_document, standalone
+                           exact_joint, joint_record)
+from oracles import (enumeration_rows, frame_order_rows, per_pair_rows, row_dict_document,
+                     standalone)
 from property_inputs import EVENT, VELOCITY
 
 
@@ -409,6 +410,72 @@ def test_output_is_checked_before_any_work(monkeypatch, tmp_path, capsys):
                           "--output", str(tmp_path / "missing" / "x.csv")], capsys)
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("covbell: [Errno 2] No such file or directory: ")
+
+
+class _SettingGridCalled(Exception):
+    pass
+
+
+def _refuse_setting_grid(n):
+    raise _SettingGridCalled(n)
+
+
+@pytest.mark.parametrize("command", [
+    ["tomography", "--mode", "exact", "--grid", "2"],
+    ["tomography", "--n", "1"],
+    ["check-covariance", "--probes", "400000000"],
+    ["reduce"],
+])
+def test_grid_settings_past_the_pair_cap_exit_2_before_any_pair_is_built(command, monkeypatch,
+                                                                          capsys):
+    # the cap is checked on N^2 before setting_grid runs: were it not, the refusing
+    # setting_grid would raise through main at once, and no pair would be allocated
+    monkeypatch.setattr(cli, "setting_grid", _refuse_setting_grid)
+    code, out, err = run([*command, "--settings", "grid:20000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("covbell: settings 'grid:20000': 20000^2 setting pairs exceed the cap "
+                   f"of {cli._PAIR_CAP:,}\n")
+
+
+def test_pair_cap_is_one_million_pairs_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "setting_grid", _refuse_setting_grid)
+    assert cli._PAIR_CAP == 10 ** 6
+    with pytest.raises(_SettingGridCalled):  # 1000^2 pairs are within the cap
+        cli._setting_pairs("grid:1000")
+    with pytest.raises(ValueError, match=r"1001\^2 setting pairs exceed the cap of 1,000,000"):
+        cli._setting_pairs("grid:1001")
+
+
+@pytest.mark.parametrize("model", ["gisin-singlet", "local-sphere"])
+@pytest.mark.parametrize("mode", [("exact", "--grid", "301"), ("mc", "--n", "2000")],
+                         ids=["exact", "mc"])
+def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
+    # grid:20 is 400 pairs; each record is built from its pair's own one-pair table
+    # (exact_joint, or estimate_joint on stream i) by the per-pair reference
+    m, grid_or_n = make_model(model), int(mode[2])
+    g = setting_grid(20)
+    pairs = [(a, b) for a in g for b in g]
+    if mode[0] == "exact":
+        counts = [exact_joint(m, TimeOrdering.BA, QuantumState.SINGLET, a, b, grid_or_n).counts
+                  for a, b in pairs]
+        n, grid = grid_or_n ** 2, grid_or_n
+    else:
+        counts = [estimate_joint(m, TimeOrdering.BA, QuantumState.SINGLET, a, b, grid_or_n,
+                                 SeedSpec(4, i)).counts for i, (a, b) in enumerate(pairs)]
+        n, grid = grid_or_n, None
+    rows = per_pair_rows(TimeOrdering.BA, pairs, counts, n, grid, grid_or_n, 4)
+    for fmt in ("csv", "json"):
+        docs = []
+        for workers in ("1", "2"):
+            code, out, _ = run(["tomography", "--model", model, "--settings", "grid:20",
+                                "--ordering", "BA", "--mode", *mode, "--seed", "4",
+                                "--format", fmt, "--workers", workers], capsys)
+            assert code == 0
+            docs.append(out)
+        assert docs[0] == docs[1]
+        config = (json.loads(docs[0].split("\n", 1)[0][len("# config = "):]) if fmt == "csv"
+                  else json.loads(docs[0])["config"])
+        assert docs[0] == row_dict_document(fmt, config, {"records": rows}, "records")
 
 
 @pytest.mark.parametrize("args", [

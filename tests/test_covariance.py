@@ -279,8 +279,7 @@ def test_covariant_models_count_identical_exact_frame_tables(view):
     if view:
         m = reduce_to_local(m, SINGLET, pairs, sample_lambda(2, 100, SeedSpec(1)))
     for grid in (7, 1001):
-        ab, ba = ([t.counts for t in exact_tables(m, ordering, SINGLET, pairs, grid)]
-                  for ordering in (AB, BA))
+        ab, ba = (exact_tables(m, ordering, SINGLET, pairs, grid).counts for ordering in (AB, BA))
         assert np.array_equal(ab, ba)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from covbell import models, stats
@@ -16,10 +16,13 @@ from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel,
                             stochastic_singlet)
 from covbell.stats import (_BLOCK, _CHUNK, CSV_COLUMNS, JointStats, SeedSpec, _counts_to_stats,
                            _fmt, _lattice_block, _sample_block, chsh, chsh_pairs, correlator,
-                           estimate_joint, exact_joint, exact_tables, joint_record,
-                           records_to_csv, sample_lambda, sample_tables)
-from oracles import (EngineSphere, fmt_cell, per_cell_csv, singlet_joint_oracle,
+                           estimate_joint, exact_joint, exact_tables, joint_columns,
+                           joint_record, records_to_csv, records_to_json, sample_lambda,
+                           sample_tables)
+from oracles import (EngineSphere, fmt_cell, per_cell_csv, per_pair_chsh, per_pair_correlator,
+                     per_pair_record, per_pair_rows, per_pair_stats, singlet_joint_oracle,
                      singlet_oracle_table)
+from property_inputs import SETTING
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
@@ -99,8 +102,7 @@ def test_exact_joint_role_swap_symmetry():
     m = GisinSingletModel()
     pairs = [(a, b) for a in setting_grid(4) for b in setting_grid(4)]
     for grid in (7, 1001):
-        ab, ba = (np.array([t.counts for t in exact_tables(m, ordering, SINGLET, pairs, grid)])
-                  for ordering in (AB, BA))
+        ab, ba = (exact_tables(m, ordering, SINGLET, pairs, grid).counts for ordering in (AB, BA))
         assert np.array_equal(ba, ab.transpose(0, 2, 1))
 
 
@@ -182,6 +184,95 @@ def test_correlator_clamps_rounding_past_the_bound(sign):
     assert (est.value, est.stderr) == (float(sign), 0.0)
 
 
+def _clamping_sizes(exact: bool, count=16) -> list:
+    """(n, k, grid) with n > 2**53 points (grid^2 for an exact table, grid None for
+    Monte Carlo) whose table [[k, 0], [0, n - k]] has cells that round to E = 1 + 2**-52."""
+    rng, found = np.random.default_rng(5), []
+    while len(found) < count:
+        grid = int(rng.integers(2 ** 27, 2 ** 31)) if exact else None
+        n = grid ** 2 if exact else int(rng.integers(2 ** 53, 2 ** 62))
+        k = int(rng.integers(1, n))
+        if float(k) / float(n) + float(n - k) / float(n) > 1.0:
+            found.append((n, k, grid))
+    return found
+
+
+_CLAMPING = {exact: _clamping_sizes(exact) for exact in (False, True)}
+
+
+@st.composite
+def _pair_counts(draw, n, clamping_k):
+    """One pair's (2, 2) counts of n points: three cut points of [0, n], or, given
+    clamping_k, a diagonal or anti-diagonal table of k = clamping_k or any k."""
+    if clamping_k:
+        k = draw(st.one_of(st.just(clamping_k), st.integers(1, n - 1)), label="k")
+        diagonal = draw(st.booleans(), label="diagonal")
+        return [[k, 0], [0, n - k]] if diagonal else [[0, k], [n - k, 0]]
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3), label="cuts"))
+    return [[cuts[0], cuts[1] - cuts[0]], [cuts[2] - cuts[1], n - cuts[2]]]
+
+
+def _assert_batch_equals_per_pair(ordering, pairs, counts, n, grid, seed):
+    """The batched table, correlators, CHSH value, records and documents of the
+    k pairs' counts equal the per-pair reference's, bit for bit and byte for byte."""
+    table, n_or_grid = _counts_to_stats(counts, n, grid), grid or n
+    tables = [per_pair_stats(c, n, grid) for c in counts]
+    for i, one in enumerate(tables):  # the k = 1 cases
+        assert np.array_equal(table[i].probs, one.probs)
+        assert np.array_equal(table[i].stderr, one.stderr)
+        est = correlator(table[i])
+        assert (est.value, est.stderr, est.n) == per_pair_correlator(one)
+        assert joint_record(ordering, *pairs[i], table[i], n_or_grid, seed) == (
+            per_pair_record(ordering, *pairs[i], one, n_or_grid, seed))
+    est = correlator(table)
+    assert list(zip(est.value, est.stderr)) == [per_pair_correlator(t)[:2] for t in tables]
+    if len(pairs) == 4:
+        res = chsh(table)
+        assert (res.value, res.stderr) == per_pair_chsh(tables)
+    columns = joint_columns(ordering, pairs, table, n_or_grid, seed)
+    # Python cells, so the CSV writer takes one %.17g or %d conversion per column
+    assert {type(cell) for col in columns.values() for cell in col} <= {str, int, float}
+    rows = per_pair_rows(ordering, pairs, counts, n, grid, n_or_grid, seed)
+    config = {"seed": seed}
+    assert records_to_csv(columns, config) == records_to_csv(
+        {col: [row[col] for row in rows] for col in CSV_COLUMNS}, config)
+    assert records_to_json({"records": [dict(zip(columns, r)) for r in zip(*columns.values())]},
+                           config) == records_to_json({"records": rows}, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact=st.booleans(), near_one=st.booleans(), ordering=st.sampled_from([AB, BA]),
+       pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_batched_records_equal_the_per_pair_oracle(exact, near_one, ordering, pairs, seed, data):
+    # exact: n = grid^d lattice points; Monte Carlo: n samples; neither a power of 2
+    clamping_k, not_power_of_2 = None, (lambda m: m + (m & (m - 1) == 0))
+    if near_one:
+        n, clamping_k, grid = data.draw(st.sampled_from(_CLAMPING[exact]), label="clamping size")
+    elif exact:
+        grid = data.draw(st.integers(3, 3000).map(not_power_of_2), label="grid")
+        n = grid ** data.draw(st.integers(1, 3), label="d")
+    else:
+        grid, n = None, data.draw(st.integers(3, 10 ** 7).map(not_power_of_2), label="n")
+    counts = np.array([data.draw(_pair_counts(n, clamping_k), label="counts") for _ in pairs],
+                      dtype=np.int64)
+    p = counts / float(n)
+    raw = ((p[:, 0, 0] + p[:, 1, 1]) - p[:, 0, 1]) - p[:, 1, 0]
+    event(f"E clamped: {bool(np.any((1.0 < abs(raw)) & (abs(raw) < 1.0 + 1e-12)))}")
+    _assert_batch_equals_per_pair(ordering, pairs, counts, n, grid, seed)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_batched_records_clamp_both_signs_as_the_per_pair_oracle(exact):
+    n, k = 9959434288467221, 6227583321205817  # E = +-(1 + 2**-52) before the clamp
+    counts = np.array([[[k, 0], [0, n - k]], [[0, k], [n - k, 0]], [[1, 2], [3, n - 6]],
+                       [[n, 0], [0, 0]]], dtype=np.int64)
+    assert correlator(_counts_to_stats(counts, n)).value[:2] == [1.0, -1.0]
+    # the lattice of an exact table has grid^d points; this grid is a placeholder
+    _assert_batch_equals_per_pair(BA, chsh_pairs(tsirelson_settings()), counts, n,
+                                  99_799_000 if exact else None, 3)
+
+
 def test_mc_converges_to_exact_within_four_sigma():
     m = GisinSingletModel()
     mc = estimate_joint(m, AB, SINGLET, A_X, B_09, 1_000_000, SeedSpec(7))
@@ -224,14 +315,14 @@ def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
     tables = sample_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
                            n, SeedSpec(5, 3))
     res = chsh(tables)
-    term_errs = [math.sqrt(1.0 - correlator(t).value ** 2) / math.sqrt(n) for t in tables]
+    term_errs = [math.sqrt(1.0 - e ** 2) / math.sqrt(n) for e in correlator(tables).value]
     assert [t.stderr for t in res.terms] == pytest.approx(term_errs, rel=1e-12)
     assert res.stderr == pytest.approx(math.sqrt(sum(e * e for e in term_errs)), rel=1e-12)
     assert res.stderr < sum(term_errs)
     # pair i draws from stream seed.stream + i
     for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings())):
         alone = estimate_joint(GisinSingletModel(), AB, SINGLET, a, b, n, SeedSpec(5, 3 + i))
-        assert np.array_equal(tables[i].counts, alone.counts)
+        assert np.array_equal(tables.counts[i], alone.counts)
 
 
 # the last pair draws from stream 2^64: pair 24 of grid:5's 25, pair 1 of two
@@ -348,7 +439,7 @@ def test_engine_runs_at_most_one_pool_task_per_worker(monkeypatch):
         tables = exact_tables(m, AB, SINGLET, THREE_PAIRS, 20, workers)
         assert len(submitted) == tasks
         assert sorted(made) == [(start, min(64, 400 - start)) for start in range(0, 400, 64)]
-        assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
+        assert np.array_equal(tables.counts, serial.counts)
     submitted.clear()
     mc = [estimate_joint(m, BA, SINGLET, A_X, B_09, 1000, SeedSpec(4), workers) for workers in (1, 3)]
     assert len(submitted) == 3 and np.array_equal(mc[0].counts, mc[1].counts)
@@ -364,7 +455,7 @@ def test_sphere_directions_once_per_lattice_block(direction_computations):
         sys.setswitchinterval(interval)
     assert len(direction_computations) == len(_blocks(1200 ** 2))  # once per block, for all three pairs
     serial = exact_tables(EngineSphere(), AB, SINGLET, THREE_PAIRS, 1200, workers=1)
-    assert all(np.array_equal(t.counts, s.counts) for t, s in zip(tables, serial))
+    assert np.array_equal(tables.counts, serial.counts)
 
 
 def test_sphere_directions_once_per_sample_block(direction_computations):
@@ -438,9 +529,10 @@ _SETTINGS = [*setting_grid(3), *tsirelson_settings()]
 def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs, grid, workers):
     m = make_model(model)
     tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
-    assert [table.counts.sum() for table in tables] == [grid ** m.lambda_dim] * len(pairs)
-    for (a, b), table in zip(pairs, tables):
-        assert np.array_equal(table.counts, exact_joint(m, ordering, SINGLET, a, b, grid).counts)
+    assert tables.counts.shape == (len(pairs), 2, 2)
+    assert tables.counts.sum(axis=(1, 2)).tolist() == [grid ** m.lambda_dim] * len(pairs)
+    for (a, b), counts in zip(pairs, tables.counts):
+        assert np.array_equal(counts, exact_joint(m, ordering, SINGLET, a, b, grid).counts)
 
 
 @pytest.mark.parametrize("run", [
@@ -523,7 +615,7 @@ def test_hook_models_are_not_capped():
     pairs = chsh_pairs(tsirelson_settings()) * 7  # 28 pairs of a 10^12-point lattice
     for name in ("gisin-singlet", "determinized-singlet"):
         tables = exact_tables(make_model(name), AB, SINGLET, pairs, 10 ** 6)
-        assert [t.counts.sum() for t in tables] == [10 ** 12] * len(pairs)
+        assert tables.counts.sum(axis=(1, 2)).tolist() == [10 ** 12] * len(pairs)
 
 
 def test_determinized_tables_allocate_no_grid_long_array():
@@ -537,8 +629,8 @@ def test_determinized_tables_allocate_no_grid_long_array():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert [t.counts.sum() for t in tables] == [grid * grid] * len(pairs)
-    assert all(t.counts[0].sum() == grid * grid // 2 for t in tables)  # p_first = 1/2
+    assert tables.counts.sum(axis=(1, 2)).tolist() == [grid * grid] * len(pairs)
+    assert (tables.counts[:, 0].sum(axis=1) == grid * grid // 2).all()  # p_first = 1/2
 
 
 def _n_at_or_below(grid, t) -> int:
@@ -589,7 +681,7 @@ def test_exact_tables_of_a_rule_that_reads_its_base_coordinate(grid):
     for ordering, want in ((AB, expected), (BA, expected.swapaxes(1, 2))):
         for workers in (1, 2):
             tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
-            assert np.array_equal([t.counts for t in tables], want)
+            assert np.array_equal(tables.counts, want)
 
 
 @pytest.mark.parametrize("ordering", [AB, BA])
@@ -610,7 +702,7 @@ def test_exact_joint_sphere_matches_one_meshgrid_lattice(ordering):
                              for x in (1, -1)])
         for workers in (1, 2, 3):
             tables = exact_tables(m, ordering, SINGLET, pairs, grid, workers)
-            assert np.array_equal([t.counts for t in tables], expected)
+            assert np.array_equal(tables.counts, expected)
         for (sa, sb), counts in zip(pairs[:3], expected):
             assert np.array_equal(exact_joint(m, ordering, SINGLET, sa, sb, grid).counts, counts)
 

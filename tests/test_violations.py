@@ -5,18 +5,20 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covbell import cli
+from covbell import cli, models
 from covbell.core import MeasurementSetting, QuantumState, TimeOrdering, dot, setting_grid
 from covbell.covariance import LocalModelView, check_covariance
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, OrderedModel, StochasticResponse,
                             _pm, determinize, eval_pairs, make_model, threshold_violations)
 from covbell.stats import SeedSpec, sample_lambda
+from oracles import per_pair_failing_cells
 from property_inputs import SETTING, draw_hidden_points
 from test_covariance import _reference_report
 
@@ -90,6 +92,50 @@ def test_empty_pairs_check_nothing(name):
     assert m.count_violations(SINGLET, [], lams).tolist() == []
     report = check_covariance(m, SINGLET, [], lams)
     assert (report.checked, report.violations, report.witnesses) == (0, 0, ())
+
+
+# thresholds on a coarse dyadic grid, so that pairs and parties share them
+_THRESHOLD = st.integers(0, 8).map(lambda j: j / 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, 40), chunk=st.sampled_from([1, 5, 81, 1 << 20]))
+def test_failing_cells_of_all_pairs_equal_the_per_pair_sums(data, k, chunk):
+    # both frames' (firsts, levels) drawn apart, as determinized rules may have them;
+    # a chunk of 1 or 5 pair-cells takes one pair at a time, 81 one or a few
+    firsts = [data.draw(st.lists(_THRESHOLD, min_size=k, max_size=k)) for _ in range(2)]
+    levels = [data.draw(st.lists(st.tuples(_THRESHOLD, _THRESHOLD), min_size=k, max_size=k))
+              for _ in range(2)]
+    ab, ba = (firsts[0], levels[0]), (firsts[1], levels[1])
+    alice = np.array(sorted({0.5, *firsts[0], *np.ravel(levels[1])}))
+    bob = np.array(sorted({0.5, *firsts[1], *np.ravel(levels[0])}))
+    hist = np.array(data.draw(st.lists(st.integers(0, 2 ** 40), min_size=(alice.size + 1)
+                                       * (bob.size + 1), max_size=(alice.size + 1)
+                                       * (bob.size + 1)))).reshape(alice.size + 1, bob.size + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_CELL_CHUNK", chunk)
+        counts = models.failing_cell_counts(hist, alice, bob, ab, ba)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == per_pair_failing_cells(hist, alice, bob, ab, ba)
+
+
+def test_failing_cells_hold_a_bounded_working_set():
+    # 20,000 grid:5-like pairs on 22 x 22 cells: the pair-cells evaluated at once stay
+    # below _CELL_CHUNK, so the peak is a few of its bool and int64 blocks, not
+    # 20,000 x 484 of them
+    m, g = GisinSingletModel(), setting_grid(5)
+    pairs = [(a, b) for a in g for b in g] * 800
+    rule = ([0.5] * len(pairs), [m._levels(a, b) for a, b in pairs])
+    alice = np.array(sorted({0.5, *np.ravel(rule[1])}))
+    hist = np.arange((alice.size + 1) ** 2).reshape(alice.size + 1, alice.size + 1)
+    tracemalloc.start()
+    try:
+        counts = models.failing_cell_counts(hist, alice, alice, rule, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == per_pair_failing_cells(hist, alice, alice, rule, rule)[:25] * 800
+    assert peak < 16 * models._CELL_CHUNK  # 8 bytes an entry for the int64 product, and bools
 
 
 def test_rule_with_base_coordinates_takes_no_hook():
