@@ -7,39 +7,42 @@ which is what makes a model nonlocal. Built-ins:
     reproducing singlet statistics in both orderings (BA by role swap).
   - LocalSphereModel: a Bell-local reference model on the sphere.
   - determinize(): wraps a stochastic response rule into a deterministic
-    model by appending two uniform coordinates and thresholding.
+    model by appending two uniform coordinates and thresholding; a rule
+    without base coordinates gives a DeterminizedThresholdModel.
 
 All evaluation is pure, and models hold no state between calls. Evaluation
 methods take an (n, d) array of hidden points and return (n,) int8 arrays of
 +/-1. A loop that scores many setting pairs on one array evaluates on
-``model.bind(lams)``, which keeps what it derives from that array.
+``model.bind(lams)``, which keeps what local-sphere derives from that array.
+
+Threshold models (gisin-singlet, DeterminizedThresholdModel) keep nothing and
+declare one rule, ``_rule(ordering, state, pairs) -> (firsts, levels)``: pair
+i's first party is +1 where its coordinate (Alice's lams[:, 0], Bob's
+lams[:, 1]) is <= firsts[i], the second where its own is <= levels[i, 0] after
+a first +1 and <= levels[i, 1] after a -1. Every count below reads it.
 
 Counts take the setting pair as their leading axis. ``count_pairs(ordering,
 state, pairs, lams)`` returns the (k, 2, 2) int64 outcome counts of k setting
 pairs on one array; the engine calls it once per block. The default counts
 each pair's ``eval_pairs`` outcomes; the built-ins count the same with less
-work. Threshold models (gisin-singlet, determinized rules without base
-coordinates) count through ``count_threshold_pairs``, on each pair's
+work. Threshold models count through ``count_threshold_pairs``, on each pair's
 first-outcome mask in place; local-sphere counts as a Bell-local model
 (``count_local_pairs``), and determinized rules with base coordinates take the
 default.
 
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
-lattice, or None (the default), which leaves them to the block engine. There a
-threshold model's cells are products of 1-D counts, so gisin-singlet and
-base-free determinized rules take all k tables from ``lattice_threshold_counts``
-as array products, with no per-pair loop. On a u-line of that lattice
-local-sphere's +1 cells of a setting are one cyclic run, whose ends it re-scores
-in float, so it counts in O(grid * (settings + pairs)) rather than
-O(grid^2 * settings); every other model keeps the engine.
+lattice, or None (the default), which leaves them to the block engine. Threshold
+models take all k tables from ``lattice_threshold_counts``, products of 1-D
+counts with no per-pair loop, and local-sphere counts one cyclic run of +1 cells
+per u-line and setting (see its class); every other model keeps the engine.
 
 ``count_violations(state, pairs, lams)``, the covariance check's count, is each
 pair's count of rows whose outcomes differ between the AB and BA frames; the
-default scores every row. Threshold models count through ``threshold_violations``,
-one histogram of each row's ranks among the parties' thresholds, whose failing
-cells ``failing_cell_counts`` sums for all pairs at once; past its cell bound,
-and for determinized rules with base coordinates, they take the default.
+default scores every row. Threshold models count through ``rule_violations``:
+``threshold_violations`` of their AB and BA rules, one histogram of each row's
+ranks among the parties' thresholds, whose failing cells ``failing_cell_counts``
+sums for all pairs at once; past its cell bound they take the default.
 """
 
 from __future__ import annotations
@@ -194,8 +197,7 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
 
 def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
     """``count_pairs`` of a threshold model: pair i's first outcome is +1 on the bool
-    mask first_plus[i], its second where u_second <= levels[i][0] (first +1) or
-    <= levels[i][1] (first -1). Each pair counts on its mask in place."""
+    mask first_plus[i], its second as its ``_rule`` levels[i] say, on its mask in place."""
     cells = []
     for mask, (lo, hi) in zip(first_plus, levels):
         plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
@@ -206,12 +208,11 @@ def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
 
 
 def threshold_violations(u_alice, u_bob, ab, ba):
-    """``count_violations`` of a threshold model, from ab and ba, the (firsts, levels)
-    of AB and BA: pair i's first party is +1 where its coordinate is <= firsts[i],
-    the second as in ``count_threshold_pairs``. A coordinate's rank among its
-    party's distinct thresholds (Alice's AB first and BA second ones, Bob's the
-    mirror) decides u <= t[j] as j >= rank, so one histogram of the (rank_A, rank_B)
-    cells counts every pair. None where the cells outnumber 2n probes."""
+    """``count_violations`` of a threshold model, from ab and ba, the ``_rule``
+    (firsts, levels) of AB and BA. A coordinate's rank among its party's distinct
+    thresholds (Alice's AB first and BA second ones, Bob's the mirror) decides
+    u <= t[j] as j >= rank, so one histogram of the (rank_A, rank_B) cells counts
+    every pair. None where the cells outnumber 2n probes."""
     (first_ab, levels_ab), (first_ba, levels_ba) = ab, ba
     # sorted sets, not np.unique, whose first call imports numpy.ma (~15 ms in a fresh process)
     alice = np.array(sorted({*np.ravel(first_ab), *np.ravel(levels_ba)}), dtype=float)
@@ -228,6 +229,15 @@ def threshold_violations(u_alice, u_bob, ab, ba):
         codes += np.greater(u_bob, t, out=above)
     hist = np.bincount(codes, minlength=shape[0] * shape[1]).reshape(shape)
     return failing_cell_counts(hist, alice, bob, ab, ba)
+
+
+def rule_violations(m, state, pairs, lams) -> np.ndarray:
+    """``count_violations`` of a threshold model: ``threshold_violations`` of its AB and
+    BA ``_rule``, and past that count's cell bound the scoring default."""
+    lams = _lambdas(m, lams)
+    counts = threshold_violations(lams[:, 0], lams[:, 1], m._rule(TimeOrdering.AB, state, pairs),
+                                  m._rule(TimeOrdering.BA, state, pairs))
+    return OrderedModel.count_violations(m, state, pairs, lams) if counts is None else counts
 
 
 def failing_cell_counts(hist, alice, bob, ab, ba) -> np.ndarray:
@@ -329,38 +339,30 @@ class GisinSingletModel(OrderedModel):
     lambda_dim = 2
     name = "gisin-singlet"
 
-    def _first_plus(self, ordering, lams):
-        """Where the first outcome is +1, kept per ordering for the bound array."""
-        r_first = lams[:, 0] if ordering is TimeOrdering.AB else lams[:, 1]
-        return self._kept(lams, ordering, lambda: r_first <= 0.5)
+    def _rule(self, ordering, state, pairs):
+        """Per pair, the first party's threshold 1/2 and the second's after a first +1
+        and -1, (1 -+ a.b)/2: one rule in both orderings, as a.b = b.a."""
+        _require_singlet(state)
+        levels = np.array([(1.0 - c, 1.0 + c) for c in (dot(a, b) for a, b in pairs)])
+        return np.full(len(pairs), 0.5), levels.reshape(-1, 2) / 2.0
 
     def first_values(self, ordering, state, setting_first, lams):
         _require_singlet(state)
-        # the setting is ignored: one sign array per ordering serves every setting
-        return self._kept(lams, (ordering, "signs"), lambda: _pm(self._first_plus(ordering, lams)))
-
-    @staticmethod
-    def _levels(a, b):
-        """The second outcome's thresholds after a first outcome of +1 and of -1."""
-        c = dot(a, b)
-        return (1.0 - c) / 2.0, (1.0 + c) / 2.0
+        return _pm(lams[:, 0 if ordering is TimeOrdering.AB else 1] <= 0.5)  # ignores the setting
 
     def second_values(self, ordering, state, a, b, lams):
-        _require_singlet(state)
-        r_second = lams[:, 1] if ordering is TimeOrdering.AB else lams[:, 0]
-        lo, hi = self._levels(a, b)
-        first_plus = self._first_plus(ordering, lams)
-        first_minus = self._kept(lams, (ordering, "minus"), lambda: ~first_plus)
-        return _pm((first_plus & (r_second <= lo)) | (first_minus & (r_second <= hi)))
+        ab = ordering is TimeOrdering.AB
+        (first,), ((lo, hi),) = self._rule(ordering, state, [(a, b)])
+        r_second = lams[:, 1 if ab else 0]
+        return _pm(np.where(lams[:, 0 if ab else 1] <= first, r_second <= lo, r_second <= hi))
 
     def count_pairs(self, ordering, state, pairs, lams):
-        lams = _lambdas(self, lams)
-        ab = ordering is TimeOrdering.AB
+        lams, ab = _lambdas(self, lams), ordering is TimeOrdering.AB
         # the first outcome ignores the setting: one mask serves every pair
         first_plus = [self.first_values(ordering, state, a if ab else b, lams) > 0
                       for a, b in pairs[:1]]
         return count_threshold_pairs(ordering, first_plus * len(pairs), lams[:, 1 if ab else 0],
-                                     [self._levels(a, b) for a, b in pairs])
+                                     self._rule(ordering, state, pairs)[1])
 
     def lattice_counts(self, ordering, state, pairs, grid):
         ab, mids = ordering is TimeOrdering.AB, lattice_midpoints(grid)
@@ -370,15 +372,9 @@ class GisinSingletModel(OrderedModel):
         first_plus = [np.count_nonzero(self.first_values(ordering, state, a if ab else b, lams) > 0)
                       for a, b in pairs[:1]]
         return lattice_threshold_counts(ordering, first_plus * len(pairs),
-                                        [self._levels(a, b) for a, b in pairs], grid)
+                                        self._rule(ordering, state, pairs)[1], grid)
 
-    def count_violations(self, state, pairs, lams):
-        _require_singlet(state)
-        lams = _lambdas(self, lams)
-        # the BA rule is the AB one with the roles swapped, and a.b = b.a
-        rule = ([0.5] * len(pairs), [self._levels(a, b) for a, b in pairs])
-        counts = threshold_violations(lams[:, 0], lams[:, 1], rule, rule)
-        return super().count_violations(state, pairs, lams) if counts is None else counts
+    count_violations = rule_violations
 
 
 class LocalSphereModel(OrderedModel):
@@ -580,46 +576,39 @@ class DeterminizedModel(OrderedModel):
         p2 = _check_probs(self._sr.p_second(ordering, state, a, b, first_vals, base))
         return _pm(u_second <= p2)
 
-    def _thresholds(self, ordering, state, pairs):
+
+class DeterminizedThresholdModel(DeterminizedModel):
+    """A determinized rule without base coordinates (``lambda_dim == 0``): a threshold
+    model of (u1, u2). Such a rule must be elementwise, as ``StochasticResponse`` asks."""
+
+    def _rule(self, ordering, state, pairs):
         """Per pair, p_first of its first setting and p_second after a first +1 and
-        -1, of a rule that sees no hidden coordinate: one p_first per setting."""
+        -1, on a 1-row and a 2-row base of no coordinates: one p_first per setting."""
         ab, sr = ordering is TimeOrdering.AB, self._sr
         p_first = {s: _check_probs(sr.p_first(ordering, state, s, np.empty((1, 0)))).item()
                    for s in dict.fromkeys(a if ab else b for a, b in pairs)}
         firsts = np.array([1, -1], dtype=np.int8)
-        return ([p_first[a if ab else b] for a, b in pairs],
-                [_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
-                 for a, b in pairs])
+        return (np.array([p_first[a if ab else b] for a, b in pairs]),
+                np.array([_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
+                          for a, b in pairs]).reshape(-1, 2))
 
     def count_pairs(self, ordering, state, pairs, lams):
-        if self._sr.lambda_dim:  # a rule that reads base coordinates takes the default count
-            return super().count_pairs(ordering, state, pairs, lams)
-        # an elementwise rule that sees no hidden coordinate is a threshold model
-        ab = ordering is TimeOrdering.AB
-        _, u_alice, u_bob = self._split(_lambdas(self, lams))
-        p_first, levels = self._thresholds(ordering, state, pairs)
-        masks = {p: (u_alice if ab else u_bob) <= p for p in set(p_first)}
+        lams, ab = _lambdas(self, lams), ordering is TimeOrdering.AB
+        p_first, levels = self._rule(ordering, state, pairs)
+        masks = {p: lams[:, 0 if ab else 1] <= p for p in set(p_first)}
         return count_threshold_pairs(ordering, [masks[p] for p in p_first],
-                                     u_bob if ab else u_alice, levels)
+                                     lams[:, 1 if ab else 0], levels)
 
     def lattice_counts(self, ordering, state, pairs, grid):
-        if self._sr.lambda_dim:
-            return None
-        p_first, levels = self._thresholds(ordering, state, pairs)
+        p_first, levels = self._rule(ordering, state, pairs)
         return lattice_threshold_counts(ordering, lattice_at_or_below(grid, p_first), levels, grid)
 
-    def count_violations(self, state, pairs, lams):
-        lams = _lambdas(self, lams)
-        _, u_alice, u_bob = self._split(lams)
-        counts = None if self._sr.lambda_dim else threshold_violations(
-            u_alice, u_bob, self._thresholds(TimeOrdering.AB, state, pairs),
-            self._thresholds(TimeOrdering.BA, state, pairs))
-        return super().count_violations(state, pairs, lams) if counts is None else counts
+    count_violations = rule_violations
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:
     """Deterministic model equivalent in distribution to the stochastic rule."""
-    return DeterminizedModel(sr)
+    return (DeterminizedModel if sr.lambda_dim else DeterminizedThresholdModel)(sr)
 
 
 def stochastic_singlet() -> StochasticResponse:

@@ -31,6 +31,10 @@ _BLOCK = 1 << 17
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
+# Most sample-points (n x setting pairs) of one sample_tables call, the exact engine's
+# cap: about 15 minutes at chsh-mc's 1.1e8 points a second on a 2-CPU x86 host.
+_SAMPLE_CAP = 10 ** 11
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -229,6 +233,9 @@ def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpe
     independent. The last pair's stream is checked before any pair draws."""
     if n < 1:
         raise ValueError("need at least one sample")
+    if n * len(pairs) > _SAMPLE_CAP:
+        raise ValueError(f"{n} samples x {len(pairs)} setting pairs exceed the Monte Carlo "
+                         f"cap of {_SAMPLE_CAP:,}")
     SeedSpec(seed.seed, seed.stream + max(len(pairs) - 1, 0))
     counts = [_count_blocks(m, ordering, state, [pair], n, partial(
         _sample_block, m.lambda_dim, SeedSpec(seed.seed, seed.stream + i)), workers)
@@ -274,7 +281,7 @@ def joint_columns(ordering, pairs, table: JointStats, n_or_grid: int, seed: int)
     CSV_COLUMNS order: setting pair, cell probabilities, correlator. Every cell
     is a Python scalar, so the writers format each column as one type."""
     k, est = len(pairs), correlator(table)
-    settings = zip(*((a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs))
+    settings = [[getattr(pair[side], axis) for pair in pairs] for side in (0, 1) for axis in "xyz"]
     cells = table.probs.reshape(k, 4).T.tolist()
     return dict(zip(CSV_COLUMNS, [(ordering.value,) * k, *settings, *cells, est.value, est.stderr,
                                   (n_or_grid,) * k, (seed,) * k]))

@@ -446,6 +446,39 @@ def test_pair_cap_is_one_million_pairs_inclusive(monkeypatch):
         cli._setting_pairs("grid:1001")
 
 
+class _SampleBlockDrawn(Exception):
+    pass
+
+
+def _refuse_sample_block(*args):
+    raise _SampleBlockDrawn(args)
+
+
+@pytest.mark.parametrize("command", ["tomography", "chsh"])
+def test_monte_carlo_past_the_sample_cap_exits_2_before_any_block_is_drawn(command, monkeypatch,
+                                                                           capsys):
+    # n x 4 tsirelson pairs one past the cap: a block drawn would raise through main
+    monkeypatch.setattr(stats, "_sample_block", _refuse_sample_block)
+    n = stats._SAMPLE_CAP // 4 + 1
+    code, out, err = run([command, "--settings", "tsirelson", "--mode", "mc", "--n", str(n)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"covbell: {n} samples x 4 setting pairs exceed the Monte Carlo cap "
+                   "of 100,000,000,000\n")
+
+
+def test_sample_cap_is_10_to_the_11_sample_points_inclusive(monkeypatch):
+    monkeypatch.setattr(stats, "_sample_block", _refuse_sample_block)
+    assert stats._SAMPLE_CAP == 10 ** 11
+    m, pairs = make_model("gisin-singlet"), chsh_pairs(tsirelson_settings())
+    with pytest.raises(_SampleBlockDrawn):  # 2.5e10 samples x 4 pairs are within the cap
+        stats.sample_tables(m, TimeOrdering.AB, QuantumState.SINGLET, pairs, 25 * 10 ** 9,
+                            SeedSpec(0), workers=1)
+    with pytest.raises(ValueError, match="exceed the Monte Carlo cap of 100,000,000,000"):
+        stats.sample_tables(m, TimeOrdering.AB, QuantumState.SINGLET, pairs, 25 * 10 ** 9 + 1,
+                            SeedSpec(0), workers=1)
+
+
 @pytest.mark.parametrize("model", ["gisin-singlet", "local-sphere"])
 @pytest.mark.parametrize("mode", [("exact", "--grid", "301"), ("mc", "--n", "2000")],
                          ids=["exact", "mc"])

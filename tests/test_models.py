@@ -383,17 +383,6 @@ def test_kept_outcomes_are_read_only():
     assert np.array_equal(bound.second_values(BA, SINGLET, A_X, B_09, lams), alphas)
 
 
-def test_gisin_bound_model_keeps_one_first_sign_array_per_ordering():
-    lams = sample_lambda(2, 100, SeedSpec(3))
-    bound = GisinSingletModel().bind(lams)
-    for ordering in (AB, BA):
-        signs = bound.first_values(ordering, SINGLET, A_X, lams)
-        assert bound.first_values(ordering, SINGLET, B_09, lams) is signs  # the setting is ignored
-        assert not signs.flags.writeable
-        assert np.array_equal(signs, GisinSingletModel().first_values(ordering, SINGLET, B_09, lams))
-    assert bound.first_values(AB, SINGLET, A_X, lams) is not bound.first_values(BA, SINGLET, A_X, lams)
-
-
 def test_determinize_threshold_examples():
     m = determinize(_constant_response(0.25, 0.5))
     assert m.lambda_dim == 2

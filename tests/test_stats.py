@@ -273,6 +273,16 @@ def test_batched_records_clamp_both_signs_as_the_per_pair_oracle(exact):
                                   99_799_000 if exact else None, 3)
 
 
+@pytest.mark.parametrize("grid", [None, 10])
+def test_records_of_no_pairs_keep_every_column(grid):
+    # no pairs still make all 15 columns, so the CSV header is CSV_COLUMNS
+    columns = joint_columns(AB, [], _counts_to_stats(np.zeros((0, 2, 2), dtype=np.int64), 100, grid),
+                            grid or 100, 3)
+    assert {col: list(cells) for col, cells in columns.items()} == {col: [] for col in CSV_COLUMNS}
+    assert records_to_csv(columns, {"seed": 3}).splitlines()[1:] == [",".join(CSV_COLUMNS)]
+    _assert_batch_equals_per_pair(AB, [], np.zeros((0, 2, 2), dtype=np.int64), 100, grid, 3)
+
+
 def test_mc_converges_to_exact_within_four_sigma():
     m = GisinSingletModel()
     mc = estimate_joint(m, AB, SINGLET, A_X, B_09, 1_000_000, SeedSpec(7))

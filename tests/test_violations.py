@@ -21,12 +21,16 @@ from covbell.stats import SeedSpec, sample_lambda
 from oracles import per_pair_failing_cells
 from property_inputs import SETTING, draw_hidden_points
 from test_covariance import _reference_report
+from test_models import _setting_dependent_rule
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
 SINGLET = QuantumState.SINGLET
 A_X = MeasurementSetting(1, 0, 0)
 B_09 = MeasurementSetting(0.9, math.sqrt(1 - 0.81), 0)
 THRESHOLD_MODELS = ["gisin-singlet", "determinized-singlet"]
+SETTING_DEPENDENT = "setting-dependent base-free rule"
+_TEST_MODELS = {"local-view of gisin-singlet": lambda: LocalModelView(GisinSingletModel()),
+                SETTING_DEPENDENT: lambda: determinize(_setting_dependent_rule())}
 
 
 def _scored_violations(m, pairs, lams) -> list:
@@ -39,20 +43,24 @@ def _scored_violations(m, pairs, lams) -> list:
     return counts
 
 
-def _thresholds(pairs) -> set:
-    """Either party's distinct thresholds in both models: 1/2 and (1 -+ a.b)/2."""
+def _thresholds(name, pairs) -> set:
+    """Either party's distinct thresholds: the setting-dependent rule's (1 + |z|)/3 of
+    each first setting and (2 -+ a.z - b.x)/4, else the singlet rule's 1/2 and
+    (1 -+ a.b)/2."""
+    if name == SETTING_DEPENDENT:  # its AB and BA rules differ
+        return ({(1.0 + abs(s.z)) / 3.0 for pair in pairs for s in pair}
+                | {(2.0 - f * a.z - b.x) / 4.0 for a, b in pairs for f in (1, -1)})
     return {0.5} | {(1.0 - sign * dot(a, b)) / 2.0 for a, b in pairs for sign in (1, -1)}
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), "local-view of gisin-singlet"]),
+@given(name=st.sampled_from([*sorted(MODEL_REGISTRY), *_TEST_MODELS]),
        cap=st.integers(0, 40), data=st.data(),
        pairs=st.lists(st.tuples(SETTING, SETTING), min_size=1, max_size=30))
 def test_count_violations_matches_scoring(name, cap, pairs, data):
-    m = (LocalModelView(GisinSingletModel()) if name.startswith("local-view")
-         else make_model(name))
+    m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
     lams = np.array(draw_hidden_points(data, m.lambda_dim, 3000))  # a writable copy
-    thresholds = _thresholds(pairs)
+    thresholds = _thresholds(name, pairs)
     if data.draw(st.booleans(), label="rows on the thresholds"):
         for t in sorted(thresholds):  # each threshold lands on one row of each coordinate
             for col in (0, 1):
@@ -73,7 +81,7 @@ def test_count_violations_declines_past_twice_the_probes(name):
     # counts 8 rows and declines 7, and both models share its rule (1/2 and (1 -+ a.b)/2)
     m = make_model(name)
     lams = sample_lambda(2, 8, SeedSpec(5))
-    rule = ([0.5], [GisinSingletModel._levels(A_X, B_09)])
+    rule = GisinSingletModel()._rule(AB, SINGLET, [(A_X, B_09)])
     assert threshold_violations(lams[:, 0], lams[:, 1], rule, rule).tolist() == (
         _scored_violations(m, [(A_X, B_09)], lams))
     assert threshold_violations(lams[:7, 0], lams[:7, 1], rule, rule) is None
@@ -125,7 +133,7 @@ def test_failing_cells_hold_a_bounded_working_set():
     # 20,000 x 484 of them
     m, g = GisinSingletModel(), setting_grid(5)
     pairs = [(a, b) for a in g for b in g] * 800
-    rule = ([0.5] * len(pairs), [m._levels(a, b) for a, b in pairs])
+    rule = m._rule(AB, SINGLET, pairs)
     alice = np.array(sorted({0.5, *np.ravel(rule[1])}))
     hist = np.arange((alice.size + 1) ** 2).reshape(alice.size + 1, alice.size + 1)
     tracemalloc.start()
