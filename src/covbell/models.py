@@ -33,9 +33,9 @@ default.
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
 lattice, or None (the default), which leaves them to the block engine. Threshold
-models take all k tables from ``lattice_threshold_counts``, products of 1-D
-counts with no per-pair loop, and local-sphere counts one cyclic run of +1 cells
-per u-line and setting (see its class); every other model keeps the engine.
+models take all k tables from ``lattice_threshold_counts``, products of 1-D counts
+with no per-pair loop; local-sphere overlaps its per-line runs of +1 cells for all
+pairs at once (see its class), and every other model keeps the engine.
 
 ``count_violations(state, pairs, lams)``, the covariance check's count, is each
 pair's count of rows whose outcomes differ between the AB and BA frames; the
@@ -58,12 +58,12 @@ from .core import QuantumState, TimeOrdering, _unit_interval, dot
 
 # local-sphere's lattice_counts. Every float path computes a cell's projection within
 # 1e-14 of its exact value (unit vectors, unit settings), so one computed beyond
-# _ARC_MARGIN from 0 has the same sign in all. Each end of an arc is re-scored on the
+# _ARC_MARGIN from 0 has the same sign in all. Each end of an arc is decided on the
 # _ARC_HALF cells either side of its nearest cell, for _ARC_LINES u-lines at a time.
 _ARC_MARGIN = 1e-12
 _ARC_HALF = 1
 _ARC_LINES = 1 << 12
-_CELL_CHUNK = 1 << 20  # most pair x cell entries failing_cell_counts evaluates at once
+_CELL_CHUNK = 1 << 20  # most pair x cell, or pair x line, entries evaluated at once
 
 
 class OrderedModel(abc.ABC):
@@ -387,10 +387,10 @@ class LocalSphereModel(OrderedModel):
 
     ``lattice_counts`` takes the trig of each axis midpoint once. On a u-line a
     setting's +1 cells form one cyclic run of v-indices, whose ends it finds
-    analytically and re-scores in float, on unit vectors that are products of
-    that trig, the floats ``_directions`` writes. Bob's +1 cells are the rest of
-    Alice's, and a pair's "++" cells are the overlap of two runs per line, so the
-    cost is O(grid x (settings + pairs)), not O(grid^2).
+    analytically, scoring in float only the cells by an end that project within
+    _ARC_MARGIN of 0. Bob's +1 cells are the rest of Alice's, and a pair's "++"
+    cells are the overlap of two runs per line, taken for all pairs in one array
+    pass, so the cost is O(grid x (settings + pairs)), not O(grid^2).
     """
 
     lambda_dim = 2
@@ -430,22 +430,25 @@ class LocalSphereModel(OrderedModel):
 
     def lattice_counts(self, ordering, state, pairs, grid):
         check_engine_cap(self.lambda_dim, grid, pairs)
+        if not pairs:
+            return _cells([], grid * grid)
         mids = lattice_midpoints(grid)
         cos_t = 2.0 * mids - 1.0
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-        phi = 2.0 * np.pi * mids
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        runs = {}  # Alice's +1 cells of each distinct setting, _ARC_LINES u-lines at a time
-        for s in dict.fromkeys(s for pair in pairs for s in pair):
-            blocks = [_line_runs(state, s, (sin_t[top:top + _ARC_LINES],
-                                            cos_t[top:top + _ARC_LINES], cos_p, sin_p))
-                      for top in range(0, grid, _ARC_LINES)]
-            runs[s] = tuple(np.concatenate(parts) for parts in zip(*blocks))
-        plus = {s: length.sum() + np.count_nonzero(masks)
-                for s, (_, length, _, masks) in runs.items()}
-        n = grid * grid  # Bob's +1 cells are the rest of Alice's
-        both = [_runs_overlap(runs[a], runs[b], grid) for a, b in pairs]  # a and b both +1
-        return _cells([(plus[a] - k, plus[a], n - plus[b]) for (a, b), k in zip(pairs, both)], n)
+        cos_p, sin_p = np.cos(2.0 * np.pi * mids), np.sin(2.0 * np.pi * mids)
+        index = {s: i for i, s in enumerate(dict.fromkeys(s for pair in pairs for s in pair))}
+        # Alice's +1 cells: (setting, line) runs and whole flags, and the whole lines' cells
+        runs = tuple(np.concatenate(part).reshape(-1, grid) for part in zip(*(
+            _line_runs(state, s, (sin_t[top:top + _ARC_LINES], cos_t[top:top + _ARC_LINES],
+                                  cos_p, sin_p))
+            for s in index for top in range(0, grid, _ARC_LINES))))
+        plus = runs[1].sum(1)
+        np.add.at(plus, np.nonzero(runs[2])[0], np.count_nonzero(runs[3], axis=1))
+        ia, ib = np.array([(index[a], index[b]) for a, b in pairs]).T
+        n, step = grid * grid, max(1, _CELL_CHUNK // grid)  # Bob's +1 cells: the rest of Alice's
+        both = np.concatenate([_runs_overlap(runs, ia[i:i + step], ib[i:i + step], grid)
+                               for i in range(0, len(pairs), step)])  # a and b both +1
+        return _cells(np.stack([plus[ia] - both, plus[ia], n - plus[ib]], axis=1), n)
 
 
 def _scored_plus(state, s, rows, cols, trig) -> np.ndarray:
@@ -472,7 +475,8 @@ def _line_runs(state, s, trig):
     On u-line i the projection is amp[i] cos(phi - phi0) + off[i], so its +1 cells
     are one arc of the circle at most. A line whose |off| passes amp by _ARC_MARGIN
     has one sign throughout. Else the 2 _ARC_HALF + 1 cells around each analytic
-    end of the arc are re-scored. Where the outer of those cells project below
+    end of the arc have the sign of their analytic projection, or are scored in float
+    where it is within _ARC_MARGIN of 0. Where the outer of those cells project below
     -_ARC_MARGIN and the inner above it, every cell between the two windows has the
     sign of its side, as the projection has one maximum and one minimum. If both
     windows then read -1 up to +1 once, the run ends where they change. Lines
@@ -480,47 +484,51 @@ def _line_runs(state, s, trig):
     sin_t, cos_t, cos_p, sin_p = trig
     grid, k = cos_p.size, _ARC_HALF
     amp, off = sin_t * np.hypot(s.x, s.y), cos_t * s.z
-    start, length = np.zeros(sin_t.size, dtype=np.int64), np.where(off - amp > _ARC_MARGIN, grid, 0)
+    start = np.zeros(sin_t.size, dtype=np.int32)  # v-indices: the engine cap keeps grid < 2^19
+    length = np.where(off - amp > _ARC_MARGIN, np.int32(grid), np.int32(0))
     whole = (off - amp <= _ARC_MARGIN) & (off + amp >= -_ARC_MARGIN)  # not one sign throughout
     rows = np.flatnonzero(whole & (amp > _ARC_MARGIN))
     half = np.arccos(np.clip(-off[rows] / amp[rows], -1.0, 1.0))
     phi0, per_radian = np.arctan2(s.y, s.x), grid / (2.0 * np.pi)
-    lo = np.rint((phi0 - half) * per_radian - 0.5).astype(np.int64)  # the arc's first cell
-    hi = np.rint((phi0 + half) * per_radian - 0.5).astype(np.int64)  # and its last
-    edges = np.stack([lo - k, hi + k, lo + k, hi - k], axis=1) % grid  # two outside, two inside
-    proj = sin_t[rows, None] * (s.x * cos_p[edges] + s.y * sin_p[edges]) + cos_t[rows, None] * s.z
+    # each arc's (end, line) first and last cell, then its (cell, end, line) windows, read
+    # from outside the arc to inside it, as v-indices that may pass a full turn
+    lo, hi = ends = np.rint((phi0 + half * [[-1.0], [1.0]]) * per_radian - 0.5).astype(np.int64)
+    cols = ends + np.multiply.outer(np.arange(-k, k + 1), (1, -1))[..., None]
+    proj = np.take(s.x * cos_p + s.y * sin_p, cols, mode="wrap") * sin_t[rows] + off[rows]
+    near, plus = np.abs(proj) <= _ARC_MARGIN, proj > 0
+    if near.any():
+        plus[near] = _scored_plus(state, s, rows[np.nonzero(near)[2]], cols[near] % grid, trig)
     sure = ((hi - lo > 2 * k) & (lo + grid - hi > 2 * k)  # the windows do not meet
-            & (proj[:, :2] < -_ARC_MARGIN).all(1) & (proj[:, 2:] > _ARC_MARGIN).all(1))
-    rows, lo, hi, inward = rows[sure], lo[sure], hi[sure], np.arange(-k, k + 1)
-    # (line, end, cell): both windows read from outside the arc to inside it
-    cols = np.stack([lo[:, None] + inward, hi[:, None] - inward], axis=1) % grid
-    ends = _scored_plus(state, s, rows[:, None, None], cols, trig)
-    clean = (~ends[..., 0] & ends[..., -1] & (ends[..., :-1] <= ends[..., 1:]).all(-1)).all(1)
-    minus = np.count_nonzero(~ends[clean], axis=-1)
-    rows, first, last = rows[clean], lo[clean] - k + minus[:, 0], hi[clean] + k - minus[:, 1]
+            & ~(near[0] | near[-1] | plus[0] | ~plus[-1]).any(0)
+            & (plus[:-1] <= plus[1:]).all((0, 1)))
+    minus = (~plus).sum(0)  # each window's -1 cells
+    rows, first, last = rows[sure], (lo - k + minus[0])[sure], (hi + k - minus[1])[sure]
     start[rows], length[rows], whole[rows] = first % grid, last + 1 - first, False
     return start, length, whole, _scored_plus(state, s, np.flatnonzero(whole)[:, None],
                                               np.arange(grid), trig)
 
 
-def _runs_overlap(runs_a, runs_b, grid) -> int:
-    """Lattice cells in both +1 sets of ``_line_runs``: the overlap of two cyclic
-    runs per line, and on lines that either scores whole, the overlap of their rows."""
-    (start_a, length_a, whole_a, _), (start_b, length_b, whole_b, _) = runs_a, runs_b
-    both = sum(np.maximum(0, np.minimum(start_a + length_a, start_b + shift + length_b)
-                          - np.maximum(start_a, start_b + shift)).sum()
-               for shift in (-grid, 0, grid))
-    lines = np.flatnonzero(whole_a | whole_b)
-    return int(both) + np.count_nonzero(_line_masks(runs_a, lines, grid)
-                                        & _line_masks(runs_b, lines, grid))
-
-
-def _line_masks(runs, lines, grid) -> np.ndarray:
-    """The +1 cells of ``_line_runs`` on each of the sorted lines, as bool rows."""
+def _runs_overlap(runs, a, b, grid) -> np.ndarray:
+    """Each pair's cells in both +1 sets of ``_line_runs``, (setting, line) rows, of
+    settings a[i] and b[i]. b's run starts d in [0, grid) cells past a's, so only it and
+    its shift one turn back can meet a's, which ends within one turn; on lines that
+    either scores whole, their rows overlap, at most _CELL_CHUNK cells at once."""
     start, length, whole, masks = runs
-    rows = (np.arange(grid) - start[lines, None]) % grid < length[lines, None]
-    rows[whole[lines]] = masks
-    return rows
+    length_a, length_b, d = length[a], length[b], start[b] - start[a]
+    d += (d < 0) * np.int32(grid)
+    both = np.maximum(np.minimum(length_a - d, length_b), 0).sum(1)
+    d += length_b - grid
+    both += np.maximum(np.minimum(length_a, d, out=d), 0, out=d).sum(1)
+    pair, line, step = *np.nonzero(whole[a] | whole[b]), max(1, _CELL_CHUNK // grid)
+    for i in range(0, pair.size, step):
+        p, lines, cells = pair[i:i + step], line[i:i + step], True
+        order = np.cumsum(whole).reshape(whole.shape) - 1  # row r of masks: the r-th whole line
+        for s in (a[p], b[p]):  # each party's +1 cells on these lines, as bool rows
+            rows = (np.arange(grid) - start[s, lines, None]) % grid < length[s, lines, None]
+            rows[whole[s, lines]] = masks[order[s, lines][whole[s, lines]]]
+            cells = cells & rows
+        np.add.at(both, p, np.count_nonzero(cells, axis=1))
+    return both
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,10 +202,13 @@ def test_local_sphere_lattice_counts_equal_the_engine_on_random_settings(orderin
     assert np.array_equal(counts, _sphere_engine_counts(ordering, grid, pairs))
 
 
-@pytest.mark.parametrize("patch", [("_ARC_MARGIN", math.inf), ("_ARC_LINES", 1)],
-                         ids=["every line scored whole", "one u-line a block"])
-def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monkeypatch, patch):
-    grid, calls = 41, []
+@pytest.mark.parametrize("patch, grid", [(("_ARC_MARGIN", math.inf), 41), (("_ARC_LINES", 1), 41),
+                                         (("_ARC_MARGIN", 1e-3), 1001)],
+                         ids=["every line scored whole", "one u-line a block",
+                              "window cells inside the margin"])
+def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monkeypatch, patch,
+                                                                           grid):
+    calls, window = [], 2 * (2 * models._ARC_HALF + 1)
     first_values = LocalSphereModel.first_values
     engine = {o: _sphere_engine_counts(o, grid) for o in (AB, BA)}
 
@@ -220,12 +224,52 @@ def test_local_sphere_lattice_counts_do_not_depend_on_how_cells_are_scored(monke
         assert np.array_equal(counts, engine[ordering])
         # each distinct setting is scored through first_values, which a tracer wraps
         assert {s for s, _ in calls} == set(_SPHERE_SETTINGS)
-        if patch[0] == "_ARC_MARGIN":  # no arc is proven: empty windows, then every cell
-            assert calls == [(s, n) for s in dict.fromkeys(_SPHERE_SETTINGS)
-                             for n in (0, grid * grid)]
-        else:  # windows, then lines scored whole, per line; some lines have an arc
-            assert len(calls) == 2 * grid * len(set(_SPHERE_SETTINGS))
-            assert any(n == 2 * (2 * models._ARC_HALF + 1) for _, n in calls)
+        if patch[1] == math.inf:  # no arc is proven: no window, then every cell
+            assert calls == [(s, grid * grid) for s in dict.fromkeys(_SPHERE_SETTINGS)]
+        elif patch[0] == "_ARC_LINES":  # per line, its window cells inside the margin if
+            # any (here the v = 1/2 cells of the y setting), then the line if scored whole
+            near = [n for _, n in calls if n not in (0, grid)]
+            assert len(calls) - len(near) == grid * len(set(_SPHERE_SETTINGS))
+            assert near and all(n <= window for n in near)
+        else:  # per setting, its window cells inside the margin, then the lines scored whole
+            last = {s: n for s, n in calls}
+            near = [n for s, n in calls if n != last[s]]
+            assert len(near) > 1 and all(n <= window * grid for n in near)
+            # at grid 1001 a 1e-3 margin is at least a sixth of the projection's step from
+            # cell to cell, so hundreds of lines have an outer or inner window cell inside it
+            assert sum(last.values()) > 100 * grid
+
+
+@pytest.mark.parametrize("chunk", [1, 2 ** 40], ids=["one pair-line", "every pair-line"])
+def test_local_sphere_pair_overlap_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(models, "_CELL_CHUNK", chunk)
+    for grid in (3, 41):  # an odd grid: the u = 1/2 line of +-z is scored whole
+        for ordering in (AB, BA):
+            counts = LocalSphereModel().lattice_counts(ordering, SINGLET, _SPHERE_PAIRS, grid)
+            assert np.array_equal(counts, _sphere_engine_counts(ordering, grid))
+
+
+def test_local_sphere_lattice_counts_of_no_pairs():
+    counts = LocalSphereModel().lattice_counts(AB, SINGLET, [], 5)
+    assert counts.dtype == np.int64 and counts.shape == (0, 2, 2)
+
+
+def test_local_sphere_pair_overlap_holds_a_bounded_working_set():
+    # grid:40's 1,600 pairs at grid 2001 are 3.2e6 pair-lines: the overlap takes at most
+    # _CELL_CHUNK of them at once, so the peak is a few of its int32 and bool blocks
+    g, grid = setting_grid(40), 2001
+    pairs = [(a, b) for a in g for b in g]
+    tracemalloc.start()
+    try:
+        counts = LocalSphereModel().lattice_counts(AB, SINGLET, pairs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * models._CELL_CHUNK
+    # each row of 40 pairs is one chunk
+    rows = [LocalSphereModel().lattice_counts(AB, SINGLET, pairs[i:i + 40], grid)
+            for i in range(0, len(pairs), 40)]
+    assert np.array_equal(counts, np.concatenate(rows))
 
 
 def test_local_sphere_lattice_counts_require_the_singlet():
