@@ -126,7 +126,7 @@ def _inline_vectors(spec: str, shape: tuple, what: str) -> np.ndarray:
     (None: any length)."""
     try:
         vecs = np.array(json.loads(spec), dtype=float)
-    except (TypeError, ValueError) as err:  # bad JSON, ragged or non-numeric
+    except (TypeError, ValueError, RecursionError) as err:  # bad or deep JSON, ragged, non-numeric
         raise UsageError(f"settings {spec!r}: {err}") from None
     if vecs.ndim != len(shape) or any(want not in (None, got)
                                       for want, got in zip(shape, vecs.shape)):
@@ -140,12 +140,15 @@ def _setting_pairs(spec: str):
         return chsh_pairs(tsirelson_settings())
     if spec.startswith("grid:"):
         count = spec[len("grid:"):]
-        if not count.isdecimal() or int(count) < 1:
+        # N's digits past its leading zeros, in ASCII: int() refuses over 4,300 digits, and
+        # an N of more digits than the cap exceeds it, so N^2 does
+        digits = "".join(map(str, map(int, count))).lstrip("0") if count.isdecimal() else ""
+        if not digits:
             raise UsageError(f"settings {spec!r}: grid size must be a positive integer")
-        if int(count) ** 2 > _PAIR_CAP:
-            raise ValueError(f"settings {spec!r}: {int(count)}^2 setting pairs exceed "
+        if len(digits) > len(str(_PAIR_CAP)) or int(digits) ** 2 > _PAIR_CAP:
+            raise ValueError(f"settings {spec!r}: {digits}^2 setting pairs exceed "
                              f"the cap of {_PAIR_CAP:,}")
-        g = setting_grid(int(count))
+        g = setting_grid(int(digits))
         return [(ga, gb) for ga in g for gb in g]
     if spec.startswith("["):
         vecs = _inline_vectors(spec, (None, 2, 3), "a list of [a, b] vector pairs")
@@ -253,7 +256,7 @@ def _cmd_reduce(cfg) -> int:
     try:
         view = reduce_to_local(model, QuantumState.SINGLET, pairs, lams)
     except NotCovariantError as err:
-        print(str(err), file=sys.stderr)  # first: an --output that cannot open raises in _emit
+        print(f"covbell: {err}", file=sys.stderr)  # first: _emit raises if --output cannot open
         doc = err.report.to_dict()
         _emit(cfg, {"reduced": False, "witness": doc.pop("witnesses")[0], **doc})
         return 2
@@ -340,7 +343,7 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 try:
                     given = json.load(fh)
-                except ValueError as err:  # not JSON, or not UTF-8 (RFC 8259)
+                except (ValueError, RecursionError) as err:  # not JSON, too deep, or not UTF-8
                     raise UsageError(f"config file must hold a JSON object: {err}") from None
             if not isinstance(given, dict):
                 raise UsageError("config file must hold a JSON object")
@@ -352,7 +355,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](cfg)
     except (UsageError, ValueError, OSError, MemoryError) as err:
         why = str(err) or ("out of memory" if isinstance(err, MemoryError) else type(err).__name__)
-        print(f"covbell: {why}", file=sys.stderr)
+        print("covbell: " + "\\n".join(why.splitlines()), file=sys.stderr)  # one line, always
         return 1 if isinstance(err, UsageError) else 2
 
 

@@ -520,9 +520,9 @@ def _runs_overlap(runs, a, b, grid) -> np.ndarray:
     d += length_b - grid
     both += np.maximum(np.minimum(length_a, d, out=d), 0, out=d).sum(1)
     pair, line, step = *np.nonzero(whole[a] | whole[b]), max(1, _CELL_CHUNK // grid)
+    order = np.cumsum(whole).reshape(whole.shape) - 1  # row r of masks: the r-th whole line
     for i in range(0, pair.size, step):
         p, lines, cells = pair[i:i + step], line[i:i + step], True
-        order = np.cumsum(whole).reshape(whole.shape) - 1  # row r of masks: the r-th whole line
         for s in (a[p], b[p]):  # each party's +1 cells on these lines, as bool rows
             rows = (np.arange(grid) - start[s, lines, None]) % grid < length[s, lines, None]
             rows[whole[s, lines]] = masks[order[s, lines][whole[s, lines]]]

@@ -1,7 +1,7 @@
 """Joint distributions, correlators, and CHSH values for ordered models.
 
 Both estimators return one table of k setting pairs, the pair its leading axis:
-seeded Monte Carlo over uniform hidden points (counter-based Philox streams,
+seeded Monte Carlo over uniform hidden points (counter-based Philox draws,
 reproducible regardless of worker count) and midpoint quadrature on [0,1]^d for
 exact checks, whose O(1/grid) error indicator integrands leave no better rule to
 beat. Correlators, CHSH terms and output records are array operations on it.
@@ -38,16 +38,13 @@ _SAMPLE_CAP = 10 ** 11
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Seed and stream index; together they fully determine the sample sequence."""
+    """The seed; it fully determines every sample sequence."""
 
     seed: int
-    stream: int = 0
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not (0 <= self.stream < 2**64):
-            raise ValueError("stream must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class CorrelationEstimate:
     n: int
 
 
-def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
+def _sample_block(d: int, spec: SeedSpec, stream: int, start: int, rows: int) -> np.ndarray:
     """Rows start..start+rows of the (seed, stream) sample sequence of [0,1]^d,
     drawn without the rows before it: Philox yields 4 words per counter step.
     The block is column-major, as models read one coordinate at a time. Draws
@@ -86,7 +83,7 @@ def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
     those of one (rows, d) draw, without a second block-sized buffer."""
     if start * d % 4:
         raise ValueError("a sample block must start on a Philox counter step")
-    bitgen = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([spec.seed, stream], dtype=np.uint64))
     bitgen.advance(start * d // 4)
     gen = np.random.Generator(bitgen)
     blk = np.empty((rows, d), order="F")
@@ -98,15 +95,15 @@ def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
 def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
     """n uniform points in [0,1]^d as an (n, d) array, one hidden point per row.
 
-    Counter-based (Philox) generation keyed on (seed, stream): the output
-    depends only on (d, n, seed, stream), never on call history. The array is
-    column-major, like every engine block; models take either layout.
+    Counter-based (Philox) generation keyed on (seed, 0): the output depends
+    only on (d, n, seed), never on call history. The array is column-major,
+    like every engine block; models take either layout.
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     if n < 1:
         raise ValueError("need at least one sample")
-    return _sample_block(d, spec, 0, n)
+    return _sample_block(d, spec, 0, 0, n)
 
 
 def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
@@ -134,27 +131,24 @@ def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
     return blk
 
 
-def _count_blocks(m, ordering, state, pairs, n, make_block, workers) -> np.ndarray:
-    """(k, 2, 2) outcome counts of k setting pairs over n hidden points, one
-    ``m.count_pairs`` call per block. At most ``workers`` pool tasks run, and no
-    more than there are blocks or CPUs, task t making blocks t, t + tasks, ...
-    with make_block(start, rows) and summing their counts; integer sums do not
-    depend on order, so the result is bit-identical for any worker count."""
+def _count_blocks(count, n, make_block, workers) -> np.ndarray:
+    """The sum of the integer arrays ``count(block)`` over the blocks of n hidden
+    points. At most ``workers`` pool tasks run, and no more than there are blocks
+    or CPUs, task t making blocks t, t + tasks, ... with make_block(start, rows)
+    and summing their counts; integer sums do not depend on order, so the result
+    is bit-identical for any worker count."""
     starts = range(0, n, _BLOCK)
     tasks = max(1, min(workers, len(starts), os.cpu_count() or 1))
 
-    def count(task):
-        counts = np.zeros((len(pairs), 2, 2), dtype=np.int64)
-        for start in starts[task::tasks]:
-            counts += m.count_pairs(ordering, state, pairs,
-                                    make_block(start, min(_BLOCK, n - start)))
-        return counts
+    def task_sum(task):
+        return sum(count(make_block(start, min(_BLOCK, n - start)))
+                   for start in starts[task::tasks])
 
     if tasks == 1:
-        return count(0)
+        return task_sum(0)
     from concurrent.futures import ThreadPoolExecutor  # only a run with a pool pays its import
     with ThreadPoolExecutor(max_workers=tasks) as pool:
-        return np.sum(list(pool.map(count, range(tasks))), axis=0)
+        return np.sum(list(pool.map(task_sum, range(tasks))), axis=0)
 
 
 def _counts_to_stats(counts: np.ndarray, n: int, grid=None) -> JointStats:
@@ -221,25 +215,23 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
     counts = m.lattice_counts(ordering, state, pairs, grid)
     if counts is None:
         check_engine_cap(d, grid, pairs)
-        counts = _count_blocks(m, ordering, state, pairs, grid ** d,
+        counts = _count_blocks(partial(m.count_pairs, ordering, state, pairs), grid ** d,
                                partial(_lattice_block, d, grid), workers)
     return _counts_to_stats(counts, grid ** d, grid)
 
 
 def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,
                   workers: int = 1) -> JointStats:
-    """Monte Carlo joint table of the k setting pairs over n hidden points each:
-    pair i draws from stream ``seed.stream + i``, so the pairs' errors are
-    independent. The last pair's stream is checked before any pair draws."""
+    """Monte Carlo joint table of the k setting pairs over n hidden points each: pair
+    i draws from Philox stream i of the seed, so the pairs' errors are independent."""
     if n < 1:
         raise ValueError("need at least one sample")
     if n * len(pairs) > _SAMPLE_CAP:
         raise ValueError(f"{n} samples x {len(pairs)} setting pairs exceed the Monte Carlo "
                          f"cap of {_SAMPLE_CAP:,}")
-    SeedSpec(seed.seed, seed.stream + max(len(pairs) - 1, 0))
-    counts = [_count_blocks(m, ordering, state, [pair], n, partial(
-        _sample_block, m.lambda_dim, SeedSpec(seed.seed, seed.stream + i)), workers)
-        for i, pair in enumerate(pairs)]
+    counts = [_count_blocks(partial(m.count_pairs, ordering, state, [pair]), n,
+                            partial(_sample_block, m.lambda_dim, seed, i), workers)
+              for i, pair in enumerate(pairs)]
     return _counts_to_stats(np.array(counts, dtype=np.int64).reshape(-1, 2, 2), n)
 
 

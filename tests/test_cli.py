@@ -21,10 +21,9 @@ from covbell.core import (MeasurementSetting, QuantumState, TimeOrdering, settin
 from covbell.covariance import enumerate_finite
 from covbell.models import LocalSphereModel, make_model
 from covbell.spacetime import Event, is_spacelike
-from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, estimate_joint,
-                           exact_joint, joint_record)
-from oracles import (enumeration_rows, frame_order_rows, per_pair_rows, row_dict_document,
-                     standalone)
+from covbell.stats import CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, exact_joint, joint_record
+from oracles import (enumeration_rows, frame_order_rows, per_pair_rows, per_pair_stats,
+                     row_dict_document, standalone)
 from property_inputs import EVENT, VELOCITY
 
 
@@ -179,7 +178,7 @@ def test_reduce_gisin_exits_with_domain_error(capsys):
     doc = json.loads(out)
     assert doc["reduced"] is False
     assert doc["witness"]["side"] in ("alice", "bob")
-    assert "not covariant" in err
+    assert re.fullmatch(r"covbell: model is not covariant on probe set: .+\n", err)
 
 
 def test_failed_reduce_honours_output(tmp_path, capsys):
@@ -365,7 +364,8 @@ def test_config_file_bad_value_is_usage_error(command, file_cfg, tmp_path, capsy
     assert next(iter(file_cfg)) in err
 
 
-@pytest.mark.parametrize("text", ["null", "[{}]", "3", '{"n": 5', b'\xff\xfe{"n": 5}'])
+@pytest.mark.parametrize("text", ["null", "[{}]", "3", '{"n": 5', b'\xff\xfe{"n": 5}',
+                                  "[" * 100_000])
 def test_config_file_not_an_object_is_usage_error(text, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -429,12 +429,14 @@ def _refuse_setting_grid(n):
 def test_grid_settings_past_the_pair_cap_exit_2_before_any_pair_is_built(command, monkeypatch,
                                                                           capsys):
     # the cap is checked on N^2 before setting_grid runs: were it not, the refusing
-    # setting_grid would raise through main at once, and no pair would be allocated
+    # setting_grid would raise through main at once, and no pair would be allocated;
+    # an N of more digits than int() converts is decided by its digit count
     monkeypatch.setattr(cli, "setting_grid", _refuse_setting_grid)
-    code, out, err = run([*command, "--settings", "grid:20000"], capsys)
-    assert (code, out) == (2, "")
-    assert err == ("covbell: settings 'grid:20000': 20000^2 setting pairs exceed the cap "
-                   f"of {cli._PAIR_CAP:,}\n")
+    for count in ("20000", "9" * 5000):
+        code, out, err = run([*command, "--settings", f"grid:{count}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"covbell: settings 'grid:{count}': {count}^2 setting pairs exceed the "
+                       f"cap of {cli._PAIR_CAP:,}\n")
 
 
 def test_pair_cap_is_one_million_pairs_inclusive(monkeypatch):
@@ -444,6 +446,12 @@ def test_pair_cap_is_one_million_pairs_inclusive(monkeypatch):
         cli._setting_pairs("grid:1000")
     with pytest.raises(ValueError, match=r"1001\^2 setting pairs exceed the cap of 1,000,000"):
         cli._setting_pairs("grid:1001")
+    # leading zeros, ASCII or not, are no digits of N
+    for spec in ("grid:" + "0" * 5000 + "1000", "grid:\u0660\u0661\u0660\u0660\u0660"):
+        with pytest.raises(_SettingGridCalled, match="1000"):
+            cli._setting_pairs(spec)
+    with pytest.raises(ValueError, match=r": 1001\^2 setting pairs"):
+        cli._setting_pairs("grid:" + "\u0660" * 5000 + "1001")
 
 
 class _SampleBlockDrawn(Exception):
@@ -479,12 +487,18 @@ def test_sample_cap_is_10_to_the_11_sample_points_inclusive(monkeypatch):
                             SeedSpec(0), workers=1)
 
 
+def _stream_counts(m, ordering, pair, seed, i, n):
+    """One pair's counts over n < _BLOCK rows of Philox stream i of the seed, one block."""
+    block = stats._sample_block(m.lambda_dim, SeedSpec(seed), i, 0, n)
+    return m.count_pairs(ordering, QuantumState.SINGLET, [pair], block)[0]
+
+
 @pytest.mark.parametrize("model", ["gisin-singlet", "local-sphere"])
 @pytest.mark.parametrize("mode", [("exact", "--grid", "301"), ("mc", "--n", "2000")],
                          ids=["exact", "mc"])
 def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
     # grid:20 is 400 pairs; each record is built from its pair's own one-pair table
-    # (exact_joint, or estimate_joint on stream i) by the per-pair reference
+    # (exact_joint, or its Philox stream i counted as one block) by the per-pair reference
     m, grid_or_n = make_model(model), int(mode[2])
     g = setting_grid(20)
     pairs = [(a, b) for a in g for b in g]
@@ -493,8 +507,8 @@ def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
                   for a, b in pairs]
         n, grid = grid_or_n ** 2, grid_or_n
     else:
-        counts = [estimate_joint(m, TimeOrdering.BA, QuantumState.SINGLET, a, b, grid_or_n,
-                                 SeedSpec(4, i)).counts for i, (a, b) in enumerate(pairs)]
+        counts = [_stream_counts(m, TimeOrdering.BA, pair, 4, i, grid_or_n)
+                  for i, pair in enumerate(pairs)]
         n, grid = grid_or_n, None
     rows = per_pair_rows(TimeOrdering.BA, pairs, counts, n, grid, grid_or_n, 4)
     for fmt in ("csv", "json"):
@@ -522,6 +536,7 @@ def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
     ["check-covariance", "--witness-cap", "-1"],
     ["tomography", "--settings", "[[1,0"],
     ["chsh", "--settings", "[[1,0"],
+    ["chsh", "--settings", "[" * 100_000],  # nested past the JSON decoder's recursion limit
     ["tomography", "--settings", "tsirelsen"],
     ["chsh", "--settings", "grid:5"],
     ["tomography", "--settings", "[[1,0,0]]"],
@@ -541,6 +556,12 @@ def test_bad_flag_value_is_usage_error(args, capsys):
     # the last flag of each case holds the bad value, and the error names its key
     bad_flag = [a for a in args if a.startswith("--")][-1].split("=")[0]
     assert bad_flag[2:].replace("-", "_") in err
+
+
+def test_an_error_naming_a_line_break_is_still_one_line(capsys):
+    # argparse names an unrecognized argument as given; main escapes its line breaks
+    assert run(["frame-order", "--a\nb=1\r\n"], capsys) == (
+        1, "", "covbell: unrecognized arguments: --a\\nb=1\n")
 
 
 def test_nan_setting_is_domain_error(capsys):
@@ -935,13 +956,12 @@ def test_nan_velocity_is_domain_error_named_as_nan(capsys):
 
 
 def test_mc_pair_i_draws_from_stream_i(capsys):
-    # tomography record i and chsh term i both come from SeedSpec(seed, i)
+    # tomography record i and chsh term i both come from Philox stream i of the seed
     common = ["--model", "local-sphere", "--settings", "tsirelson", "--mode", "mc",
               "--n", "3000", "--seed", "8", "--ordering", "BA"]
     model, ordering = make_model("local-sphere"), TimeOrdering.BA
-    tables = [estimate_joint(model, ordering, QuantumState.SINGLET, a, b, 3000,
-                             SeedSpec(8, i))
-              for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings()))]
+    tables = [per_pair_stats(_stream_counts(model, ordering, pair, 8, i, 3000), 3000)
+              for i, pair in enumerate(chsh_pairs(tsirelson_settings()))]
     code, out, _ = run(["tomography", *common, "--format", "json"], capsys)
     assert code == 0
     want = [dict(zip(CSV_COLUMNS, joint_record(ordering, a, b, table, 3000, 8)))

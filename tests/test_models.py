@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_lattice_counts_equal_the_engine_counts(name, ordering, grid):
     setts = [*setting_grid(3), *tsirelson_settings()]
     pairs = [*level_pairs, *((a, b) for a in setts for b in setts)]
     m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
-    engine = _count_blocks(m, ordering, SINGLET, pairs, grid ** 2,
+    engine = _count_blocks(partial(m.count_pairs, ordering, SINGLET, pairs), grid ** 2,
                            lambda start, rows: _lattice_block(2, grid, start, rows), 1)
     counts = m.lattice_counts(ordering, SINGLET, pairs, grid)
     assert counts.dtype == np.int64 and np.array_equal(counts, engine)
@@ -178,8 +179,8 @@ _SPHERE_PAIRS = [(a, b) for a in _SPHERE_SETTINGS for b in _SPHERE_SETTINGS]
 
 
 def _sphere_engine_counts(ordering, grid, pairs=_SPHERE_PAIRS):
-    return _count_blocks(LocalSphereModel(), ordering, SINGLET, pairs, grid ** 2,
-                         lambda start, rows: _lattice_block(2, grid, start, rows), 1)
+    return _count_blocks(partial(LocalSphereModel().count_pairs, ordering, SINGLET, pairs),
+                         grid ** 2, lambda start, rows: _lattice_block(2, grid, start, rows), 1)
 
 
 @pytest.mark.parametrize("grid", [2, 3, 4, 7, 101, 1001])

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,11 +45,12 @@ def test_sample_lambda_range_and_shape():
 
 
 def test_sample_lambda_deterministic():
-    a = sample_lambda(2, 1000, SeedSpec(123, 4))
-    b = sample_lambda(2, 1000, SeedSpec(123, 4))
+    a = sample_lambda(2, 1000, SeedSpec(123))
+    b = sample_lambda(2, 1000, SeedSpec(123))
     assert np.array_equal(a, b)
-    c = sample_lambda(2, 1000, SeedSpec(123, 5))
-    assert not np.array_equal(a, c)
+    # another seed, or another stream of the same seed, draws another sample
+    assert not np.array_equal(a, sample_lambda(2, 1000, SeedSpec(124)))
+    assert not np.array_equal(a, _sample_block(2, SeedSpec(123), 1, 0, 1000))
 
 
 def test_sample_lambda_mean():
@@ -323,32 +325,17 @@ def test_chsh_sums_the_exact_terms_discretization_bounds(grid):
 def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
     n = 10_000
     tables = sample_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
-                           n, SeedSpec(5, 3))
+                           n, SeedSpec(5))
     res = chsh(tables)
     term_errs = [math.sqrt(1.0 - e ** 2) / math.sqrt(n) for e in correlator(tables).value]
     assert [t.stderr for t in res.terms] == pytest.approx(term_errs, rel=1e-12)
     assert res.stderr == pytest.approx(math.sqrt(sum(e * e for e in term_errs)), rel=1e-12)
     assert res.stderr < sum(term_errs)
-    # pair i draws from stream seed.stream + i
+    # pair i draws from Philox stream i of the seed: its one block of n < _BLOCK rows
     for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings())):
-        alone = estimate_joint(GisinSingletModel(), AB, SINGLET, a, b, n, SeedSpec(5, 3 + i))
-        assert np.array_equal(tables.counts[i], alone.counts)
-
-
-# the last pair draws from stream 2^64: pair 24 of grid:5's 25, pair 1 of two
-@pytest.mark.parametrize("count,stream", [(25, 2 ** 64 - 24), (2, 2 ** 64 - 1)],
-                         ids=["25-pairs", "2-pairs"])
-def test_sample_tables_checks_the_last_pairs_stream_before_any_pair_draws(count, stream,
-                                                                          monkeypatch):
-    calls = []
-    sample_block = stats._sample_block
-    monkeypatch.setattr(stats, "_sample_block",
-                        lambda *args: calls.append(args) or sample_block(*args))
-    pairs = [(a, b) for a in setting_grid(5) for b in setting_grid(5)][:count]
-    with pytest.raises(ValueError, match="stream must fit in 64 unsigned bits"):
-        sample_tables(GisinSingletModel(), AB, SINGLET, pairs, 1000, SeedSpec(0, stream),
-                      workers=2)
-    assert calls == []
+        alone = GisinSingletModel().count_pairs(AB, SINGLET, [(a, b)],
+                                                _sample_block(2, SeedSpec(5), i, 0, n))
+        assert np.array_equal(tables.counts[i], alone[0])
 
 
 def test_estimate_joint_reproducible_across_workers():
@@ -478,14 +465,16 @@ def test_sphere_directions_once_per_sample_block(direction_computations):
 @given(d=st.integers(0, 5), n=st.integers(1, 3 * _BLOCK + 7),
        seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1))
 def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
-    spec = SeedSpec(seed, stream)
-    pieces = [_sample_block(d, spec, start, min(_BLOCK, n - start))
+    spec = SeedSpec(seed)
+    pieces = [_sample_block(d, spec, stream, start, min(_BLOCK, n - start))
               for start in range(0, n, _BLOCK)]
-    one_shot = sample_lambda(d, n, spec)
+    one_shot = _sample_block(d, spec, stream, 0, n)
     assert all(blk.flags.f_contiguous for blk in (*pieces, one_shot))
     assert np.array_equal(np.concatenate(pieces), one_shot)
     bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
+    # sample_lambda is stream 0 of its seed
+    assert np.array_equal(sample_lambda(d, n, spec), _sample_block(d, spec, 0, 0, n))
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -501,7 +490,8 @@ def test_sample_block_is_philox_raw_words(d, seed, stream):
             bitgen.advance(start * d // 4)  # 4 words per counter step
             raw = bitgen.random_raw(rows * d)
             expected = ((raw >> 11) * 2.0 ** -53).reshape(rows, d)
-            assert np.array_equal(_sample_block(d, SeedSpec(seed, stream), start, rows), expected)
+            assert np.array_equal(_sample_block(d, SeedSpec(seed), stream, start, rows),
+                                  expected)
 
 
 def test_sample_block_fill_holds_about_one_block():
@@ -509,7 +499,7 @@ def test_sample_block_fill_holds_about_one_block():
     one whole row-major draw would hold two blocks at once."""
     tracemalloc.start()
     try:
-        blk = _sample_block(2, SeedSpec(3), 0, _BLOCK)
+        blk = _sample_block(2, SeedSpec(3), 0, 0, _BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,15 +507,16 @@ def test_sample_block_fill_holds_about_one_block():
 
 
 def test_seed_spec_takes_64_bit_seeds_and_streams():
-    SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)
-    for seed, stream in [(2 ** 64, 0), (-1, 0), (0, 2 ** 64), (0, -1)]:
+    # the seed is the Philox key's first word, a pair's stream its second
+    assert _sample_block(1, SeedSpec(2 ** 64 - 1), 2 ** 64 - 1, 0, 4).shape == (4, 1)
+    for seed in (2 ** 64, -1):
         with pytest.raises(ValueError, match="64 unsigned bits"):
-            SeedSpec(seed, stream)
+            SeedSpec(seed)
 
 
 def test_sample_block_must_start_on_a_counter_step():
     with pytest.raises(ValueError, match="counter step"):
-        _sample_block(3, SeedSpec(1), 5, 10)
+        _sample_block(3, SeedSpec(1), 0, 5, 10)
 
 
 _SETTINGS = [*setting_grid(3), *tsirelson_settings()]
@@ -549,7 +540,7 @@ def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs,
     lambda m: estimate_joint(m, AB, SINGLET, A_X, B_09, 4_000_000, SeedSpec(3), workers=2),
     # the engine itself: gisin-singlet's exact tables no longer reach it, and local-sphere's
     # direction arrays would take 40 MiB
-    lambda m: stats._count_blocks(m, AB, SINGLET, [(A_X, B_09)], 2000 ** 2,
+    lambda m: stats._count_blocks(partial(m.count_pairs, AB, SINGLET, [(A_X, B_09)]), 2000 ** 2,
                                   lambda start, rows: _lattice_block(2, 2000, start, rows), 2),
 ], ids=["estimate_joint", "exact_joint"])
 def test_table_memory_is_bounded_by_blocks_not_points(run):
@@ -585,7 +576,8 @@ def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
     """Only sizes are checked: the engine is replaced, so nothing is allocated."""
     engine_jobs = []
 
-    def engine(m, ordering, state, pairs, n, make_block, workers):
+    def engine(count, n, make_block, workers):
+        pairs = count.args[2]  # partial(m.count_pairs, ordering, state, pairs)
         engine_jobs.append(n * len(pairs))
         return np.zeros((len(pairs), 2, 2), dtype=np.int64)
 
