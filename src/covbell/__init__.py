@@ -12,6 +12,6 @@ from .spacetime import (Boost, Event, SimultaneousEventsError, boost_event,
                         is_spacelike, time_order)
 from .stats import (ChshEstimate, CorrelationEstimate, JointStats, SeedSpec,
                     chsh, chsh_pairs, correlator, estimate_joint, exact_joint,
-                    exact_tables, sample_lambda, sample_tables)
+                    exact_tables, sample_chsh, sample_lambda, sample_tables)
 
 __version__ = "0.1.0"

@@ -30,8 +30,9 @@ from .covariance import NotCovariantError, check_covariance, enumerate_finite, r
 from .models import MODEL_REGISTRY, make_model
 from .spacetime import Boost, Event, SimultaneousEventsError, boost_event, is_spacelike, time_order
 # exact_joint is not called here; benchmarks/tests swaps this binding to test the tracer
-from .stats import (SeedSpec, chsh, chsh_pairs, exact_joint, exact_tables,  # noqa: F401
-                    joint_columns, records_to_csv, records_to_json, sample_lambda, sample_tables)
+from .stats import (_SAMPLE_CAP, SeedSpec, chsh, chsh_pairs, exact_joint,  # noqa: F401
+                    exact_tables, joint_columns, records_to_csv, records_to_json, sample_chsh,
+                    sample_lambda, sample_tables)
 
 
 class UsageError(Exception):
@@ -220,8 +221,10 @@ def _cmd_tomography(cfg) -> int:
 
 
 def _cmd_chsh(cfg) -> int:
-    quad = _setting_quad(cfg["settings"])
-    res = chsh(_tables(cfg, TimeOrdering(cfg["ordering"]), chsh_pairs(quad)))
+    quad, ordering = _setting_quad(cfg["settings"]), TimeOrdering(cfg["ordering"])
+    res = (chsh(_tables(cfg, ordering, chsh_pairs(quad))) if cfg["mode"] == "exact" else
+           sample_chsh(make_model(cfg["model"]), ordering, QuantumState.SINGLET, quad, cfg["n"],
+                       SeedSpec(cfg["seed"]), cfg["workers"]))
     _emit(cfg, {
         "S": res.value,
         "stderr": res.stderr,
@@ -233,6 +236,8 @@ def _cmd_chsh(cfg) -> int:
 
 
 def _probe_lambdas(model, cfg):
+    if cfg["probes"] > _SAMPLE_CAP:  # before any probe is drawn
+        raise ValueError(f"{cfg['probes']} probes exceed the Monte Carlo cap of {_SAMPLE_CAP:,}")
     pairs = _setting_pairs(cfg["settings"])
     if cfg["probes"] % len(pairs):
         raise UsageError(f"probes must be a multiple of the {len(pairs)} setting pairs")
@@ -332,6 +337,15 @@ _COMMANDS = {
 }
 
 
+def _config_int(text: str) -> int:
+    """A config file's integer; past the digits int() converts, a usage error naming it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"config file: an integer of {len(text) - (text[0] == '-'):,} digits "
+                         "is too large") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -342,7 +356,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config, encoding="utf-8") as fh:
                 try:
-                    given = json.load(fh)
+                    given = json.load(fh, parse_int=_config_int)
                 except (ValueError, RecursionError) as err:  # not JSON, too deep, or not UTF-8
                     raise UsageError(f"config file must hold a JSON object: {err}") from None
             if not isinstance(given, dict):

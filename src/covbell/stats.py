@@ -1,24 +1,25 @@
 """Joint distributions, correlators, and CHSH values for ordered models.
 
-Both estimators return one table of k setting pairs, the pair its leading axis:
-seeded Monte Carlo over uniform hidden points (counter-based Philox draws,
-reproducible regardless of worker count) and midpoint quadrature on [0,1]^d for
-exact checks, whose O(1/grid) error indicator integrands leave no better rule to
-beat. Correlators, CHSH terms and output records are array operations on it.
+Both estimators count k setting pairs on one point set that all share, into one
+table, the pair its leading axis: seeded Monte Carlo over uniform hidden points
+(Philox draws, reproducible for any worker count) and midpoint quadrature on
+[0,1]^d for exact checks, whose O(1/grid) error indicator integrands leave no
+better rule to beat. Correlators, CHSH terms and records are array operations on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .models import OrderedModel, check_engine_cap
+from .models import OrderedModel, check_engine_cap, eval_pairs
 
 # Fixed evaluation block size; partitioning is independent of worker count so
 # merged counts are bit-identical under any scheduling. One block of a pool
@@ -75,15 +76,15 @@ class CorrelationEstimate:
     n: int
 
 
-def _sample_block(d: int, spec: SeedSpec, stream: int, start: int, rows: int) -> np.ndarray:
-    """Rows start..start+rows of the (seed, stream) sample sequence of [0,1]^d,
-    drawn without the rows before it: Philox yields 4 words per counter step.
+def _sample_block(d: int, spec: SeedSpec, start: int, rows: int) -> np.ndarray:
+    """Rows start..start+rows of the seed's sample sequence of [0,1]^d (Philox keyed on
+    (seed, 0)), drawn without the rows before it: Philox yields 4 words per counter step.
     The block is column-major, as models read one coordinate at a time. Draws
     of _CHUNK rows fill it and continue one word stream, so its values are
     those of one (rows, d) draw, without a second block-sized buffer."""
     if start * d % 4:
         raise ValueError("a sample block must start on a Philox counter step")
-    bitgen = np.random.Philox(key=np.array([spec.seed, stream], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
     bitgen.advance(start * d // 4)
     gen = np.random.Generator(bitgen)
     blk = np.empty((rows, d), order="F")
@@ -103,7 +104,7 @@ def sample_lambda(d: int, n: int, spec: SeedSpec) -> np.ndarray:
         raise ValueError("dimension must be nonnegative")
     if n < 1:
         raise ValueError("need at least one sample")
-    return _sample_block(d, spec, 0, 0, n)
+    return _sample_block(d, spec, 0, n)
 
 
 def _lattice_block(d: int, grid: int, start: int, rows: int) -> np.ndarray:
@@ -220,33 +221,57 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
     return _counts_to_stats(counts, grid ** d, grid)
 
 
-def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,
-                  workers: int = 1) -> JointStats:
-    """Monte Carlo joint table of the k setting pairs over n hidden points each: pair
-    i draws from Philox stream i of the seed, so the pairs' errors are independent."""
+def _sample_counts(count, m: OrderedModel, pairs, n: int, seed: SeedSpec, workers: int):
+    """The sum of ``count(block)`` over the blocks of ``sample_lambda(d, n, seed)``."""
     if n < 1:
         raise ValueError("need at least one sample")
     if n * len(pairs) > _SAMPLE_CAP:
         raise ValueError(f"{n} samples x {len(pairs)} setting pairs exceed the Monte Carlo "
                          f"cap of {_SAMPLE_CAP:,}")
-    counts = [_count_blocks(partial(m.count_pairs, ordering, state, [pair]), n,
-                            partial(_sample_block, m.lambda_dim, seed, i), workers)
-              for i, pair in enumerate(pairs)]
-    return _counts_to_stats(np.array(counts, dtype=np.int64).reshape(-1, 2, 2), n)
+    return _count_blocks(count, n, partial(_sample_block, m.lambda_dim, seed), workers)
+
+
+def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,
+                  workers: int = 1) -> JointStats:
+    """Monte Carlo joint table of the k setting pairs, every pair counted on one shared
+    sample: ``count_pairs`` on ``sample_lambda(d, n, seed)``, block by block."""
+    return _counts_to_stats(_sample_counts(partial(m.count_pairs, ordering, state, pairs),
+                                           m, pairs, n, seed, workers), n)
 
 
 def chsh(tables: JointStats) -> ChshEstimate:
-    """CHSH value of a table of the four pairs of ``chsh_pairs``, in that order.
-
-    Monte Carlo tables' correlator errors are independent and add in
-    quadrature; exact tables' discretization bounds are summed.
-    """
+    """CHSH value of a table of the four pairs of ``chsh_pairs``, in that order, with
+    the terms' errors summed: exact tables' discretization bounds, or an upper bound
+    on the error of Monte Carlo terms, which may share their points."""
     est = correlator(tables)
     e, errs = est.value, est.stderr
-    stderr = float(sum(errs) if tables.exact else np.sqrt(sum(err ** 2 for err in errs)))
     terms = tuple(CorrelationEstimate(v, err, est.n) for v, err in zip(e, errs))
     # grouped so identical-term cancellations (e.g. b = b') stay exact
-    return ChshEstimate(value=(e[0] + e[1]) + (e[2] - e[3]), stderr=stderr, terms=terms)
+    return ChshEstimate(value=(e[0] + e[1]) + (e[2] - e[3]), stderr=float(sum(errs)), terms=terms)
+
+
+def _count_chsh(m: OrderedModel, ordering, state, pairs, lams) -> np.ndarray:
+    """The four CHSH pairs' 16 table cells on lams, then the counts of its rows whose
+    s = a0 b0 + a1 b1 + a2 b2 - a3 b3 is -4, -2, 0, 2 and 4: s is 2 per term of +1, less 4."""
+    bound = m.bind(lams)
+    plus = sum((np.equal(*eval_pairs(bound, ordering, state, a, b, lams)) ^ (i == 3)
+                for i, (a, b) in enumerate(pairs)), np.zeros(len(lams), dtype=np.uint8))
+    return np.concatenate([bound.count_pairs(ordering, state, pairs, lams).ravel(),
+                           [np.count_nonzero(plus == k) for k in range(5)]])
+
+
+def sample_chsh(m: OrderedModel, ordering, state, settings, n: int, seed: SeedSpec,
+                workers: int = 1) -> ChshEstimate:
+    """``chsh`` of the quadruple (a, a', b, b')'s Monte Carlo tables, with the standard error
+    of the per-point value s, whose histogram the same pass counts: the four terms share
+    one sample, so their errors are not independent and do not add in quadrature."""
+    pairs = chsh_pairs(settings)
+    counts = _sample_counts(partial(_count_chsh, m, ordering, state, pairs), m, pairs, n, seed,
+                            workers)
+    s = np.arange(-4, 5, 2)  # the histogram's bins
+    total, squares = int(counts[16:] @ s), int(counts[16:] @ s ** 2)
+    res = chsh(_counts_to_stats(counts[:16].reshape(4, 2, 2), n))
+    return replace(res, stderr=math.sqrt((n * squares - total * total) / n ** 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Reference implementations the tests compare covbell against: the singlet's
 closed-form joint table, the per-strategy view of the finite no-go scan, a
 local-sphere whose exact tables take the block engine, tables, correlators,
-CHSH values, records and violation counts built one setting pair at a time, a
-CSV writer that formats one cell at a time, the tables of frame-order and
-enumerate as one dict per row, and a command line run as the console script
-runs it, in a fresh process."""
+CHSH values, records and violation counts built one setting pair at a time,
+each hidden point's CHSH value and covariance violation, scored through
+eval_pairs, a CSV writer that formats one cell at a time, the tables of
+frame-order and enumerate as one dict per row, and a command line run as the
+console script runs it, in a fresh process."""
 
 import csv
 import io
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from covbell.core import Outcome, TimeOrdering, dot
-from covbell.models import LocalSphereModel, OrderedModel
+from covbell.models import LocalSphereModel, OrderedModel, eval_pairs
 from covbell.spacetime import Boost, SimultaneousEventsError, boost_event, time_order
 from covbell.stats import CSV_COLUMNS, JointStats
 
@@ -138,12 +139,30 @@ def per_pair_correlator(j: JointStats) -> tuple:
 
 def per_pair_chsh(tables) -> tuple:
     """(S, stderr) of four one-pair tables: (E0 + E1) + (E2 - E3), and the terms'
-    errors summed (exact) or added in quadrature (Monte Carlo) in order."""
+    errors summed in order, exact bounds and Monte Carlo errors alike."""
     terms = [per_pair_correlator(t) for t in tables]
     value = (terms[0][0] + terms[1][0]) + (terms[2][0] - terms[3][0])
-    if tables[0].exact:
-        return value, float(sum(t[1] for t in terms))
-    return value, float(np.sqrt(sum(t[1] ** 2 for t in terms)))
+    return value, float(sum(t[1] for t in terms))
+
+
+def per_point_chsh(m, ordering, state, settings, lams) -> np.ndarray:
+    """Each row's CHSH value s = a0 b0 + a1 b1 + a2 b2 - a3 b3 of the quadruple
+    (a, a', b, b'), every pair scored through eval_pairs on every row."""
+    a, ap, b, bp = settings
+    products = [np.multiply(*eval_pairs(m, ordering, state, x, y, lams), dtype=np.int64)
+                for x, y in ((a, b), (a, bp), (ap, b), (ap, bp))]
+    return products[0] + products[1] + products[2] - products[3]
+
+
+def any_pair_violators(m, state, pairs, lams) -> int:
+    """The rows of lams on which some pair's outcomes differ between the AB and BA
+    frames, each pair scored in both through eval_pairs."""
+    bad = np.zeros(len(lams), dtype=bool)
+    for a, b in pairs:
+        for x, y in zip(eval_pairs(m, TimeOrdering.AB, state, a, b, lams),
+                        eval_pairs(m, TimeOrdering.BA, state, a, b, lams)):
+            bad |= x != y
+    return int(np.count_nonzero(bad))
 
 
 def per_pair_record(ordering, a, b, table: JointStats, n_or_grid: int, seed: int) -> tuple:

@@ -29,7 +29,7 @@ def draw_hidden_points(data, d, max_rows):
         return np.asarray(_lattice_block(d, grid, start, rows), order=order)
     spec = SeedSpec(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
     rows = data.draw(st.integers(1, max_rows), label="rows")
-    return np.asarray(_sample_block(d, spec, 0, 0, rows), order=order)
+    return np.asarray(_sample_block(d, spec, 0, rows), order=order)
 
 
 # A finite event coordinate: signed zeros, subnormals and magnitudes whose boosts overflow.

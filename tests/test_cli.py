@@ -21,9 +21,10 @@ from covbell.core import (MeasurementSetting, QuantumState, TimeOrdering, settin
 from covbell.covariance import enumerate_finite
 from covbell.models import LocalSphereModel, make_model
 from covbell.spacetime import Event, is_spacelike
-from covbell.stats import CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, exact_joint, joint_record
-from oracles import (enumeration_rows, frame_order_rows, per_pair_rows, per_pair_stats,
-                     row_dict_document, standalone)
+from covbell.stats import (CSV_COLUMNS, SeedSpec, chsh_pairs, correlator, exact_joint,
+                           joint_record, sample_lambda)
+from oracles import (enumeration_rows, frame_order_rows, per_pair_chsh, per_pair_rows,
+                     per_pair_stats, row_dict_document, standalone)
 from property_inputs import EVENT, VELOCITY
 
 
@@ -487,10 +488,10 @@ def test_sample_cap_is_10_to_the_11_sample_points_inclusive(monkeypatch):
                             SeedSpec(0), workers=1)
 
 
-def _stream_counts(m, ordering, pair, seed, i, n):
-    """One pair's counts over n < _BLOCK rows of Philox stream i of the seed, one block."""
-    block = stats._sample_block(m.lambda_dim, SeedSpec(seed), i, 0, n)
-    return m.count_pairs(ordering, QuantumState.SINGLET, [pair], block)[0]
+def _shared_counts(m, ordering, pairs, seed, n):
+    """Each pair's own one-pair counts over the seed's n hidden points, which all share."""
+    lams = sample_lambda(m.lambda_dim, n, SeedSpec(seed))
+    return [m.count_pairs(ordering, QuantumState.SINGLET, [pair], lams)[0] for pair in pairs]
 
 
 @pytest.mark.parametrize("model", ["gisin-singlet", "local-sphere"])
@@ -498,7 +499,7 @@ def _stream_counts(m, ordering, pair, seed, i, n):
                          ids=["exact", "mc"])
 def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
     # grid:20 is 400 pairs; each record is built from its pair's own one-pair table
-    # (exact_joint, or its Philox stream i counted as one block) by the per-pair reference
+    # (exact_joint, or its count on the seed's shared sample) by the per-pair reference
     m, grid_or_n = make_model(model), int(mode[2])
     g = setting_grid(20)
     pairs = [(a, b) for a in g for b in g]
@@ -507,8 +508,7 @@ def test_many_pair_tomography_equals_the_per_pair_oracle(model, mode, capsys):
                   for a, b in pairs]
         n, grid = grid_or_n ** 2, grid_or_n
     else:
-        counts = [_stream_counts(m, TimeOrdering.BA, pair, 4, i, grid_or_n)
-                  for i, pair in enumerate(pairs)]
+        counts = _shared_counts(m, TimeOrdering.BA, pairs, 4, grid_or_n)
         n, grid = grid_or_n, None
     rows = per_pair_rows(TimeOrdering.BA, pairs, counts, n, grid, grid_or_n, 4)
     for fmt in ("csv", "json"):
@@ -899,9 +899,41 @@ def test_impossible_probe_count_is_domain_error(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "sample_lambda", too_big)
     code, out, err = run(["check-covariance", "--settings", "grid:1",
-                          "--probes", str(10 ** 12)], capsys)
+                          "--probes", str(10 ** 10)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("covbell: Unable to allocate")
+
+
+class _ProbesDrawn(Exception):
+    pass
+
+
+def _refuse_probes(*args):
+    raise _ProbesDrawn(args)
+
+
+@pytest.mark.parametrize("command", ["check-covariance", "reduce"])
+def test_probes_past_the_sample_cap_exit_2_before_any_probe_is_drawn(command, monkeypatch,
+                                                                      capsys):
+    # one past the cap exits 2; the cap itself passes the check and draws its probes
+    monkeypatch.setattr(cli, "sample_lambda", _refuse_probes)
+    probes = stats._SAMPLE_CAP + 1
+    code, out, err = run([command, "--settings", "grid:1", "--probes", str(probes)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"covbell: {probes} probes exceed the Monte Carlo cap "
+                   "of 100,000,000,000\n")
+    with pytest.raises(_ProbesDrawn):
+        main([command, "--settings", "grid:1", "--probes", str(stats._SAMPLE_CAP)])
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_config_integer_too_large_to_convert_is_named(sign, tmp_path, capsys):
+    # Python converts at most 4,300 digits; the message names the number, not the file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"seed": ' + sign + "9" * 5000 + "}")
+    code, out, err = run(["chsh", "--config", str(cfg_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "covbell: config file: an integer of 5,000 digits is too large\n"
 
 
 def test_error_without_text_is_named(monkeypatch, capsys):
@@ -955,19 +987,34 @@ def test_nan_velocity_is_domain_error_named_as_nan(capsys):
     assert (code, out, err) == (2, "", "covbell: boost velocity is NaN\n")
 
 
-def test_mc_pair_i_draws_from_stream_i(capsys):
-    # tomography record i and chsh term i both come from Philox stream i of the seed
+def test_mc_pairs_share_one_sample(capsys):
+    # tomography record i and chsh term i both count pair i on the seed's one sample
     common = ["--model", "local-sphere", "--settings", "tsirelson", "--mode", "mc",
               "--n", "3000", "--seed", "8", "--ordering", "BA"]
     model, ordering = make_model("local-sphere"), TimeOrdering.BA
-    tables = [per_pair_stats(_stream_counts(model, ordering, pair, 8, i, 3000), 3000)
-              for i, pair in enumerate(chsh_pairs(tsirelson_settings()))]
+    pairs = chsh_pairs(tsirelson_settings())
+    tables = [per_pair_stats(c, 3000) for c in _shared_counts(model, ordering, pairs, 8, 3000)]
     code, out, _ = run(["tomography", *common, "--format", "json"], capsys)
     assert code == 0
     want = [dict(zip(CSV_COLUMNS, joint_record(ordering, a, b, table, 3000, 8)))
-            for (a, b), table in zip(chsh_pairs(tsirelson_settings()), tables)]
+            for (a, b), table in zip(pairs, tables)]
     assert json.loads(out)["records"] == want
     code, out, _ = run(["chsh", *common], capsys)
     assert code == 0
-    assert json.loads(out)["terms"] == [
+    doc = json.loads(out)
+    assert doc["terms"] == [
         {"E": t.value, "stderr": t.stderr, "n": t.n} for t in map(correlator, tables)]
+    # every point of the Bell-local model scores s = 2: no sampling error
+    assert (doc["S"], doc["stderr"]) == (per_pair_chsh(tables)[0], 0.0) == (2.0, 0.0)
+
+
+@pytest.mark.parametrize("command, model", [("chsh", "gisin-singlet"), ("chsh", "local-sphere"),
+                                            ("tomography", "determinized-singlet")])
+def test_mc_documents_are_the_same_bytes_for_1_2_and_3_workers(command, model, monkeypatch,
+                                                               capsys):
+    # 3 blocks and a part: with 4 CPUs, 3 workers run 3 pool tasks
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+    docs = {run([command, "--model", model, "--settings", "tsirelson", "--mode", "mc",
+                 "--n", str(3 * stats._BLOCK + 7), "--seed", "5", "--workers", workers],
+                capsys) for workers in ("1", "2", "3")}
+    assert len(docs) == 1 and next(iter(docs))[0] == 0

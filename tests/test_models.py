@@ -61,6 +61,22 @@ def test_gisin_second_outcome_is_plus_on_its_thresholds():
         assert m.second_values(ordering, SINGLET, A_X, b, lams).tolist() == expected
 
 
+@pytest.mark.parametrize("ordering", [AB, BA])
+def test_gisin_second_values_equal_the_np_where_form(ordering):
+    # the branch-free mask gives np.where(plus, r <= lo, r <= hi)'s outcomes on every
+    # point: random ones, and every coordinate on 1/2, a level, or the float after it
+    m, pairs = GisinSingletModel(), [(A_X, B_09), *zip(tsirelson_settings(), setting_grid(4))]
+    for a, b in pairs:
+        lo, hi = (1.0 - dot(a, b)) / 2.0, (1.0 + dot(a, b)) / 2.0
+        values = np.array([0.0, 0.5, lo, hi, 1.0])
+        values = np.concatenate([values, np.nextafter(values, 2.0), np.nextafter(values, -1.0)])
+        lams = np.concatenate([[(x, y) for x in values for y in values],
+                               sample_lambda(2, 10_000, SeedSpec(13))])
+        first, second = (0, 1) if ordering is AB else (1, 0)
+        old = _pm(np.where(lams[:, first] <= 0.5, lams[:, second] <= lo, lams[:, second] <= hi))
+        assert np.array_equal(m.second_values(ordering, SINGLET, a, b, lams), old)
+
+
 def test_gisin_ba_role_swap_witness_pair():
     # this lambda is a covariance-violation witness: S_BA != F_AB
     m = GisinSingletModel()

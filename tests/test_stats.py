@@ -18,11 +18,11 @@ from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel,
 from covbell.stats import (_BLOCK, _CHUNK, CSV_COLUMNS, JointStats, SeedSpec, _counts_to_stats,
                            _fmt, _lattice_block, _sample_block, chsh, chsh_pairs, correlator,
                            estimate_joint, exact_joint, exact_tables, joint_columns,
-                           joint_record, records_to_csv, records_to_json, sample_lambda,
-                           sample_tables)
-from oracles import (EngineSphere, fmt_cell, per_cell_csv, per_pair_chsh, per_pair_correlator,
-                     per_pair_record, per_pair_rows, per_pair_stats, singlet_joint_oracle,
-                     singlet_oracle_table)
+                           joint_record, records_to_csv, records_to_json, sample_chsh,
+                           sample_lambda, sample_tables)
+from oracles import (EngineSphere, any_pair_violators, fmt_cell, per_cell_csv, per_pair_chsh,
+                     per_pair_correlator, per_pair_record, per_pair_rows, per_pair_stats,
+                     per_point_chsh, singlet_joint_oracle, singlet_oracle_table)
 from property_inputs import SETTING
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -48,9 +48,8 @@ def test_sample_lambda_deterministic():
     a = sample_lambda(2, 1000, SeedSpec(123))
     b = sample_lambda(2, 1000, SeedSpec(123))
     assert np.array_equal(a, b)
-    # another seed, or another stream of the same seed, draws another sample
+    # another seed draws another sample
     assert not np.array_equal(a, sample_lambda(2, 1000, SeedSpec(124)))
-    assert not np.array_equal(a, _sample_block(2, SeedSpec(123), 1, 0, 1000))
 
 
 def test_sample_lambda_mean():
@@ -322,20 +321,78 @@ def test_chsh_sums_the_exact_terms_discretization_bounds(grid):
     assert [t.stderr for t in res.terms] == [pytest.approx(4.0 / grid, rel=1e-12)] * 4
 
 
-def test_chsh_adds_independent_monte_carlo_errors_in_quadrature():
+def test_chsh_sums_the_monte_carlo_terms_errors():
+    # the four terms share one sample, so their errors are not independent: chsh sums
+    # them, a bound, as it sums exact tables' discretization bounds
     n = 10_000
     tables = sample_tables(GisinSingletModel(), AB, SINGLET, chsh_pairs(tsirelson_settings()),
                            n, SeedSpec(5))
     res = chsh(tables)
     term_errs = [math.sqrt(1.0 - e ** 2) / math.sqrt(n) for e in correlator(tables).value]
     assert [t.stderr for t in res.terms] == pytest.approx(term_errs, rel=1e-12)
-    assert res.stderr == pytest.approx(math.sqrt(sum(e * e for e in term_errs)), rel=1e-12)
-    assert res.stderr < sum(term_errs)
-    # pair i draws from Philox stream i of the seed: its one block of n < _BLOCK rows
-    for i, (a, b) in enumerate(chsh_pairs(tsirelson_settings())):
-        alone = GisinSingletModel().count_pairs(AB, SINGLET, [(a, b)],
-                                                _sample_block(2, SeedSpec(5), i, 0, n))
-        assert np.array_equal(tables.counts[i], alone[0])
+    assert res.stderr == sum(t.stderr for t in res.terms)
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+@pytest.mark.parametrize("ordering", [AB, BA])
+def test_shared_sample_tables_are_count_pairs_on_sample_lambda(model, ordering):
+    # every pair's table is its one-pair count over the seed's whole sample, which
+    # the engine draws once, in blocks, for all pairs
+    m, n = make_model(model), 2 * _BLOCK + 5
+    pairs = [*chsh_pairs(tsirelson_settings()), *zip(setting_grid(3), setting_grid(2) * 2)]
+    lams = sample_lambda(m.lambda_dim, n, SeedSpec(11))
+    tables = sample_tables(m, ordering, SINGLET, pairs, n, SeedSpec(11), workers=2)
+    for pair, counts in zip(pairs, tables.counts):
+        assert np.array_equal(counts, m.count_pairs(ordering, SINGLET, [pair], lams)[0])
+
+
+_SETTINGS = [*setting_grid(3), *tsirelson_settings()]
+_QUADS = [tsirelson_settings(), tuple(setting_grid(4)), tuple(setting_grid(5)[1:])]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+@pytest.mark.parametrize("ordering", [AB, BA])
+@pytest.mark.parametrize("quad", range(len(_QUADS)))
+def test_sample_chsh_error_is_the_per_point_spread(model, ordering, quad):
+    m, settings, n = make_model(model), _QUADS[quad], _BLOCK + 3
+    res = sample_chsh(m, ordering, SINGLET, settings, n, SeedSpec(12), workers=2)
+    # value and terms are chsh's of the shared-sample tables, bit for bit
+    tables = sample_tables(m, ordering, SINGLET, chsh_pairs(settings), n, SeedSpec(12))
+    assert (res.value, res.terms) == (chsh(tables).value, chsh(tables).terms)
+    s = per_point_chsh(m, ordering, SINGLET, settings, sample_lambda(m.lambda_dim, n, SeedSpec(12)))
+    assert res.stderr == pytest.approx(np.std(s) / math.sqrt(n), rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("ordering", [AB, BA])
+@pytest.mark.parametrize("n, seed", [(300_001, 0), (1_000_000, 8), (4_000, 3)])
+def test_local_sphere_chsh_is_2_without_sampling_error(ordering, n, seed):
+    # every point of the Bell-local model scores s = 2 on the tsirelson settings
+    res = sample_chsh(LocalSphereModel(), ordering, SINGLET, tsirelson_settings(), n,
+                      SeedSpec(seed), workers=2)
+    assert (res.value, res.stderr) == (2.0, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from(sorted(MODEL_REGISTRY)), ordering=st.sampled_from([AB, BA]),
+       quad=st.tuples(*[st.sampled_from(_SETTINGS)] * 4), n=st.integers(1, 30_000),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_no_go_inequality_holds_in_integers_on_the_shared_sample(model, ordering, quad, n, seed):
+    # a point that no pair's frames tell apart answers as a local strategy, |s| <= 2;
+    # any other has |s| <= 4, so |N S| <= 2 N + 2 W, W the any-pair covariance violators
+    m, pairs = make_model(model), chsh_pairs(quad)
+    counts = stats._sample_counts(partial(stats._count_chsh, m, ordering, SINGLET, pairs),
+                                  m, pairs, n, SeedSpec(seed), 1).tolist()
+    n_s = sum(k * s for k, s in zip(counts[16:], (-4, -2, 0, 2, 4)))
+    lams = sample_lambda(m.lambda_dim, n, SeedSpec(seed))
+    assert sum(counts[16:]) == n
+    assert n_s == int(per_point_chsh(m, ordering, SINGLET, quad, lams).sum())
+    # N S from the integer tables: each term's agreements less disagreements
+    tables = np.array(counts[:16]).reshape(4, 2, 2)
+    agree = tables[:, 0, 0] + tables[:, 1, 1] - tables[:, 0, 1] - tables[:, 1, 0]
+    assert n_s == agree[0] + agree[1] + agree[2] - agree[3]
+    violators = any_pair_violators(m, SINGLET, pairs, lams)
+    event(f"violators: {bool(violators)}")
+    assert abs(n_s) <= 2 * n + 2 * violators
 
 
 def test_estimate_joint_reproducible_across_workers():
@@ -462,36 +519,32 @@ def test_sphere_directions_once_per_sample_block(direction_computations):
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(0, 5), n=st.integers(1, 3 * _BLOCK + 7),
-       seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1))
-def test_sample_blocks_join_to_sample_lambda(d, n, seed, stream):
+@given(d=st.integers(0, 5), n=st.integers(1, 3 * _BLOCK + 7), seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_blocks_join_to_sample_lambda(d, n, seed):
     spec = SeedSpec(seed)
-    pieces = [_sample_block(d, spec, stream, start, min(_BLOCK, n - start))
+    pieces = [_sample_block(d, spec, start, min(_BLOCK, n - start))
               for start in range(0, n, _BLOCK)]
-    one_shot = _sample_block(d, spec, stream, 0, n)
+    one_shot = _sample_block(d, spec, 0, n)
     assert all(blk.flags.f_contiguous for blk in (*pieces, one_shot))
     assert np.array_equal(np.concatenate(pieces), one_shot)
-    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     assert np.array_equal(one_shot, np.random.Generator(bitgen).random((n, d)))
-    # sample_lambda is stream 0 of its seed
-    assert np.array_equal(sample_lambda(d, n, spec), _sample_block(d, spec, 0, 0, n))
+    assert np.array_equal(sample_lambda(d, n, spec), one_shot)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
-@pytest.mark.parametrize("seed, stream", [(0, 0), (31, 7), (2 ** 64 - 1, 0), (3, 2 ** 64 - 1),
-                                          (2 ** 64 - 1, 2 ** 64 - 1)])
-def test_sample_block_is_philox_raw_words(d, seed, stream):
-    """Every Monte Carlo byte rests on Generator.random over Philox being its raw
-    words' top 53 bits times 2^-53. numpy keeps bit-generator streams stable, but
-    may change Generator methods, so this names the cause if golden hashes move."""
+@pytest.mark.parametrize("seed", [0, 31, 2 ** 63, 2 ** 64 - 1])
+def test_sample_block_is_philox_raw_words(d, seed):
+    """Every Monte Carlo byte rests on Generator.random over Philox, keyed on (seed,
+    0), being its raw words' top 53 bits times 2^-53. numpy keeps bit-generator streams
+    stable, but may change Generator methods, so this names the cause if bytes move."""
     for start in (0, 4, 8 * _CHUNK):
         for rows in (1, _CHUNK + 1, 2 * _CHUNK + 3):
-            bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
             bitgen.advance(start * d // 4)  # 4 words per counter step
             raw = bitgen.random_raw(rows * d)
             expected = ((raw >> 11) * 2.0 ** -53).reshape(rows, d)
-            assert np.array_equal(_sample_block(d, SeedSpec(seed), stream, start, rows),
-                                  expected)
+            assert np.array_equal(_sample_block(d, SeedSpec(seed), start, rows), expected)
 
 
 def test_sample_block_fill_holds_about_one_block():
@@ -499,16 +552,16 @@ def test_sample_block_fill_holds_about_one_block():
     one whole row-major draw would hold two blocks at once."""
     tracemalloc.start()
     try:
-        blk = _sample_block(2, SeedSpec(3), 0, 0, _BLOCK)
+        blk = _sample_block(2, SeedSpec(3), 0, _BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * blk.nbytes
 
 
-def test_seed_spec_takes_64_bit_seeds_and_streams():
-    # the seed is the Philox key's first word, a pair's stream its second
-    assert _sample_block(1, SeedSpec(2 ** 64 - 1), 2 ** 64 - 1, 0, 4).shape == (4, 1)
+def test_seed_spec_takes_64_bit_seeds():
+    # the seed is the Philox key's first word; its second is 0
+    assert _sample_block(1, SeedSpec(2 ** 64 - 1), 0, 4).shape == (4, 1)
     for seed in (2 ** 64, -1):
         with pytest.raises(ValueError, match="64 unsigned bits"):
             SeedSpec(seed)
@@ -516,10 +569,8 @@ def test_seed_spec_takes_64_bit_seeds_and_streams():
 
 def test_sample_block_must_start_on_a_counter_step():
     with pytest.raises(ValueError, match="counter step"):
-        _sample_block(3, SeedSpec(1), 0, 5, 10)
+        _sample_block(3, SeedSpec(1), 5, 10)
 
-
-_SETTINGS = [*setting_grid(3), *tsirelson_settings()]
 
 
 @settings(max_examples=15, deadline=None)
