@@ -37,12 +37,11 @@ models take all k tables from ``lattice_threshold_counts``, products of 1-D coun
 with no per-pair loop; local-sphere overlaps its per-line runs of +1 cells for all
 pairs at once (see its class), and every other model keeps the engine.
 
-``count_violations(state, pairs, lams)``, the covariance check's count, is each
-pair's count of rows whose outcomes differ between the AB and BA frames; the
-default scores every row. Threshold models count through ``rule_violations``:
-``threshold_violations`` of their AB and BA rules, one histogram of each row's
-ranks among the parties' thresholds, whose failing cells ``failing_cell_counts``
-sums for all pairs at once; past its cell bound they take the default.
+``count_violations(state, pairs, lams)`` counts each pair's rows whose outcomes differ
+between the AB and BA frames, and ``count_chsh(ordering, state, pairs, lams)`` the four
+CHSH pairs' 16 table cells and the 5-bin histogram of the per-point s. Both defaults
+score every row; threshold models count both (``rule_violations``, ``rule_chsh``) from
+``rank_cells``, one histogram of each row's ranks among their thresholds.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,6 +120,15 @@ class OrderedModel(abc.ABC):
             alpha, beta = (x >= 0 for x in eval_pairs(bound, ordering, state, a, b, lams))
             cells.append([np.count_nonzero(x) for x in (alpha & beta, alpha, beta)])
         return _cells(cells, len(lams))
+
+    def count_chsh(self, ordering, state, pairs, lams) -> np.ndarray:
+        """The four CHSH pairs' 16 table cells on lams, then the counts of its rows whose
+        s = a0 b0 + a1 b1 + a2 b2 - a3 b3 is -4, -2, 0, 2 and 4: s is 2 per term of +1, less 4."""
+        bound = self.bind(lams)
+        plus = sum((np.equal(*eval_pairs(bound, ordering, state, a, b, lams)) ^ (i == 3)
+                    for i, (a, b) in enumerate(pairs)), np.zeros(len(lams), dtype=np.uint8))
+        return np.concatenate([bound.count_pairs(ordering, state, pairs, lams).ravel(),
+                               [np.count_nonzero(plus == k) for k in range(5)]])
 
     def lattice_counts(self, ordering, state, pairs, grid):
         """The (k, 2, 2) int64 counts that ``count_pairs`` sums over the whole grid^d
@@ -207,6 +216,22 @@ def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
     return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
 
 
+def rank_cells(n, above_1, keys_1, above_2, keys_2) -> np.ndarray:
+    """The (len(keys_1) + 1, len(keys_2) + 1) int64 histogram of n points' (rank_1, rank_2)
+    cells: rank_i counts the keys k whose above_i(k, out) marks the point in out, one shared
+    (n,) bool buffer."""
+    shape, out = (len(keys_1) + 1, len(keys_2) + 1), np.empty(n, dtype=bool)
+    codes = np.zeros(n, dtype=np.min_scalar_type(shape[0] * shape[1] - 1))
+    for k in keys_1:
+        codes += above_1(k, out)
+    codes *= shape[1]  # rank_1 is the cell's row
+    for k in keys_2:
+        codes += above_2(k, out)
+    # in parts of 2^14 codes, as bincount copies its input to 8-byte intp
+    return sum(np.bincount(part, minlength=shape[0] * shape[1])
+               for part in np.split(codes, range(1 << 14, n, 1 << 14))).reshape(shape)
+
+
 def threshold_violations(u_alice, u_bob, ab, ba):
     """``count_violations`` of a threshold model, from ab and ba, the ``_rule``
     (firsts, levels) of AB and BA. A coordinate's rank among its party's distinct
@@ -217,17 +242,10 @@ def threshold_violations(u_alice, u_bob, ab, ba):
     # sorted sets, not np.unique, whose first call imports numpy.ma (~15 ms in a fresh process)
     alice = np.array(sorted({*np.ravel(first_ab), *np.ravel(levels_ba)}), dtype=float)
     bob = np.array(sorted({*np.ravel(first_ba), *np.ravel(levels_ab)}), dtype=float)
-    shape = (alice.size + 1, bob.size + 1)
-    if shape[0] * shape[1] > 2 * u_alice.size:
+    if (alice.size + 1) * (bob.size + 1) > 2 * u_alice.size:
         return None
-    codes = np.zeros(u_alice.size, dtype=np.min_scalar_type(shape[0] * shape[1] - 1))
-    above = np.empty(u_alice.size, dtype=bool)
-    for t in alice:
-        codes += np.greater(u_alice, t, out=above)
-    codes *= shape[1]  # Alice's rank is the cell's row
-    for t in bob:
-        codes += np.greater(u_bob, t, out=above)
-    hist = np.bincount(codes, minlength=shape[0] * shape[1]).reshape(shape)
+    hist = rank_cells(u_alice.size, partial(np.greater, u_alice), alice,
+                      partial(np.greater, u_bob), bob)
     return failing_cell_counts(hist, alice, bob, ab, ba)
 
 
@@ -238,6 +256,27 @@ def rule_violations(m, state, pairs, lams) -> np.ndarray:
     counts = threshold_violations(lams[:, 0], lams[:, 1], m._rule(TimeOrdering.AB, state, pairs),
                                   m._rule(TimeOrdering.BA, state, pairs))
     return OrderedModel.count_violations(m, state, pairs, lams) if counts is None else counts
+
+
+def rule_chsh(m, ordering, state, pairs, lams) -> np.ndarray:
+    """``count_chsh`` of a threshold model from ``rank_cells`` of each row's ranks among its
+    ``_rule``'s distinct first thresholds (a first -1 of the model's own ``first_values``)
+    and distinct levels, which fix every pair's outcomes as in ``failing_cell_counts``."""
+    lams, ab = _lambdas(m, lams), ordering is TimeOrdering.AB
+    firsts, levels = m._rule(ordering, state, pairs)
+    setting = dict(zip(firsts.tolist(), (a if ab else b for a, b in pairs)))  # per threshold
+    tops, lows = np.array(sorted(setting)), np.array(sorted(set(levels.ravel().tolist())))
+    hist = rank_cells(len(lams), lambda t, out: np.less(
+        m.first_values(ordering, state, setting[t], lams), 0, out=out), tops,
+        partial(np.greater, lams[:, 1 if ab else 0]), lows).ravel()
+    # each pair's outcomes, +1 as True, on the (pair, rank_first, rank_second) cells
+    first = np.arange(len(tops) + 1)[:, None] <= np.searchsorted(tops, firsts)[:, None, None]
+    lo, hi = np.searchsorted(lows, levels).T[..., None, None]
+    second = np.arange(len(lows) + 1) <= np.where(first, lo, hi)
+    alpha, beta = (first, second) if ab else (second, first)
+    table = (2 * ~alpha + ~beta).reshape(len(pairs), 1, -1) == np.arange(4)[:, None]
+    plus = ((alpha == beta) ^ (np.arange(len(pairs)) == 3)[:, None, None]).sum(0)
+    return np.concatenate([(table @ hist).ravel(), (plus.ravel() == np.arange(5)[:, None]) @ hist])
 
 
 def failing_cell_counts(hist, alice, bob, ab, ba) -> np.ndarray:
@@ -375,7 +414,7 @@ class GisinSingletModel(OrderedModel):
         return lattice_threshold_counts(ordering, first_plus * len(pairs),
                                         self._rule(ordering, state, pairs)[1], grid)
 
-    count_violations = rule_violations
+    count_violations, count_chsh = rule_violations, rule_chsh
 
 
 class LocalSphereModel(OrderedModel):
@@ -612,7 +651,7 @@ class DeterminizedThresholdModel(DeterminizedModel):
         p_first, levels = self._rule(ordering, state, pairs)
         return lattice_threshold_counts(ordering, lattice_at_or_below(grid, p_first), levels, grid)
 
-    count_violations = rule_violations
+    count_violations, count_chsh = rule_violations, rule_chsh
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

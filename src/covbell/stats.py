@@ -19,21 +19,20 @@ from itertools import chain
 
 import numpy as np
 
-from .models import OrderedModel, check_engine_cap, eval_pairs
+from .models import OrderedModel, check_engine_cap
 
 # Fixed evaluation block size; partitioning is independent of worker count so
 # merged counts are bit-identical under any scheduling. One block of a pool
 # task, with its count temporaries, should fit a core's L2: a d = 2 block of
-# 2^17 rows is 2 MiB of float64, one core's L2 on a 2-CPU Xeon. There the
-# chsh-mc benchmark peaks at 41.7 MB of RSS, against 46.9 MB with 2^18 rows, in
-# equal time; 2^16 rows peak at 39.2 MB, but the per-block overhead makes the
-# passes about 3% slower.
+# 2^17 rows is 2 MiB of float64, one core's L2 on a 2-CPU Xeon. There chsh-mc
+# peaks at 42.6 MB of RSS with a norm_wall_s of 0.077 s, 2^18 rows at 47.6 MB and
+# 0.080 s, and 2^16 rows at 40.0 MB and 0.084 s (medians of 4 runs each).
 _BLOCK = 1 << 17
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
-# Most sample-points (n x setting pairs) of one sample_tables call, the exact engine's
-# cap: about 15 minutes at chsh-mc's 1.1e8 points a second on a 2-CPU x86 host.
+# Most sample-points (n x setting pairs) of one Monte Carlo call, the exact engine's
+# cap: about 7 minutes at chsh-mc's 2.3e8 points a second on a 2-CPU x86 host.
 _SAMPLE_CAP = 10 ** 11
 
 
@@ -250,23 +249,13 @@ def chsh(tables: JointStats) -> ChshEstimate:
     return ChshEstimate(value=(e[0] + e[1]) + (e[2] - e[3]), stderr=float(sum(errs)), terms=terms)
 
 
-def _count_chsh(m: OrderedModel, ordering, state, pairs, lams) -> np.ndarray:
-    """The four CHSH pairs' 16 table cells on lams, then the counts of its rows whose
-    s = a0 b0 + a1 b1 + a2 b2 - a3 b3 is -4, -2, 0, 2 and 4: s is 2 per term of +1, less 4."""
-    bound = m.bind(lams)
-    plus = sum((np.equal(*eval_pairs(bound, ordering, state, a, b, lams)) ^ (i == 3)
-                for i, (a, b) in enumerate(pairs)), np.zeros(len(lams), dtype=np.uint8))
-    return np.concatenate([bound.count_pairs(ordering, state, pairs, lams).ravel(),
-                           [np.count_nonzero(plus == k) for k in range(5)]])
-
-
 def sample_chsh(m: OrderedModel, ordering, state, settings, n: int, seed: SeedSpec,
                 workers: int = 1) -> ChshEstimate:
     """``chsh`` of the quadruple (a, a', b, b')'s Monte Carlo tables, with the standard error
     of the per-point value s, whose histogram the same pass counts: the four terms share
     one sample, so their errors are not independent and do not add in quadrature."""
     pairs = chsh_pairs(settings)
-    counts = _sample_counts(partial(_count_chsh, m, ordering, state, pairs), m, pairs, n, seed,
+    counts = _sample_counts(partial(m.count_chsh, ordering, state, pairs), m, pairs, n, seed,
                             workers)
     s = np.arange(-4, 5, 2)  # the histogram's bins
     total, squares = int(counts[16:] @ s), int(counts[16:] @ s ** 2)

@@ -380,7 +380,7 @@ def test_no_go_inequality_holds_in_integers_on_the_shared_sample(model, ordering
     # a point that no pair's frames tell apart answers as a local strategy, |s| <= 2;
     # any other has |s| <= 4, so |N S| <= 2 N + 2 W, W the any-pair covariance violators
     m, pairs = make_model(model), chsh_pairs(quad)
-    counts = stats._sample_counts(partial(stats._count_chsh, m, ordering, SINGLET, pairs),
+    counts = stats._sample_counts(partial(m.count_chsh, ordering, SINGLET, pairs),
                                   m, pairs, n, SeedSpec(seed), 1).tolist()
     n_s = sum(k * s for k, s in zip(counts[16:], (-4, -2, 0, 2, 4)))
     lams = sample_lambda(m.lambda_dim, n, SeedSpec(seed))
@@ -393,6 +393,51 @@ def test_no_go_inequality_holds_in_integers_on_the_shared_sample(model, ordering
     violators = any_pair_violators(m, SINGLET, pairs, lams)
     event(f"violators: {bool(violators)}")
     assert abs(n_s) <= 2 * n + 2 * violators
+
+
+_THRESHOLD_MODELS = ["determinized-singlet", "gisin-singlet"]
+# coincident settings, and a = b, whose levels are 0 and 1
+_COINCIDENT = st.sampled_from(_SETTINGS).flatmap(lambda s: st.one_of(
+    st.just((s,) * 4), st.tuples(st.just(s), st.sampled_from(_SETTINGS), st.just(s),
+                                 st.sampled_from(_SETTINGS))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(_THRESHOLD_MODELS), ordering=st.sampled_from([AB, BA]),
+       quad=st.one_of(st.tuples(*[st.sampled_from(_SETTINGS)] * 4), _COINCIDENT),
+       n=st.sampled_from([1, 7, _BLOCK - 1, _BLOCK + 1]), seed=st.integers(0, 2 ** 64 - 1),
+       layout=st.sampled_from("FC"))
+def test_rank_cell_chsh_is_the_scoring_default(model, ordering, quad, n, seed, layout):
+    # a threshold model's count_chsh, from rank cells, is the rows' scores bit for bit
+    m, pairs = make_model(model), chsh_pairs(quad)
+    lams = np.asarray(sample_lambda(2, n, SeedSpec(seed)), order=layout)
+    counts = m.count_chsh(ordering, SINGLET, pairs, lams)
+    assert counts.dtype == np.int64 and counts.shape == (21,)
+    assert np.array_equal(counts, models.OrderedModel.count_chsh(m, ordering, SINGLET, pairs, lams))
+
+
+@pytest.mark.parametrize("model", _THRESHOLD_MODELS)
+@pytest.mark.parametrize("ordering", [AB, BA])
+def test_threshold_chsh_scores_no_pair(model, ordering, monkeypatch):
+    # the rank path reads the first party's thresholds through first_values, once per block
+    # (one distinct threshold), and calls no eval_pairs or second_values
+    m, firsts = make_model(model), []
+    first_values = type(m).first_values
+
+    def refuse(*args):
+        raise AssertionError("a row was scored")
+
+    def counted_first_values(self, *args):
+        firsts.append(len(args[-1]))
+        return first_values(self, *args)
+
+    monkeypatch.setattr(models, "eval_pairs", refuse)
+    monkeypatch.setattr(type(m), "second_values", refuse)
+    monkeypatch.setattr(type(m), "first_values", counted_first_values)
+    res = sample_chsh(m, ordering, SINGLET, tsirelson_settings(), 2 * _BLOCK + 1, SeedSpec(4),
+                      workers=2)
+    assert sorted(firsts) == [1, _BLOCK, _BLOCK]
+    assert 2.7 < res.value < 2.95
 
 
 def test_estimate_joint_reproducible_across_workers():
