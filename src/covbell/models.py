@@ -19,16 +19,16 @@ Threshold models (gisin-singlet, DeterminizedThresholdModel) keep nothing and
 declare one rule, ``_rule(ordering, state, pairs) -> (firsts, levels)``: pair
 i's first party is +1 where its coordinate (Alice's lams[:, 0], Bob's
 lams[:, 1]) is <= firsts[i], the second where its own is <= levels[i, 0] after
-a first +1 and <= levels[i, 1] after a -1. Every count below reads it.
+a first +1 and <= levels[i, 1] after a -1. Both bind the same three counts of
+it: ``rule_pairs``, ``rule_violations`` and ``rule_chsh``.
 
 Counts take the setting pair as their leading axis. ``count_pairs(ordering,
 state, pairs, lams)`` returns the (k, 2, 2) int64 outcome counts of k setting
 pairs on one array; the engine calls it once per block. The default counts
 each pair's ``eval_pairs`` outcomes; the built-ins count the same with less
-work. Threshold models count through ``count_threshold_pairs``, on each pair's
-first-outcome mask in place; local-sphere counts as a Bell-local model
-(``count_local_pairs``), and determinized rules with base coordinates take the
-default.
+work. ``rule_pairs`` counts each pair on the mask of its first threshold in
+place; local-sphere counts as a Bell-local model (``count_local_pairs``), and
+determinized rules with base coordinates take the default.
 
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
@@ -204,16 +204,20 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
                    for a, b in pairs], len(lams))
 
 
-def count_threshold_pairs(ordering, first_plus, u_second, levels) -> np.ndarray:
-    """``count_pairs`` of a threshold model: pair i's first outcome is +1 on the bool
-    mask first_plus[i], its second as its ``_rule`` levels[i] say, on its mask in place."""
+def rule_pairs(m, ordering, state, pairs, lams) -> np.ndarray:
+    """``count_pairs`` of a threshold model from its ``_rule``: pair i's first outcome is +1
+    on one mask per distinct first threshold, its second as levels[i] say, on its mask in place."""
+    lams, ab = _lambdas(m, lams), ordering is TimeOrdering.AB
+    firsts, levels = m._rule(ordering, state, pairs)
+    u_first, u_second = (lams[:, 0], lams[:, 1]) if ab else (lams[:, 1], lams[:, 0])
+    masks = {t: u_first <= t for t in set(firsts)}
     cells = []
-    for mask, (lo, hi) in zip(first_plus, levels):
+    for mask, (lo, hi) in zip(map(masks.get, firsts), levels):
         plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
         minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
         cells.append((plus_plus, np.count_nonzero(mask), plus_plus + minus_plus))
-    counts = _cells(cells, u_second.size)
-    return counts if ordering is TimeOrdering.AB else counts.swapaxes(1, 2)
+    counts = _cells(cells, len(lams))
+    return counts if ab else counts.swapaxes(1, 2)
 
 
 def rank_cells(n, above_1, keys_1, above_2, keys_2) -> np.ndarray:
@@ -341,7 +345,7 @@ def lattice_at_or_below(grid, t) -> np.ndarray:
 
 
 def lattice_threshold_counts(ordering, first_plus, levels, grid) -> np.ndarray:
-    """``count_threshold_pairs`` summed over the whole grid x grid midpoint lattice
+    """``rule_pairs`` summed over the whole grid x grid midpoint lattice
     of [0,1]^2, from 1-D counts: pair i's first outcome is +1 on first_plus[i]
     midpoints of its coordinate, and N(t) = ``lattice_at_or_below(grid, t)``
     midpoints of the other are <= t, so every cell is a product of two."""
@@ -396,14 +400,6 @@ class GisinSingletModel(OrderedModel):
         # branch-free: np.where over a random mask costs about 6x as much, for the same bits
         return _pm((plus & (r_second <= lo)) | (~plus & (r_second <= hi)))
 
-    def count_pairs(self, ordering, state, pairs, lams):
-        lams, ab = _lambdas(self, lams), ordering is TimeOrdering.AB
-        # the first outcome ignores the setting: one mask serves every pair
-        first_plus = [self.first_values(ordering, state, a if ab else b, lams) > 0
-                      for a, b in pairs[:1]]
-        return count_threshold_pairs(ordering, first_plus * len(pairs), lams[:, 1 if ab else 0],
-                                     self._rule(ordering, state, pairs)[1])
-
     def lattice_counts(self, ordering, state, pairs, grid):
         ab, mids = ordering is TimeOrdering.AB, lattice_midpoints(grid)
         # one first_values call on the midpoints, read as either coordinate, counts the
@@ -414,7 +410,7 @@ class GisinSingletModel(OrderedModel):
         return lattice_threshold_counts(ordering, first_plus * len(pairs),
                                         self._rule(ordering, state, pairs)[1], grid)
 
-    count_violations, count_chsh = rule_violations, rule_chsh
+    count_pairs, count_violations, count_chsh = rule_pairs, rule_violations, rule_chsh
 
 
 class LocalSphereModel(OrderedModel):
@@ -613,8 +609,9 @@ class DeterminizedModel(OrderedModel):
     def first_values(self, ordering, state, setting_first, lams):
         base, u_alice, u_bob = self._split(lams)
         u = u_alice if ordering is TimeOrdering.AB else u_bob
-        p = _check_probs(self._sr.p_first(ordering, state, setting_first, base))
-        return _pm(u <= p)
+        # a rule without base coordinates is elementwise: one row's p_first serves every row
+        rows = base if self._sr.lambda_dim else base[:1]
+        return _pm(u <= _check_probs(self._sr.p_first(ordering, state, setting_first, rows)))
 
     def second_values(self, ordering, state, a, b, lams):
         first_setting = a if ordering is TimeOrdering.AB else b
@@ -640,18 +637,11 @@ class DeterminizedThresholdModel(DeterminizedModel):
                 np.array([_check_probs(sr.p_second(ordering, state, a, b, firsts, np.empty((2, 0))))
                           for a, b in pairs]).reshape(-1, 2))
 
-    def count_pairs(self, ordering, state, pairs, lams):
-        lams, ab = _lambdas(self, lams), ordering is TimeOrdering.AB
-        p_first, levels = self._rule(ordering, state, pairs)
-        masks = {p: lams[:, 0 if ab else 1] <= p for p in set(p_first)}
-        return count_threshold_pairs(ordering, [masks[p] for p in p_first],
-                                     lams[:, 1 if ab else 0], levels)
-
     def lattice_counts(self, ordering, state, pairs, grid):
         p_first, levels = self._rule(ordering, state, pairs)
         return lattice_threshold_counts(ordering, lattice_at_or_below(grid, p_first), levels, grid)
 
-    count_violations, count_chsh = rule_violations, rule_chsh
+    count_pairs, count_violations, count_chsh = rule_pairs, rule_violations, rule_chsh
 
 
 def determinize(sr: StochasticResponse) -> OrderedModel:

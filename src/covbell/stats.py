@@ -251,16 +251,16 @@ def chsh(tables: JointStats) -> ChshEstimate:
 
 def sample_chsh(m: OrderedModel, ordering, state, settings, n: int, seed: SeedSpec,
                 workers: int = 1) -> ChshEstimate:
-    """``chsh`` of the quadruple (a, a', b, b')'s Monte Carlo tables, with the standard error
-    of the per-point value s, whose histogram the same pass counts: the four terms share
-    one sample, so their errors are not independent and do not add in quadrature."""
+    """``chsh`` terms of the quadruple (a, a', b, b')'s Monte Carlo tables, with S, the sum of
+    the per-point values s over n, and its standard error, from the histogram of s that the
+    same pass counts: the terms share one sample, so their errors do not add in quadrature."""
     pairs = chsh_pairs(settings)
     counts = _sample_counts(partial(m.count_chsh, ordering, state, pairs), m, pairs, n, seed,
                             workers)
     s = np.arange(-4, 5, 2)  # the histogram's bins
     total, squares = int(counts[16:] @ s), int(counts[16:] @ s ** 2)
     res = chsh(_counts_to_stats(counts[:16].reshape(4, 2, 2), n))
-    return replace(res, stderr=math.sqrt((n * squares - total * total) / n ** 3))
+    return replace(res, value=total / n, stderr=math.sqrt((n * squares - total * total) / n ** 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1008,6 +1008,32 @@ def test_mc_pairs_share_one_sample(capsys):
     assert (doc["S"], doc["stderr"]) == (per_pair_chsh(tables)[0], 0.0) == (2.0, 0.0)
 
 
+def test_mc_chsh_value_is_the_per_point_sum_over_n(capsys):
+    # 7 points that each score s = 2: S is 14 / 7, where the terms' float sum is 2 - 2^-52
+    code, out, _ = run(["chsh", "--model", "local-sphere", "--n", "7", "--seed", "3",
+                        "--ordering", "BA"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert sum(t["E"] for t in doc["terms"][:3]) - doc["terms"][3]["E"] != 2.0
+    assert (doc["S"], doc["stderr"]) == (2.0, 0.0)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ordering", ["AB", "BA"])
+@pytest.mark.parametrize("spec", ["grid:5", "[[[0.6, 0, 0.8], [0, 1, 0]]]"])
+def test_threshold_models_write_one_monte_carlo_tomography(spec, ordering, fmt, capsys):
+    # one singlet rule of the same two coordinates, on one sample of more than one block:
+    # the documents differ only in the model that the config names
+    docs = []
+    for model in ("gisin-singlet", "determinized-singlet"):
+        code, out, _ = run(["tomography", "--model", model, "--settings", spec, "--mode", "mc",
+                            "--n", str(stats._BLOCK + 11), "--seed", "6", "--ordering", ordering,
+                            "--format", fmt], capsys)
+        assert code == 0 and out.count(f'"model": "{model}"') == 1
+        docs.append(out.replace(f'"model": "{model}"', '"model": ""'))
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("command, model", [("chsh", "gisin-singlet"), ("chsh", "local-sphere"),
                                             ("tomography", "determinized-singlet")])
 def test_mc_documents_are_the_same_bytes_for_1_2_and_3_workers(command, model, monkeypatch,

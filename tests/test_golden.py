@@ -8,8 +8,8 @@ hashes, which show that the results are the same. The full hashes were
 re-recorded when each subcommand got its own config schema, and those of the
 exact tomography and chsh jobs again when each estimator mode got its own
 keys; each time, every payload was unchanged. The determinized-singlet job
-was recorded before its count went through ``count_threshold_pairs``; its
-payload equals gisin-singlet's, as the two models agree pointwise. Monte
+was recorded before the two threshold models shared a counter (now
+``rule_pairs``); its payload equals gisin-singlet's, as they agree pointwise. Monte
 Carlo jobs and ``grid:N`` settings are left out on purpose: numpy does not
 promise ``Generator.random`` streams across versions, and ``setting_grid``
 goes through libm ``cos``/``sin``, so their bytes may move with the platform.

@@ -14,8 +14,8 @@ from covbell.covariance import reduce_to_local
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
                             StochasticResponse, _pm, determinize, eval_pairs, make_model,
                             stochastic_singlet)
-from covbell.stats import (SeedSpec, _count_blocks, _lattice_block, correlator, estimate_joint,
-                           exact_joint, sample_lambda)
+from covbell.stats import (SeedSpec, _count_blocks, _lattice_block, chsh_pairs, correlator,
+                           estimate_joint, exact_joint, sample_lambda)
 from property_inputs import SETTING, draw_hidden_points
 
 AB, BA = TimeOrdering.AB, TimeOrdering.BA
@@ -320,23 +320,23 @@ def test_threshold_counts_match_the_default_on_the_thresholds(name, ordering, pa
                           OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
 
 
-def test_gisin_count_pairs_takes_its_first_outcome_once_per_call(monkeypatch):
-    # a wrapper of the class's first_values, as a tracer installs, sees every block
-    calls = []
-    first_values = GisinSingletModel.first_values
+@pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])
+def test_threshold_count_pairs_scores_no_row(name, monkeypatch):
+    # both threshold models count from their _rule alone, on one mask per first threshold
+    def refuse(*args):
+        raise AssertionError("a row was scored")
 
-    def counting(self, *args):
-        calls.append(args)
-        return first_values(self, *args)
-
-    monkeypatch.setattr(GisinSingletModel, "first_values", counting)
+    m = make_model(name)
+    monkeypatch.setattr(models, "eval_pairs", refuse)
+    for attr in ("first_values", "second_values"):
+        monkeypatch.setattr(type(m), attr, refuse)
+    assert type(m).count_pairs is models.rule_pairs
     lams = sample_lambda(2, 500, SeedSpec(5))
     pairs = [(A_X, B_09), (B_09, A_X), (A_X, A_X)]
     for ordering in (AB, BA):
         for k in (1, 3):
-            calls.clear()
-            GisinSingletModel().count_pairs(ordering, SINGLET, pairs[:k], lams)
-            assert len(calls) == 1
+            counts = m.count_pairs(ordering, SINGLET, pairs[:k], lams)
+            assert counts.shape == (k, 2, 2) and (counts.sum((1, 2)) == 500).all()
 
 
 def test_sphere_positive_projection():
@@ -498,6 +498,26 @@ def test_determinized_count_pairs_takes_each_first_outcome_once():
         first_settings.clear()
         m.count_pairs(ordering, SINGLET, pairs, lams)
         assert sorted(first_settings, key=repr) == sorted([A_X, B_09], key=repr)
+
+
+def test_determinized_first_outcome_takes_one_p_first_row():
+    # a rule without base coordinates is elementwise: one row of p_first serves a block
+    singlet, rows = stochastic_singlet(), []
+
+    def p_first(ordering, state, setting_first, lams):
+        rows.append(len(lams))
+        return singlet.p_first(ordering, state, setting_first, lams)
+
+    m = determinize(StochasticResponse(0, p_first, singlet.p_second, "counting"))
+    gisin, lams = GisinSingletModel(), sample_lambda(2, 500, SeedSpec(8))
+    pairs = chsh_pairs(tsirelson_settings())
+    for ordering in (AB, BA):
+        rows.clear()
+        counts = m.count_chsh(ordering, SINGLET, pairs, lams)
+        assert rows and max(rows) == 1
+        assert np.array_equal(counts, gisin.count_chsh(ordering, SINGLET, pairs, lams))
+        assert np.array_equal(m.first_values(ordering, SINGLET, A_X, lams),
+                              gisin.first_values(ordering, SINGLET, A_X, lams))
 
 
 def test_probability_out_of_range_rejected():

@@ -356,10 +356,13 @@ _QUADS = [tsirelson_settings(), tuple(setting_grid(4)), tuple(setting_grid(5)[1:
 def test_sample_chsh_error_is_the_per_point_spread(model, ordering, quad):
     m, settings, n = make_model(model), _QUADS[quad], _BLOCK + 3
     res = sample_chsh(m, ordering, SINGLET, settings, n, SeedSpec(12), workers=2)
-    # value and terms are chsh's of the shared-sample tables, bit for bit
+    # the terms are chsh's of the shared-sample tables, bit for bit, and S is the sum of
+    # the per-point values over n, which their float sum equals up to rounding
     tables = sample_tables(m, ordering, SINGLET, chsh_pairs(settings), n, SeedSpec(12))
-    assert (res.value, res.terms) == (chsh(tables).value, chsh(tables).terms)
+    assert res.terms == chsh(tables).terms
     s = per_point_chsh(m, ordering, SINGLET, settings, sample_lambda(m.lambda_dim, n, SeedSpec(12)))
+    assert res.value == int(s.sum()) / n
+    assert res.value == pytest.approx(chsh(tables).value, rel=0, abs=1e-12)
     assert res.stderr == pytest.approx(np.std(s) / math.sqrt(n), rel=1e-9, abs=1e-15)
 
 
