@@ -265,7 +265,7 @@ def _cmd_reduce(cfg) -> int:
         doc = err.report.to_dict()
         _emit(cfg, {"reduced": False, "witness": doc.pop("witnesses")[0], **doc})
         return 2
-    counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs, lams)
+    counts = view.count_pairs(TimeOrdering.AB, QuantumState.SINGLET, pairs)(lams)
     correlators = [{"a": [a.x, a.y, a.z], "b": [b.x, b.y, b.z],
                     "E": float((c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / len(lams))}
                    for (a, b), c in zip(pairs, counts)]

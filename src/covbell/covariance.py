@@ -170,8 +170,8 @@ class LocalModelView(OrderedModel):
     def bind(self, lams):
         return LocalModelView(self._m.bind(lams))
 
-    def count_pairs(self, ordering, state, pairs, lams):
-        return count_local_pairs(self, state, pairs, lams)
+    def count_pairs(self, ordering, state, pairs):
+        return lambda lams: count_local_pairs(self, state, pairs, lams)
 
 
 def reduce_to_local(m: OrderedModel, state, setting_pairs, lams) -> LocalModelView:

@@ -19,16 +19,18 @@ Threshold models (gisin-singlet, DeterminizedThresholdModel) keep nothing and
 declare one rule, ``_rule(ordering, state, pairs) -> (firsts, levels)``: pair
 i's first party is +1 where its coordinate (Alice's lams[:, 0], Bob's
 lams[:, 1]) is <= firsts[i], the second where its own is <= levels[i, 0] after
-a first +1 and <= levels[i, 1] after a -1. Both bind the same three counts of
-it: ``rule_pairs``, ``rule_violations`` and ``rule_chsh``.
+a first +1 and <= levels[i, 1] after a -1.
 
-Counts take the setting pair as their leading axis. ``count_pairs(ordering,
-state, pairs, lams)`` returns the (k, 2, 2) int64 outcome counts of k setting
-pairs on one array; the engine calls it once per block. The default counts
-each pair's ``eval_pairs`` outcomes; the built-ins count the same with less
-work. ``rule_pairs`` counts each pair on the mask of its first threshold in
-place; local-sphere counts as a Bell-local model (``count_local_pairs``), and
-determinized rules with base coordinates take the default.
+Counts take the setting pair as their leading axis. The engine calls ``count_pairs`` and
+``count_chsh`` (ordering, state, pairs) once per job and applies the count each returns,
+lams -> int64 counts, to every block: k pairs' (k, 2, 2) outcome counts, and the four CHSH
+pairs' 16 cells and 5-bin histogram of the per-point s. ``count_violations(state, pairs,
+lams)`` counts each pair's rows whose outcomes differ between the AB and BA frames. The
+defaults score every row; the built-ins count the same with less work. Threshold models
+take their rule once per job: ``rule_pairs`` counts each pair on the mask of its first
+threshold, ``rule_violations`` and ``rule_chsh`` weight ``rank_cells``, a histogram of each
+row's ranks among the thresholds. local-sphere counts pairs as a Bell-local model
+(``count_local_pairs``); determinized rules with base coordinates take the defaults.
 
 ``lattice_counts(ordering, state, pairs, grid)`` is an optional hook: the
 (k, 2, 2) counts that ``count_pairs`` would sum over the whole grid^d midpoint
@@ -36,12 +38,6 @@ lattice, or None (the default), which leaves them to the block engine. Threshold
 models take all k tables from ``lattice_threshold_counts``, products of 1-D counts
 with no per-pair loop; local-sphere overlaps its per-line runs of +1 cells for all
 pairs at once (see its class), and every other model keeps the engine.
-
-``count_violations(state, pairs, lams)`` counts each pair's rows whose outcomes differ
-between the AB and BA frames, and ``count_chsh(ordering, state, pairs, lams)`` the four
-CHSH pairs' 16 table cells and the 5-bin histogram of the per-point s. Both defaults
-score every row; threshold models count both (``rule_violations``, ``rule_chsh``) from
-``rank_cells``, one histogram of each row's ranks among their thresholds.
 """
 
 from __future__ import annotations
@@ -64,6 +60,9 @@ _ARC_MARGIN = 1e-12
 _ARC_HALF = 1
 _ARC_LINES = 1 << 12
 _CELL_CHUNK = 1 << 20  # most pair x cell, or pair x line, entries evaluated at once
+# Most key pairs, len(keys_1) x len(keys_2), that rank_cells counts from nested masks: on a 2^17-row
+# block (2-CPU x86), 1 x 2 took 0.18 ms (codes: 0.40), 4 x 4 0.55 either way, 5 x 5 0.93 (0.55).
+_NESTED_KEYS = 16
 
 
 class OrderedModel(abc.ABC):
@@ -110,25 +109,29 @@ class OrderedModel(abc.ABC):
                 kept[key].flags.writeable = False
         return kept[key]
 
-    def count_pairs(self, ordering, state, pairs, lams) -> np.ndarray:
-        """(k, 2, 2) int64 counts of the (alpha, beta) outcomes, +1 before -1, of
-        each of the k setting pairs (a, b) over the rows of lams."""
-        lams = _lambdas(self, lams)
-        bound = self.bind(lams)
-        cells = []
-        for a, b in pairs:
-            alpha, beta = (x >= 0 for x in eval_pairs(bound, ordering, state, a, b, lams))
-            cells.append([np.count_nonzero(x) for x in (alpha & beta, alpha, beta)])
-        return _cells(cells, len(lams))
+    def count_pairs(self, ordering, state, pairs) -> Callable:
+        """The count of one array, lams -> the (k, 2, 2) int64 counts of the (alpha, beta)
+        outcomes, +1 before -1, of each of the k setting pairs (a, b) over its rows."""
+        def count(lams):
+            lams = _lambdas(self, lams)
+            bound = self.bind(lams)
+            cells = []
+            for a, b in pairs:
+                alpha, beta = (x >= 0 for x in eval_pairs(bound, ordering, state, a, b, lams))
+                cells.append([np.count_nonzero(x) for x in (alpha & beta, alpha, beta)])
+            return _cells(cells, len(lams))
+        return count
 
-    def count_chsh(self, ordering, state, pairs, lams) -> np.ndarray:
-        """The four CHSH pairs' 16 table cells on lams, then the counts of its rows whose
-        s = a0 b0 + a1 b1 + a2 b2 - a3 b3 is -4, -2, 0, 2 and 4: s is 2 per term of +1, less 4."""
-        bound = self.bind(lams)
-        plus = sum((np.equal(*eval_pairs(bound, ordering, state, a, b, lams)) ^ (i == 3)
-                    for i, (a, b) in enumerate(pairs)), np.zeros(len(lams), dtype=np.uint8))
-        return np.concatenate([bound.count_pairs(ordering, state, pairs, lams).ravel(),
-                               [np.count_nonzero(plus == k) for k in range(5)]])
+    def count_chsh(self, ordering, state, pairs) -> Callable:
+        """The count of one array: the four CHSH pairs' 16 table cells on lams, then its rows
+        with s = a0 b0 + a1 b1 + a2 b2 - a3 b3 of -4, -2, 0, 2 and 4: 2 per term of +1, less 4."""
+        def count(lams):
+            bound = self.bind(lams)
+            plus = sum((np.equal(*eval_pairs(bound, ordering, state, a, b, lams)) ^ (i == 3)
+                        for i, (a, b) in enumerate(pairs)), np.zeros(len(lams), dtype=np.uint8))
+            return np.concatenate([bound.count_pairs(ordering, state, pairs)(lams).ravel(),
+                                   [np.count_nonzero(plus == k) for k in range(5)]])
+        return count
 
     def lattice_counts(self, ordering, state, pairs, grid):
         """The (k, 2, 2) int64 counts that ``count_pairs`` sums over the whole grid^d
@@ -204,27 +207,38 @@ def count_local_pairs(m: OrderedModel, state, pairs, lams) -> np.ndarray:
                    for a, b in pairs], len(lams))
 
 
-def rule_pairs(m, ordering, state, pairs, lams) -> np.ndarray:
-    """``count_pairs`` of a threshold model from its ``_rule``: pair i's first outcome is +1
-    on one mask per distinct first threshold, its second as levels[i] say, on its mask in place."""
-    lams, ab = _lambdas(m, lams), ordering is TimeOrdering.AB
-    firsts, levels = m._rule(ordering, state, pairs)
-    u_first, u_second = (lams[:, 0], lams[:, 1]) if ab else (lams[:, 1], lams[:, 0])
-    masks = {t: u_first <= t for t in set(firsts)}
-    cells = []
-    for mask, (lo, hi) in zip(map(masks.get, firsts), levels):
-        plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
-        minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
-        cells.append((plus_plus, np.count_nonzero(mask), plus_plus + minus_plus))
-    counts = _cells(cells, len(lams))
-    return counts if ab else counts.swapaxes(1, 2)
+def rule_pairs(m, ordering, state, pairs) -> Callable:
+    """``count_pairs`` of a threshold model from its ``_rule``, taken once: pair i's first outcome
+    is +1 on one mask per distinct first threshold, its second as levels[i] say, on its mask."""
+    (firsts, levels), ab = m._rule(ordering, state, pairs), ordering is TimeOrdering.AB
+
+    def count(lams):
+        lams = _lambdas(m, lams)
+        u_first, u_second = (lams[:, 0], lams[:, 1]) if ab else (lams[:, 1], lams[:, 0])
+        masks = {t: u_first <= t for t in set(firsts)}
+        cells = []
+        for mask, (lo, hi) in zip(map(masks.get, firsts), levels):
+            plus_plus, below_hi = np.count_nonzero(mask & (u_second <= lo)), u_second <= hi
+            minus_plus = np.count_nonzero(below_hi) - np.count_nonzero(mask & below_hi)
+            cells.append((plus_plus, np.count_nonzero(mask), plus_plus + minus_plus))
+        counts = _cells(cells, len(lams))
+        return counts if ab else counts.swapaxes(1, 2)
+    return count
 
 
 def rank_cells(n, above_1, keys_1, above_2, keys_2) -> np.ndarray:
     """The (len(keys_1) + 1, len(keys_2) + 1) int64 histogram of n points' (rank_1, rank_2)
-    cells: rank_i counts the keys k whose above_i(k, out) marks the point in out, one shared
-    (n,) bool buffer."""
+    cells: rank_i counts the sorted keys k whose above_i(k, out) marks the point in out, an
+    (n,) bool buffer, and a point marked for a key is marked for every smaller one."""
     shape, out = (len(keys_1) + 1, len(keys_2) + 1), np.empty(n, dtype=bool)
+    if len(keys_1) * len(keys_2) <= _NESTED_KEYS:
+        # N(rank_1 >= i, rank_2 >= j) counts one mask AND, and a cell is a difference of four
+        firsts, both = [above_1(k, np.empty(n, dtype=bool)) for k in keys_1], np.empty_like(out)
+        at_least = [[n, *map(np.count_nonzero, firsts)]]  # by rank_2, then rank_1
+        for up in (above_2(k, out) for k in keys_2):  # each second mark in turn, in out
+            at_least.append([np.count_nonzero(up), *(
+                np.count_nonzero(np.logical_and(f, up, out=both)) for f in firsts)])
+        return np.diff(np.diff(np.array(at_least).T, axis=0, append=0), axis=1, append=0)
     codes = np.zeros(n, dtype=np.min_scalar_type(shape[0] * shape[1] - 1))
     for k in keys_1:
         codes += above_1(k, out)
@@ -262,17 +276,13 @@ def rule_violations(m, state, pairs, lams) -> np.ndarray:
     return OrderedModel.count_violations(m, state, pairs, lams) if counts is None else counts
 
 
-def rule_chsh(m, ordering, state, pairs, lams) -> np.ndarray:
-    """``count_chsh`` of a threshold model from ``rank_cells`` of each row's ranks among its
-    ``_rule``'s distinct first thresholds (a first -1 of the model's own ``first_values``)
-    and distinct levels, which fix every pair's outcomes as in ``failing_cell_counts``."""
-    lams, ab = _lambdas(m, lams), ordering is TimeOrdering.AB
-    firsts, levels = m._rule(ordering, state, pairs)
+def rule_chsh(m, ordering, state, pairs) -> Callable:
+    """``count_chsh`` of a threshold model: once per job, the 21 counts as weights of the
+    ``rank_cells`` of a row's ranks among the ``_rule``'s distinct first thresholds (a first -1
+    of the model's own ``first_values``) and levels, which fix every pair's outcomes."""
+    (firsts, levels), ab = m._rule(ordering, state, pairs), ordering is TimeOrdering.AB
     setting = dict(zip(firsts.tolist(), (a if ab else b for a, b in pairs)))  # per threshold
     tops, lows = np.array(sorted(setting)), np.array(sorted(set(levels.ravel().tolist())))
-    hist = rank_cells(len(lams), lambda t, out: np.less(
-        m.first_values(ordering, state, setting[t], lams), 0, out=out), tops,
-        partial(np.greater, lams[:, 1 if ab else 0]), lows).ravel()
     # each pair's outcomes, +1 as True, on the (pair, rank_first, rank_second) cells
     first = np.arange(len(tops) + 1)[:, None] <= np.searchsorted(tops, firsts)[:, None, None]
     lo, hi = np.searchsorted(lows, levels).T[..., None, None]
@@ -280,7 +290,14 @@ def rule_chsh(m, ordering, state, pairs, lams) -> np.ndarray:
     alpha, beta = (first, second) if ab else (second, first)
     table = (2 * ~alpha + ~beta).reshape(len(pairs), 1, -1) == np.arange(4)[:, None]
     plus = ((alpha == beta) ^ (np.arange(len(pairs)) == 3)[:, None, None]).sum(0)
-    return np.concatenate([(table @ hist).ravel(), (plus.ravel() == np.arange(5)[:, None]) @ hist])
+    weights = np.vstack([*table, plus.ravel() == np.arange(5)[:, None]]).astype(np.int64)
+
+    def count(lams):
+        lams = _lambdas(m, lams)
+        return weights @ rank_cells(len(lams), lambda t, out: np.less(
+            m.first_values(ordering, state, setting[t], lams), 0, out=out), tops,
+            partial(np.greater, lams[:, 1 if ab else 0]), lows).ravel()
+    return count
 
 
 def failing_cell_counts(hist, alice, bob, ab, ba) -> np.ndarray:
@@ -461,8 +478,8 @@ class LocalSphereModel(OrderedModel):
             return self._bob(b, lams)
         return self._alice(a, lams)
 
-    def count_pairs(self, ordering, state, pairs, lams):
-        return count_local_pairs(self, state, pairs, lams)
+    def count_pairs(self, ordering, state, pairs):
+        return lambda lams: count_local_pairs(self, state, pairs, lams)
 
     def lattice_counts(self, ordering, state, pairs, grid):
         check_engine_cap(self.lambda_dim, grid, pairs)

@@ -25,14 +25,14 @@ from .models import OrderedModel, check_engine_cap
 # merged counts are bit-identical under any scheduling. One block of a pool
 # task, with its count temporaries, should fit a core's L2: a d = 2 block of
 # 2^17 rows is 2 MiB of float64, one core's L2 on a 2-CPU Xeon. There chsh-mc
-# peaks at 42.6 MB of RSS with a norm_wall_s of 0.077 s, 2^18 rows at 47.6 MB and
-# 0.080 s, and 2^16 rows at 40.0 MB and 0.084 s (medians of 4 runs each).
+# peaks at 42.5 MB of RSS with a norm_wall_s of 0.062 s, 2^18 rows at 47.4 MB and
+# 0.065 s, and 2^16 rows at 39.9 MB and 0.065 s (medians of 4 interleaved runs each).
 _BLOCK = 1 << 17
 
 _CHUNK = 1 << 13  # rows per Philox draw when filling a column-major sample block
 
 # Most sample-points (n x setting pairs) of one Monte Carlo call, the exact engine's
-# cap: about 7 minutes at chsh-mc's 2.3e8 points a second on a 2-CPU x86 host.
+# cap: 4 to 6 minutes at chsh-mc's 2.7e8 to 3.9e8 points a second on a 2-CPU x86 host.
 _SAMPLE_CAP = 10 ** 11
 
 
@@ -215,19 +215,20 @@ def exact_tables(m: OrderedModel, ordering, state, pairs, grid: int,
     counts = m.lattice_counts(ordering, state, pairs, grid)
     if counts is None:
         check_engine_cap(d, grid, pairs)
-        counts = _count_blocks(partial(m.count_pairs, ordering, state, pairs), grid ** d,
+        counts = _count_blocks(m.count_pairs(ordering, state, pairs), grid ** d,
                                partial(_lattice_block, d, grid), workers)
     return _counts_to_stats(counts, grid ** d, grid)
 
 
-def _sample_counts(count, m: OrderedModel, pairs, n: int, seed: SeedSpec, workers: int):
-    """The sum of ``count(block)`` over the blocks of ``sample_lambda(d, n, seed)``."""
+def _sample_counts(prepare, m: OrderedModel, pairs, n: int, seed: SeedSpec, workers: int):
+    """The sum over the blocks of ``sample_lambda(d, n, seed)`` of the job's count, which
+    ``prepare()`` makes once the job's size has passed the cap."""
     if n < 1:
         raise ValueError("need at least one sample")
     if n * len(pairs) > _SAMPLE_CAP:
         raise ValueError(f"{n} samples x {len(pairs)} setting pairs exceed the Monte Carlo "
                          f"cap of {_SAMPLE_CAP:,}")
-    return _count_blocks(count, n, partial(_sample_block, m.lambda_dim, seed), workers)
+    return _count_blocks(prepare(), n, partial(_sample_block, m.lambda_dim, seed), workers)
 
 
 def sample_tables(m: OrderedModel, ordering, state, pairs, n: int, seed: SeedSpec,

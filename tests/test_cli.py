@@ -491,7 +491,7 @@ def test_sample_cap_is_10_to_the_11_sample_points_inclusive(monkeypatch):
 def _shared_counts(m, ordering, pairs, seed, n):
     """Each pair's own one-pair counts over the seed's n hidden points, which all share."""
     lams = sample_lambda(m.lambda_dim, n, SeedSpec(seed))
-    return [m.count_pairs(ordering, QuantumState.SINGLET, [pair], lams)[0] for pair in pairs]
+    return [m.count_pairs(ordering, QuantumState.SINGLET, [pair])(lams)[0] for pair in pairs]
 
 
 @pytest.mark.parametrize("model", ["gisin-singlet", "local-sphere"])

@@ -226,7 +226,7 @@ def test_local_view_answers_at_the_callers_state():
     for ordering in (AB, BA):
         for call in (lambda: view.first_values(ordering, sentinel, A_X, lams),
                      lambda: view.second_values(ordering, sentinel, A_X, B_09, lams),
-                     lambda: view.count_pairs(ordering, sentinel, [(A_X, B_09)], lams)):
+                     lambda: view.count_pairs(ordering, sentinel, [(A_X, B_09)])(lams)):
             m.states.clear()
             call()
             assert m.states and all(s is sentinel for s in m.states)

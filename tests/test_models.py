@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from covbell import models
@@ -14,7 +15,7 @@ from covbell.covariance import reduce_to_local
 from covbell.models import (MODEL_REGISTRY, GisinSingletModel, LocalSphereModel, OrderedModel,
                             StochasticResponse, _pm, determinize, eval_pairs, make_model,
                             stochastic_singlet)
-from covbell.stats import (SeedSpec, _count_blocks, _lattice_block, chsh_pairs, correlator,
+from covbell.stats import (_BLOCK, SeedSpec, _count_blocks, _lattice_block, chsh_pairs, correlator,
                            estimate_joint, exact_joint, sample_lambda)
 from property_inputs import SETTING, draw_hidden_points
 
@@ -121,7 +122,7 @@ def test_lambda_dimension_mismatch_rejected():
         with pytest.raises(ValueError, match="lambda dimension"):
             eval_pairs(m, AB, SINGLET, A_X, B_09, np.array([[0.5]]))
         with pytest.raises(ValueError, match="lambda dimension"):
-            m.count_pairs(AB, SINGLET, [(A_X, B_09)], np.array([[0.5]]))
+            m.count_pairs(AB, SINGLET, [(A_X, B_09)])(np.array([[0.5]]))
 
 
 def _reduced_sphere_view():
@@ -152,9 +153,9 @@ def test_count_pairs_overrides_match_the_default(name, ordering, pairs, data):
     m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
     assert type(m).count_pairs is not OrderedModel.count_pairs
     lams = draw_hidden_points(data, m.lambda_dim, 6000)
-    counts = m.count_pairs(ordering, SINGLET, pairs, lams)
+    counts = m.count_pairs(ordering, SINGLET, pairs)(lams)
     assert counts.dtype == np.int64 and counts.shape == (len(pairs), 2, 2)
-    assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
+    assert np.array_equal(counts, OrderedModel.count_pairs(m, ordering, SINGLET, pairs)(lams))
 
 
 _MIDPOINT_LEVELS = (math.nextafter(0.375, 0.0), 0.375, math.nextafter(0.375, 1.0))
@@ -177,7 +178,7 @@ def test_lattice_counts_equal_the_engine_counts(name, ordering, grid):
     setts = [*setting_grid(3), *tsirelson_settings()]
     pairs = [*level_pairs, *((a, b) for a in setts for b in setts)]
     m = _TEST_MODELS[name]() if name in _TEST_MODELS else make_model(name)
-    engine = _count_blocks(partial(m.count_pairs, ordering, SINGLET, pairs), grid ** 2,
+    engine = _count_blocks(m.count_pairs(ordering, SINGLET, pairs), grid ** 2,
                            lambda start, rows: _lattice_block(2, grid, start, rows), 1)
     counts = m.lattice_counts(ordering, SINGLET, pairs, grid)
     assert counts.dtype == np.int64 and np.array_equal(counts, engine)
@@ -195,7 +196,7 @@ _SPHERE_PAIRS = [(a, b) for a in _SPHERE_SETTINGS for b in _SPHERE_SETTINGS]
 
 
 def _sphere_engine_counts(ordering, grid, pairs=_SPHERE_PAIRS):
-    return _count_blocks(partial(LocalSphereModel().count_pairs, ordering, SINGLET, pairs),
+    return _count_blocks(LocalSphereModel().count_pairs(ordering, SINGLET, pairs),
                          grid ** 2, lambda start, rows: _lattice_block(2, grid, start, rows), 1)
 
 
@@ -316,8 +317,8 @@ def test_threshold_counts_match_the_default_on_the_thresholds(name, ordering, pa
     values = np.concatenate([values, np.nextafter(values, 2.0)])
     lams = np.array([(x, y) for x in values for y in values])
     m = make_model(name)
-    assert np.array_equal(m.count_pairs(ordering, SINGLET, pairs, lams),
-                          OrderedModel.count_pairs(m, ordering, SINGLET, pairs, lams))
+    assert np.array_equal(m.count_pairs(ordering, SINGLET, pairs)(lams),
+                          OrderedModel.count_pairs(m, ordering, SINGLET, pairs)(lams))
 
 
 @pytest.mark.parametrize("name", ["gisin-singlet", "determinized-singlet"])
@@ -335,8 +336,32 @@ def test_threshold_count_pairs_scores_no_row(name, monkeypatch):
     pairs = [(A_X, B_09), (B_09, A_X), (A_X, A_X)]
     for ordering in (AB, BA):
         for k in (1, 3):
-            counts = m.count_pairs(ordering, SINGLET, pairs[:k], lams)
+            counts = m.count_pairs(ordering, SINGLET, pairs[:k])(lams)
             assert counts.shape == (k, 2, 2) and (counts.sum((1, 2)) == 500).all()
+
+
+_KEYS = st.lists(st.floats(0.0, 1.0), max_size=20, unique=True).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys_1=_KEYS, keys_2=_KEYS, n=st.sampled_from([1, 7, (1 << 14) + 1, _BLOCK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1), layout=st.sampled_from("FC"))
+def test_rank_cells_nested_masks_equal_codes_and_bincount(keys_1, keys_2, n, seed, layout):
+    # points exactly on a key, one float either side of it, 0.0 and 1.0, each rank the
+    # number of keys below the point; both paths forced, on either side of the crossover
+    keys = np.array([*keys_1, *keys_2, 0.0, 1.0])
+    pool = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+    lams = np.asarray(np.random.default_rng(seed).choice(pool, (n, 2)), order=layout)
+    keys_1, keys_2 = np.array(keys_1, dtype=float), np.array(keys_2, dtype=float)
+    expected = np.zeros((keys_1.size + 1, keys_2.size + 1), dtype=np.int64)
+    ranks = np.searchsorted(keys_1, lams[:, 0]), np.searchsorted(keys_2, lams[:, 1])
+    np.add.at(expected, ranks, 1)
+    event(f"nested by default: {keys_1.size * keys_2.size <= models._NESTED_KEYS}")
+    for nested_keys in (models._NESTED_KEYS, 10 ** 9, -1):  # the default, all nested, all codes
+        with mock.patch.object(models, "_NESTED_KEYS", nested_keys):
+            hist = models.rank_cells(n, partial(np.greater, lams[:, 0]), keys_1,
+                                     partial(np.greater, lams[:, 1]), keys_2)
+        assert hist.dtype == np.int64 and np.array_equal(hist, expected)
 
 
 def test_sphere_positive_projection():
@@ -496,7 +521,7 @@ def test_determinized_count_pairs_takes_each_first_outcome_once():
     pairs = [(A_X, A_X), (A_X, B_09), (B_09, A_X), (B_09, B_09), (A_X, B_09)]
     for ordering in (AB, BA):
         first_settings.clear()
-        m.count_pairs(ordering, SINGLET, pairs, lams)
+        m.count_pairs(ordering, SINGLET, pairs)(lams)
         assert sorted(first_settings, key=repr) == sorted([A_X, B_09], key=repr)
 
 
@@ -513,9 +538,9 @@ def test_determinized_first_outcome_takes_one_p_first_row():
     pairs = chsh_pairs(tsirelson_settings())
     for ordering in (AB, BA):
         rows.clear()
-        counts = m.count_chsh(ordering, SINGLET, pairs, lams)
+        counts = m.count_chsh(ordering, SINGLET, pairs)(lams)
         assert rows and max(rows) == 1
-        assert np.array_equal(counts, gisin.count_chsh(ordering, SINGLET, pairs, lams))
+        assert np.array_equal(counts, gisin.count_chsh(ordering, SINGLET, pairs)(lams))
         assert np.array_equal(m.first_values(ordering, SINGLET, A_X, lams),
                               gisin.first_values(ordering, SINGLET, A_X, lams))
 
@@ -536,7 +561,7 @@ def test_nan_response_probability_rejected(rule):
         with pytest.raises(ValueError, match="probability"):
             eval_pairs(m, ordering, SINGLET, A_X, B_09, lams)
         with pytest.raises(ValueError, match="probability"):
-            m.count_pairs(ordering, SINGLET, [(A_X, B_09)], lams)
+            m.count_pairs(ordering, SINGLET, [(A_X, B_09)])(lams)
 
 
 def test_sign_kernel_gives_int8_for_strided_bools():

@@ -343,7 +343,7 @@ def test_shared_sample_tables_are_count_pairs_on_sample_lambda(model, ordering):
     lams = sample_lambda(m.lambda_dim, n, SeedSpec(11))
     tables = sample_tables(m, ordering, SINGLET, pairs, n, SeedSpec(11), workers=2)
     for pair, counts in zip(pairs, tables.counts):
-        assert np.array_equal(counts, m.count_pairs(ordering, SINGLET, [pair], lams)[0])
+        assert np.array_equal(counts, m.count_pairs(ordering, SINGLET, [pair])(lams)[0])
 
 
 _SETTINGS = [*setting_grid(3), *tsirelson_settings()]
@@ -414,9 +414,47 @@ def test_rank_cell_chsh_is_the_scoring_default(model, ordering, quad, n, seed, l
     # a threshold model's count_chsh, from rank cells, is the rows' scores bit for bit
     m, pairs = make_model(model), chsh_pairs(quad)
     lams = np.asarray(sample_lambda(2, n, SeedSpec(seed)), order=layout)
-    counts = m.count_chsh(ordering, SINGLET, pairs, lams)
+    counts = m.count_chsh(ordering, SINGLET, pairs)(lams)
     assert counts.dtype == np.int64 and counts.shape == (21,)
-    assert np.array_equal(counts, models.OrderedModel.count_chsh(m, ordering, SINGLET, pairs, lams))
+    assert np.array_equal(counts, models.OrderedModel.count_chsh(m, ordering, SINGLET, pairs)(lams))
+
+
+@pytest.mark.parametrize("model", _THRESHOLD_MODELS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threshold_rule_is_taken_once_per_job(model, workers, monkeypatch):
+    # both count hooks take the rule when the job starts, not per block: n spans 4 blocks
+    m, rules, grid, n = make_model(model), [], setting_grid(3), 3 * _BLOCK + 5
+    rule = type(m)._rule
+
+    def counted_rule(self, ordering, *args):
+        rules.append(ordering)
+        return rule(self, ordering, *args)
+
+    monkeypatch.setattr(type(m), "_rule", counted_rule)
+    for ordering in (AB, BA):
+        rules.clear()
+        sample_tables(m, ordering, SINGLET, [(a, b) for a in grid for b in grid], n, SeedSpec(2),
+                      workers)
+        assert rules == [ordering]
+        rules.clear()
+        sample_chsh(m, ordering, SINGLET, tsirelson_settings(), n, SeedSpec(2), workers)
+        assert rules == [ordering]
+
+
+@pytest.mark.parametrize("model", _THRESHOLD_MODELS)
+@pytest.mark.parametrize("quad", range(len(_QUADS)))
+def test_threshold_chsh_block_count_makes_no_bincount(model, quad, monkeypatch):
+    # CHSH's rank tables, at most 2 x 8 keys, are counted from nested masks
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.bincount was called")
+
+    m, pairs = make_model(model), chsh_pairs(_QUADS[quad])
+    lams = sample_lambda(2, _BLOCK + 3, SeedSpec(6))
+    monkeypatch.setattr(np, "bincount", refuse)
+    for ordering in (AB, BA):
+        counts = m.count_chsh(ordering, SINGLET, pairs)(lams)
+        assert np.array_equal(counts, models.OrderedModel.count_chsh(m, ordering, SINGLET,
+                                                                     pairs)(lams))
 
 
 @pytest.mark.parametrize("model", _THRESHOLD_MODELS)
@@ -639,7 +677,7 @@ def test_multi_pair_exact_tables_each_sum_to_the_lattice(model, ordering, pairs,
     lambda m: estimate_joint(m, AB, SINGLET, A_X, B_09, 4_000_000, SeedSpec(3), workers=2),
     # the engine itself: gisin-singlet's exact tables no longer reach it, and local-sphere's
     # direction arrays would take 40 MiB
-    lambda m: stats._count_blocks(partial(m.count_pairs, AB, SINGLET, [(A_X, B_09)]), 2000 ** 2,
+    lambda m: stats._count_blocks(m.count_pairs(AB, SINGLET, [(A_X, B_09)]), 2000 ** 2,
                                   lambda start, rows: _lattice_block(2, 2000, start, rows), 2),
 ], ids=["estimate_joint", "exact_joint"])
 def test_table_memory_is_bounded_by_blocks_not_points(run):
@@ -673,11 +711,10 @@ def test_exact_tables_of_a_hook_model_make_no_lattice_block(monkeypatch):
 
 def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
     """Only sizes are checked: the engine is replaced, so nothing is allocated."""
-    engine_jobs = []
+    engine_jobs, pairs = [], [(A_X, B_09)] * 10
 
     def engine(count, n, make_block, workers):
-        pairs = count.args[2]  # partial(m.count_pairs, ordering, state, pairs)
-        engine_jobs.append(n * len(pairs))
+        engine_jobs.append(n * len(pairs))  # pairs: those the test is passing now
         return np.zeros((len(pairs), 2, 2), dtype=np.int64)
 
     def no_block(*args):
@@ -687,7 +724,7 @@ def test_engine_cost_cap_rejects_before_any_block(monkeypatch):
     monkeypatch.setattr(stats, "_lattice_block", no_block)
     sphere, side = EngineSphere(), math.isqrt(models._ENGINE_CAP // 10)
     assert side ** 2 * 10 == models._ENGINE_CAP
-    exact_tables(sphere, AB, SINGLET, [(A_X, B_09)] * 10, side)
+    exact_tables(sphere, AB, SINGLET, pairs, side)
     assert engine_jobs == [models._ENGINE_CAP]
     deep = determinize(StochasticResponse(1, stochastic_singlet().p_first,
                                           stochastic_singlet().p_second))  # lambda_dim 3
